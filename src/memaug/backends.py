@@ -294,23 +294,33 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
-def _token_components(token: str, dimension: int) -> np.ndarray:
-    """Expand a token into ``dimension`` reals in [-1, 1).
+# Elements per numpy pass of the hash embedder: 256 tokens or texts at
+# dimension 256, so each temporary (512 KB) stays in CPU cache. Passes of
+# 4,096 tokens (8 MB temporaries) made embed_many 1.4x slower.
+_CHUNK_ELEMENTS = 1 << 16
 
-    The token's UTF-8 bytes are hashed with 64-bit FNV-1a to seed a
+
+def _token_components(tokens: Sequence[str], dimension: int) -> np.ndarray:
+    """Expand tokens into a ``(len(tokens), dimension)`` array of reals in [-1, 1).
+
+    Each token's UTF-8 bytes are hashed with 64-bit FNV-1a to seed a
     SplitMix64 stream; each 64-bit draw keeps its top 53 bits and is scaled
-    into [-1, 1). Pure integer arithmetic, so results are identical on every
+    into [-1, 1). The streams of all tokens advance together in wrapping
+    ``uint64`` arithmetic, so results are exact and identical on every
     platform.
     """
-    state = _fnv1a64(token.encode("utf-8"))
-    out = np.empty(dimension, dtype=np.float64)
-    for i in range(dimension):
-        state = (state + _SM_GAMMA) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * _SM_MULT1) & _MASK64
-        z = ((z ^ (z >> 27)) * _SM_MULT2) & _MASK64
-        z ^= z >> 31
-        out[i] = ((z >> 11) / float(1 << 53)) * 2.0 - 1.0
+    seeds = np.array([_fnv1a64(token.encode("utf-8")) for token in tokens], dtype=np.uint64)
+    steps = np.arange(1, dimension + 1, dtype=np.uint64) * np.uint64(_SM_GAMMA)
+    z = seeds[:, None] + steps
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_SM_MULT1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_SM_MULT2)
+    z ^= z >> np.uint64(31)
+    out = (z >> np.uint64(11)).astype(np.float64)
+    out /= float(1 << 53)
+    out *= 2.0
+    out -= 1.0
     return out
 
 
@@ -322,21 +332,45 @@ def l2_normalize(vector: np.ndarray) -> np.ndarray:
     return vector / norm
 
 
+def _l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
+    """Scale each row of ``matrix`` in place; row ``i`` ends bitwise equal to
+    ``l2_normalize(matrix[i])``, whose norm is the same per-row dot product."""
+    norms = np.sqrt(np.array([row.dot(row) for row in matrix], dtype=np.float64))
+    if np.any(norms < 1e-12):
+        raise ZeroVectorError("cannot normalize a zero vector")
+    matrix /= norms[:, None]
+    return matrix
+
+
 class Embedder(Protocol):
+    """Text to vectors; ``embed_many`` row ``i`` equals ``embed(texts[i])``.
+
+    ``kind`` and ``model`` name the embedder in an index file's header.
+    """
+
+    kind: str
+    model: str | None
+
     @property
     def dimension(self) -> int: ...
 
     def embed(self, text: str) -> np.ndarray: ...
+
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray: ...
 
 
 class HashEmbedder:
     """Deterministic token-hash embedder used as the offline mock.
 
     Text is case-folded and split on whitespace; each token expands through
-    the fixed hash/mix chain into a vector, token vectors are averaged, and
-    the mean is L2-normalized. There is no semantic signal: two texts are
-    similar exactly to the extent that they share tokens.
+    the fixed hash/mix chain into a vector, token vectors are summed in token
+    order and averaged, and the mean is L2-normalized. There is no semantic
+    signal: two texts are similar exactly to the extent that they share
+    tokens. Unseen tokens of a batch are expanded together and cached.
     """
+
+    kind = "hash"
+    model = None
 
     def __init__(self, dimension: int = 8):
         if dimension < 1:
@@ -351,26 +385,52 @@ class HashEmbedder:
     def get_params(self, deep: bool = True) -> dict:
         return {"dimension": self._dimension}
 
+    def _fill(self, tokens: Sequence[str]) -> None:
+        unseen = list(dict.fromkeys(t for t in tokens if t not in self._cache))
+        chunk = max(1, _CHUNK_ELEMENTS // self._dimension)
+        for start in range(0, len(unseen), chunk):
+            batch = unseen[start : start + chunk]
+            self._cache.update(zip(batch, _token_components(batch, self._dimension)))
+
     def token_vector(self, token: str) -> np.ndarray:
         """Raw (pre-normalization) vector for one case-folded token."""
-        cached = self._cache.get(token)
-        if cached is None:
-            cached = _token_components(token, self._dimension)
-            self._cache[token] = cached
-        return cached
+        self._fill([token])
+        return self._cache[token]
 
     def embed(self, text: str) -> np.ndarray:
-        tokens = text.casefold().split()
-        if not tokens:
+        return self.embed_many([text])[0]
+
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        token_lists = [text.casefold().split() for text in texts]
+        if not all(token_lists):
             raise ZeroVectorError("no tokens to embed")
-        total = np.zeros(self._dimension, dtype=np.float64)
-        for token in tokens:
-            total += self.token_vector(token)
-        return l2_normalize(total / len(tokens))
+        self._fill([token for tokens in token_lists for token in tokens])
+        out = np.empty((len(texts), self._dimension), dtype=np.float64)
+        block = max(1, _CHUNK_ELEMENTS // self._dimension)
+        for start in range(0, len(texts), block):
+            rows = out[start : start + block]
+            by_length: dict[int, list[int]] = {}
+            for i, tokens in enumerate(token_lists[start : start + block]):
+                by_length.setdefault(len(tokens), []).append(i)
+            for length, members in by_length.items():
+                # Summed token by token in text order, as a one-text loop would.
+                total = np.zeros((len(members), self._dimension), dtype=np.float64)
+                for j in range(length):
+                    total += np.array([self._cache[token_lists[start + i][j]] for i in members])
+                rows[members] = total / length
+            _l2_normalize_rows(rows)
+        return out
 
 
 class RemoteEmbedder:
-    """OpenAI-compatible embeddings client; dimension is backend-reported."""
+    """OpenAI-compatible embeddings client; dimension is backend-reported.
+
+    ``embed_many`` sends up to ``BATCH_SIZE`` texts per request as an
+    ``input`` list and orders the returned rows by their ``index`` field.
+    """
+
+    kind = "remote"
+    BATCH_SIZE = 64
 
     def __init__(self, profile: BackendProfile, session: requests.Session | None = None):
         if profile.kind is not BackendKind.REMOTE_CHAT:
@@ -380,12 +440,28 @@ class RemoteEmbedder:
         self._dimension: int | None = None
 
     @property
+    def model(self) -> str:
+        return self.profile.model_id
+
+    @property
     def dimension(self) -> int:
         if self._dimension is None:
             raise TransportError("dimension unknown before the first embed call")
         return self._dimension
 
     def embed(self, text: str) -> np.ndarray:
+        return self.embed_many([text])[0]
+
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        chunks = [
+            self._request(list(texts[start : start + self.BATCH_SIZE]))
+            for start in range(0, len(texts), self.BATCH_SIZE)
+        ]
+        if not chunks:
+            return np.zeros((0, self._dimension or 0))
+        return np.concatenate(chunks)
+
+    def _request(self, texts: list[str]) -> np.ndarray:
         headers = {"Content-Type": "application/json"}
         key = os.environ.get(self.profile.api_key_env, "")
         if key:
@@ -394,7 +470,7 @@ class RemoteEmbedder:
         try:
             response = self._session.post(
                 url,
-                json={"model": self.profile.model_id, "input": text},
+                json={"model": self.profile.model_id, "input": texts},
                 headers=headers,
                 timeout=self.profile.timeout,
             )
@@ -405,13 +481,18 @@ class RemoteEmbedder:
                 f"embedding request returned HTTP {response.status_code}: {response.text[:200]}"
             )
         try:
-            values = response.json()["data"][0]["embedding"]
-            vector = np.asarray(values, dtype=np.float64)
+            rows = sorted(response.json()["data"], key=lambda row: row["index"])
+            if [row["index"] for row in rows] != list(range(len(texts))):
+                raise ValueError(f"expected rows 0..{len(texts) - 1}")
+            vectors = np.array([row["embedding"] for row in rows], dtype=np.float64)
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed embedding response: {exc}") from exc
-        if self._dimension is None:
-            self._dimension = vector.shape[0]
-        return vector
+        if vectors.ndim != 2 or self._dimension not in (None, vectors.shape[1]):
+            raise TransportError(
+                f"embedding rows of shape {vectors.shape} do not match the dimension"
+            )
+        self._dimension = vectors.shape[1]
+        return vectors
 
 
 def make_chat_backend(

@@ -18,7 +18,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -126,6 +126,7 @@ class RunConfig:
     command: str
     backend: str = "mock"
     model: str = "mock"
+    embed_model: str | None = None
     endpoint: str | None = None
     api_key_env: str = "MEMAUG_API_KEY"
     mode: str = "embedding"
@@ -153,6 +154,16 @@ class RunConfig:
             timeout=self.timeout,
             api_key_env=self.api_key_env,
         )
+
+    def embedder(self, dimension: int):
+        """The embedder for this run: the hash embedder under the mock backend,
+        else the remote ``embed_model``, which is never the chat ``model``."""
+        profile = self.profile()
+        if profile.kind is BackendKind.REMOTE_CHAT:
+            if not self.embed_model:
+                raise ValueError("remote embeddings need --embed-model")
+            profile = replace(profile, model_id=self.embed_model)
+        return make_embedder(profile, dimension=dimension)
 
     def parts(self) -> tuple[QueryPart, ...]:
         mapping = {"text": QueryPart.TEXT, "attributes": QueryPart.ATTRIBUTES}
@@ -242,7 +253,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
 def cmd_index(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     store = MemoryStore.load(args.store)
-    embedder = make_embedder(config.profile(), dimension=config.dim)
+    embedder = config.embedder(config.dim)
     index, skipped = build_index(store, _STRATEGIES[config.strategy], embedder)
     index.save(args.out)
     print(f"indexed {len(index)} items ({len(skipped)} skipped) -> {args.out}")
@@ -261,7 +272,13 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
         if not args.index:
             raise ValueError("embedding retrieval requires --index")
         index = VectorIndex.load(args.index)
-        embedder = make_embedder(config.profile(), dimension=index.dimension)
+        built_by = (index.embedder_kind, index.embedder_model)
+        config.embed_model = config.embed_model or index.embedder_model
+        embedder = config.embedder(index.dimension)
+        if index.embedder_kind is not None and (embedder.kind, embedder.model) != built_by:
+            raise ValueError(
+                f"index was built by embedder {built_by}, not {(embedder.kind, embedder.model)}"
+            )
     query = QueryContext(text=args.query)
     if mode is not RetrievalMode.COMPREHENSIVE:
         miner = _miner(config, args)
@@ -328,7 +345,7 @@ def _eval_qa(args, config: RunConfig) -> tuple[dict, str]:
     index = None
     embedder = None
     if mode is RetrievalMode.EMBEDDING_BASED:
-        embedder = make_embedder(config.profile(), dimension=config.dim)
+        embedder = config.embedder(config.dim)
         index, _ = build_index(store, _STRATEGIES[config.strategy], embedder)
     setup = RetrievalSetup(
         mode=mode,
@@ -371,7 +388,7 @@ def _eval_rec(args, config: RunConfig) -> tuple[dict, str]:
     index = None
     embedder = None
     if mode is RetrievalMode.EMBEDDING_BASED:
-        embedder = make_embedder(config.profile(), dimension=config.dim)
+        embedder = config.embedder(config.dim)
         index, _ = build_index(store, _STRATEGIES[config.strategy], embedder)
     setup = RetrievalSetup(
         mode=mode,
@@ -508,6 +525,8 @@ def build_parser() -> _Parser:
         p.add_argument("--mock-rules", dest="mock_rules", default=None,
                        help="JSON rule table for the mock backend")
 
+    embed_help = "embedding model of the remote backend, separate from the chat --model"
+
     p_augment = sub.add_parser("augment", help="mine attribute annotations for a corpus")
     common(p_augment)
     p_augment.add_argument("--input", required=True, help="input items JSONL")
@@ -526,6 +545,7 @@ def build_parser() -> _Parser:
     p_index.add_argument("--out", required=True)
     p_index.add_argument("--strategy", choices=list(_STRATEGIES), default=None)
     p_index.add_argument("--dim", type=int, default=None)
+    p_index.add_argument("--embed-model", dest="embed_model", default=None, help=embed_help)
     p_index.set_defaults(func=cmd_index)
 
     p_retrieve = sub.add_parser("retrieve", help="query a store")
@@ -538,6 +558,8 @@ def build_parser() -> _Parser:
     p_retrieve.add_argument("--policy", choices=list(_POLICIES), default=None)
     p_retrieve.add_argument("--query-parts", dest="query_parts", default=None)
     p_retrieve.add_argument("--json", action="store_true")
+    p_retrieve.add_argument("--embed-model", dest="embed_model", default=None,
+                            help=embed_help + " (default: the one the index records)")
     p_retrieve.set_defaults(func=cmd_retrieve)
 
     p_eval = sub.add_parser("eval", help="run an evaluation task and write reports")
@@ -555,6 +577,7 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--k", type=int, default=None)
     p_eval.add_argument("--n", type=int, default=None)
     p_eval.add_argument("--dim", type=int, default=None)
+    p_eval.add_argument("--embed-model", dest="embed_model", default=None, help=embed_help)
     p_eval.add_argument("--parallelism", type=int, default=None)
     p_eval.add_argument("--input-mode", dest="input_mode",
                         choices=["annotations_only", "annotations_plus_dialogues"],

@@ -21,7 +21,8 @@ class LengthBudgetExceeded(MemaugError):
 class AugmentFailure(MemaugError):
     """Attribute mining gave up on an item after exhausting retries.
 
-    ``reason`` is one of ``"transport"``, ``"refusal"``, ``"unparseable"``.
+    ``reason`` is one of ``"transport"``, ``"refusal"``, ``"unparseable"``;
+    corpus mining also records ``"empty"`` and ``"too_long"`` items.
     """
 
     def __init__(self, reason: str, detail: str = ""):

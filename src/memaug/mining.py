@@ -22,7 +22,7 @@ from .annotations import (
     parse_turn_annotations,
 )
 from .backends import ChatBackend
-from .errors import AugmentFailure, BackendRefusal, TransportError
+from .errors import AugmentFailure, BackendRefusal, LengthBudgetExceeded, TransportError
 from .store import ItemKind, MemoryItem
 from .templates import (
     DEFAULT_LENGTH_BUDGET,
@@ -233,17 +233,23 @@ class AttributeMiner(ParamsMixin):
 
         Results come back in input order regardless of ``parallelism``. Each
         item is augmented from its own content only, so the fan-out cannot
-        change any result.
+        change any result. Besides the reasons of :class:`AugmentFailure`,
+        an item with no content fails as ``empty`` and one over the length
+        budget as ``too_long``.
         """
         ids = [item.id for item in items]
         if len(set(ids)) != len(ids):
             raise ValueError("item ids must be unique")
 
         def run(item: MemoryItem) -> Annotation | AugmentFailure:
+            if not item.content:
+                return AugmentFailure("empty", "item content is empty")
             try:
                 return self.mine(item)
             except AugmentFailure as exc:
                 return exc
+            except LengthBudgetExceeded as exc:
+                return AugmentFailure("too_long", str(exc))
 
         if self.parallelism > 1 and len(items) > 1:
             with ThreadPoolExecutor(max_workers=self.parallelism) as pool:

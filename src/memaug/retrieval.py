@@ -28,9 +28,11 @@ from .errors import (
     DimensionMismatchError,
     EmptyAnnotationError,
     EmptyQueryError,
+    SchemaError,
     StrategyMismatchError,
     ZeroVectorError,
 )
+from .fileio import atomic_open
 from .store import MatchPolicy, MemoryStore
 from .validation import ParamsMixin, check_is_fitted, check_positive_int, check_vector
 
@@ -105,6 +107,35 @@ class QueryVector:
     strategy: EmbeddingStrategy
 
 
+def _embed_rows(embedder: Embedder, texts: Sequence[str]) -> np.ndarray:
+    """``embedder.embed_many(texts)``; an embedder without it embeds text by text."""
+    if hasattr(embedder, "embed_many"):
+        return np.asarray(embedder.embed_many(texts), dtype=np.float64)
+    rows = [np.asarray(embedder.embed(text), dtype=np.float64) for text in texts]
+    for row in rows[1:]:
+        if row.shape != rows[0].shape:
+            raise DimensionMismatchError(
+                f"embedder emitted dimension {row.shape[0]} after {rows[0].shape[0]}"
+            )
+    return np.array(rows)
+
+
+def _average(rows: np.ndarray) -> np.ndarray:
+    """The averaged-pairs vector: the mean of the rows, L2-normalized."""
+    return l2_normalize(np.mean(rows, axis=0))
+
+
+def _annotation_texts(ann: Annotation, strategy: EmbeddingStrategy) -> list[str]:
+    """The strings an annotation embeds as under an annotation strategy."""
+    if strategy is EmbeddingStrategy.AVERAGED_PAIRS:
+        if len(ann) == 0:
+            raise EmptyAnnotationError("cannot average over zero pairs")
+        return [pair.render() for pair in ann.pairs]
+    if strategy is EmbeddingStrategy.WHOLE_ANNOTATION:
+        return [render_annotation(ann)]
+    raise ValueError("RAW_CONTENT embeds item text, not annotations")
+
+
 def embed_annotation(
     ann: Annotation, strategy: EmbeddingStrategy, embedder: Embedder
 ) -> np.ndarray:
@@ -115,24 +146,31 @@ def embed_annotation(
     embeds exactly like its pair. WHOLE_ANNOTATION embeds the full rendered
     annotation as one string.
     """
-    if strategy is EmbeddingStrategy.AVERAGED_PAIRS:
-        if len(ann) == 0:
-            raise EmptyAnnotationError("cannot average over zero pairs")
-        vectors = [embedder.embed(pair.render()) for pair in ann.pairs]
-        return l2_normalize(np.mean(vectors, axis=0))
-    if strategy is EmbeddingStrategy.WHOLE_ANNOTATION:
-        return embedder.embed(render_annotation(ann))
-    raise ValueError("RAW_CONTENT embeds item text, not annotations")
+    rows = _embed_rows(embedder, _annotation_texts(ann, strategy))
+    return _average(rows) if strategy is EmbeddingStrategy.AVERAGED_PAIRS else rows[0]
+
+
+# Binary index file: one JSON header line, then the float64 matrix in .npy form.
+INDEX_FORMAT = "memaug-index"
+INDEX_VERSION = 2
+# A gemv score is within ~1e-13 of the row-wise score; rows within this much
+# of the k-th gemv score are re-scored row-wise, so the band holds the top-k.
+_BAND = 1e-9
 
 
 @dataclass(frozen=True)
 class VectorIndex:
-    """Flat exact-scan cosine index; immutable after build."""
+    """Flat exact-scan cosine index; immutable after build.
+
+    ``embedder_kind`` and ``embedder_model`` record what built the vectors.
+    """
 
     item_ids: tuple[str, ...]
     vectors: np.ndarray  # shape (n, dimension)
     strategy: EmbeddingStrategy
     dimension: int
+    embedder_kind: str | None = None
+    embedder_model: str | None = None
     norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -176,54 +214,87 @@ class VectorIndex:
         qnorm = float(np.linalg.norm(vector))
         if qnorm < 1e-12:
             raise ZeroVectorError("query vector has zero norm")
-        # Row-wise reduction instead of BLAS matmul: duplicate entries must
-        # produce bitwise-equal scores so that exact ties fall through to the
-        # id tie-break regardless of row position.
-        scores = (self.vectors * vector).sum(axis=1) / (self.norms * qnorm)
-        np.clip(scores, -1.0, 1.0, out=scores)
-        n = len(scores)
+        n = len(self.item_ids)
         if k >= n:
-            candidates = range(n)
+            band = np.arange(n)
         else:
-            threshold = np.partition(scores, n - k)[n - k]
-            candidates = np.nonzero(scores >= threshold)[0]
-        order = sorted(candidates, key=lambda i: (-scores[i], self.item_ids[i]))[:k]
+            # One gemv ranks every row; only the band around its k-th score
+            # can hold the exact top-k.
+            approx = (self.vectors @ vector) / (self.norms * qnorm)
+            kth = np.partition(approx, n - k)[n - k]
+            band = np.flatnonzero(approx >= kth - _BAND)
+        # Row-wise reduction over the band: duplicate entries must produce
+        # bitwise-equal scores so that exact ties fall through to the id
+        # tie-break regardless of row position.
+        scores = (self.vectors[band] * vector).sum(axis=1) / (self.norms[band] * qnorm)
+        np.clip(scores, -1.0, 1.0, out=scores)
+        ids = [self.item_ids[i] for i in band]
+        order = sorted(range(len(band)), key=lambda j: (-scores[j], ids[j]))[:k]
         hits = tuple(
-            RankedHit(item_id=self.item_ids[i], score=float(scores[i]), rank=rank)
-            for rank, i in enumerate(order, start=1)
+            RankedHit(item_id=ids[j], score=float(scores[j]), rank=rank)
+            for rank, j in enumerate(order, start=1)
         )
         return RetrievalResult(hits=hits, mode=RetrievalMode.EMBEDDING_BASED)
 
     def save(self, path: str | Path) -> None:
-        record = {
+        """Write the index as one file, atomically: a JSON header line with
+        the format version, strategy, dimension, embedder and ids, then the
+        vectors as a ``.npy`` float64 matrix."""
+        header = {
+            "format": INDEX_FORMAT,
+            "version": INDEX_VERSION,
             "strategy": self.strategy.value,
             "dimension": self.dimension,
-            "entries": [
-                {"id": item_id, "vector": [float(x) for x in vector]}
-                for item_id, vector in zip(self.item_ids, self.vectors)
-            ],
+            "embedder": {"kind": self.embedder_kind, "model": self.embedder_model},
+            "ids": list(self.item_ids),
         }
-        Path(path).write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with atomic_open(path, "wb") as fh:
+            fh.write(json.dumps(header).encode("utf-8") + b"\n")
+            np.save(fh, self.vectors, allow_pickle=False)
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
+        """Read a file written by :meth:`save`; raises :class:`SchemaError`
+        for any other content, JSON indexes of older releases included."""
         source = Path(path)
         if not source.exists():
             raise FileNotFoundError(f"index file not found: {source}")
-        record = json.loads(source.read_text(encoding="utf-8"))
-        entries = record["entries"]
-        dimension = int(record["dimension"])
-        ids = tuple(entry["id"] for entry in entries)
-        vectors = (
-            np.array([entry["vector"] for entry in entries], dtype=np.float64)
-            if entries
-            else np.zeros((0, dimension))
-        )
+        with source.open("rb") as fh:
+            try:
+                header = json.loads(fh.readline())
+            except ValueError:
+                header = None
+            if (
+                not isinstance(header, dict)
+                or header.get("format") != INDEX_FORMAT
+                or header.get("version") != INDEX_VERSION
+            ):
+                raise SchemaError(
+                    f"{source} is not a version-{INDEX_VERSION} memaug index (JSON indexes "
+                    "of older releases are not read); re-run `memaug index` to rebuild it"
+                )
+            try:
+                vectors = np.load(fh, allow_pickle=False)
+                ids = tuple(header["ids"])
+                dimension = int(header["dimension"])
+                strategy = EmbeddingStrategy(header["strategy"])
+                kind, model = header["embedder"]["kind"], header["embedder"]["model"]
+            except (ValueError, EOFError, OSError, KeyError, TypeError) as exc:
+                raise SchemaError(f"{source}: malformed index: {exc}") from exc
+        if not all(isinstance(item_id, str) for item_id in ids):
+            raise SchemaError(f"{source}: index ids must be strings")
+        if vectors.dtype != np.float64 or vectors.shape != (len(ids), dimension):
+            raise SchemaError(
+                f"{source}: expected a float64 matrix of shape {(len(ids), dimension)}, "
+                f"got {vectors.dtype} {vectors.shape}"
+            )
         return cls(
             item_ids=ids,
             vectors=vectors,
-            strategy=EmbeddingStrategy(record["strategy"]),
+            strategy=strategy,
             dimension=dimension,
+            embedder_kind=kind,
+            embedder_model=model,
         )
 
 
@@ -236,37 +307,67 @@ def build_index(
 
     Annotation strategies skip items without annotations; the raw-content
     strategy embeds item text regardless. Items whose embedding fails are
-    skipped and reported as (item id, reason).
+    skipped and reported as (item id, reason), in store order. Every distinct
+    text of the corpus is embedded once, in one ``embed_many`` call.
     """
-    ids: list[str] = []
-    rows: list[np.ndarray] = []
-    skipped: list[tuple[str, str]] = []
-    dimension: int | None = None
+    units: list[tuple[str, list[str] | str]] = []  # (item id, texts or skip reason)
     for entry in store.entries():
-        try:
-            if strategy is EmbeddingStrategy.RAW_CONTENT:
-                vector = embedder.embed(entry.item.content)
-            elif entry.annotation is None:
-                skipped.append((entry.item.id, "no annotation"))
-                continue
-            else:
-                vector = embed_annotation(entry.annotation, strategy, embedder)
-        except (ZeroVectorError, EmptyAnnotationError) as exc:
-            skipped.append((entry.item.id, str(exc)))
+        if strategy is EmbeddingStrategy.RAW_CONTENT:
+            units.append((entry.item.id, [entry.item.content]))
+        elif entry.annotation is None:
+            units.append((entry.item.id, "no annotation"))
+        else:
+            try:
+                units.append((entry.item.id, _annotation_texts(entry.annotation, strategy)))
+            except EmptyAnnotationError as exc:
+                units.append((entry.item.id, str(exc)))
+    distinct = list(
+        dict.fromkeys(t for _, texts in units if isinstance(texts, list) for t in texts)
+    )
+    errors: dict[str, str] = {}
+    try:
+        rows = _embed_rows(embedder, distinct)
+    except ZeroVectorError:
+        # Embed one text at a time to learn which ones fail, then batch the rest.
+        for text in distinct:
+            try:
+                _embed_rows(embedder, [text])
+            except ZeroVectorError as exc:
+                errors[text] = str(exc)
+        distinct = [text for text in distinct if text not in errors]
+        rows = _embed_rows(embedder, distinct)
+    position = {text: i for i, text in enumerate(distinct)}
+
+    ids: list[str] = []
+    vectors: list[np.ndarray] = []
+    skipped: list[tuple[str, str]] = []
+    for item_id, texts in units:
+        if isinstance(texts, str):
+            skipped.append((item_id, texts))
             continue
-        if dimension is None:
-            dimension = int(vector.shape[0])
-        elif vector.shape[0] != dimension:
-            raise DimensionMismatchError(
-                f"embedder emitted dimension {vector.shape[0]} after {dimension}"
-            )
-        ids.append(entry.item.id)
-        rows.append(vector)
-    if dimension is None:
-        dimension = getattr(embedder, "dimension", 0) or 0
-    vectors = np.array(rows) if rows else np.zeros((0, dimension))
+        failed = [errors[text] for text in texts if text in errors]
+        if failed:
+            skipped.append((item_id, failed[0]))
+            continue
+        item_rows = rows[[position[text] for text in texts]]
+        if strategy is EmbeddingStrategy.AVERAGED_PAIRS:
+            try:
+                vector = _average(item_rows)
+            except ZeroVectorError as exc:
+                skipped.append((item_id, str(exc)))
+                continue
+        else:
+            vector = item_rows[0]
+        ids.append(item_id)
+        vectors.append(vector)
+    dimension = rows.shape[1] if len(rows) else getattr(embedder, "dimension", 0) or 0
     index = VectorIndex(
-        item_ids=tuple(ids), vectors=vectors, strategy=strategy, dimension=dimension
+        item_ids=tuple(ids),
+        vectors=np.array(vectors) if vectors else np.zeros((0, dimension)),
+        strategy=strategy,
+        dimension=dimension,
+        embedder_kind=getattr(embedder, "kind", None),
+        embedder_model=getattr(embedder, "model", None),
     )
     return index, skipped
 
@@ -299,8 +400,7 @@ def embed_query(
     if not units:
         raise EmptyQueryError("query has no embeddable content for the selected parts")
     if strategy is EmbeddingStrategy.AVERAGED_PAIRS and len(units) > 1:
-        vectors = [embedder.embed(unit) for unit in units]
-        return QueryVector(l2_normalize(np.mean(vectors, axis=0)), strategy)
+        return QueryVector(_average(_embed_rows(embedder, units)), strategy)
     return QueryVector(embedder.embed(" ".join(units)), strategy)
 
 

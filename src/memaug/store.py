@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from .annotations import Annotation, Granularity, normalize_name
 from .errors import DuplicateIdError, GranularityMismatchError, SchemaError
+from .fileio import atomic_open
 
 if TYPE_CHECKING:
     from .mining import AugmentationReport
@@ -249,18 +250,22 @@ class MemoryStore:
         """Write one JSON object per item, in insertion order.
 
         When an augmentation report is attached, it is saved next to the
-        store as ``<path>.report.json`` so stats survive a reload.
+        store as ``<path>.report.json`` so stats survive a reload; without
+        one, a report left by an earlier save is removed. Each file is
+        replaced atomically.
         """
         target = Path(path)
-        with target.open("w", encoding="utf-8") as fh:
+        with atomic_open(target) as fh:
             for item_id, item in self._items.items():
                 record = self._record(item, self._annotations.get(item_id))
                 fh.write(json.dumps(record, ensure_ascii=False) + "\n")
         report_path = target.with_name(target.name + ".report.json")
-        if self.augmentation_report is not None:
-            report_path.write_text(
-                json.dumps(self.augmentation_report.to_dict(), indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
+        if self.augmentation_report is None:
+            report_path.unlink(missing_ok=True)
+            return
+        with atomic_open(report_path) as fh:
+            fh.write(
+                json.dumps(self.augmentation_report.to_dict(), indent=2, sort_keys=True) + "\n"
             )
 
     @classmethod

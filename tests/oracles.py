@@ -10,6 +10,29 @@ from __future__ import annotations
 import math
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix_components(token, dimension):
+    """Hash-embedder components of one token, one scalar step at a time.
+
+    FNV-1a 64 over the token's UTF-8 bytes seeds a SplitMix64 stream; each
+    draw keeps its top 53 bits, scaled into [-1, 1).
+    """
+    state = 0xCBF29CE484222325
+    for byte in token.encode("utf-8"):
+        state = ((state ^ byte) * 0x100000001B3) & _MASK64
+    out = []
+    for _ in range(dimension):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z ^= z >> 31
+        out.append(((z >> 11) / float(1 << 53)) * 2.0 - 1.0)
+    return out
+
+
 def brute_force_topk(ids, vectors, query, k):
     """Full sort of all cosine scores, ties broken by ascending id."""
     query_norm = math.sqrt(sum(x * x for x in query))

@@ -6,6 +6,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import splitmix_components
 
 from memaug import (
     BackendKind,
@@ -114,6 +118,43 @@ class TestHashEmbedder:
             HashEmbedder(0)
         assert HashEmbedder(64).embed("x").shape == (64,)
 
+    def test_embed_many_rows_equal_embed(self):
+        texts = ["genre", "alpha BETA", "[a]<1> [b]<2>", "alpha", "genre noir genre"]
+        rows = HashEmbedder(8).embed_many(texts)
+        assert rows.shape == (5, 8)
+        for text, row in zip(texts, rows):
+            assert row.tobytes() == HashEmbedder(8).embed(text).tobytes()
+
+    def test_embed_many_empty_batch_and_blank_text(self):
+        assert HashEmbedder(8).embed_many([]).shape == (0, 8)
+        with pytest.raises(ZeroVectorError):
+            HashEmbedder(8).embed_many(["fine", " "])
+
+
+# Whitespace-free tokens that survive case folding as one token, multi-byte
+# code points included.
+_TOKENS = st.text(
+    st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")), min_size=1, max_size=12
+).map(str.casefold).filter(lambda token: token.split() == [token])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    texts=st.lists(st.lists(_TOKENS, min_size=1, max_size=4), min_size=1, max_size=6),
+    dimension=st.sampled_from([1, 8, 256]),
+)
+def test_embed_many_matches_scalar_oracle(texts, dimension):
+    embedder = HashEmbedder(dimension)
+    rows = embedder.embed_many([" ".join(tokens) for tokens in texts])
+    for tokens, row in zip(texts, rows):
+        total = np.zeros(dimension)
+        for token in tokens:
+            component = np.array(splitmix_components(token, dimension))
+            assert embedder.token_vector(token).tobytes() == component.tobytes()
+            total += component
+        mean = total / len(tokens)
+        assert row.tobytes() == (mean / np.linalg.norm(mean)).tobytes()
+
 
 class TestMockChatBackend:
     def test_rule_table_over_token_order(self):
@@ -192,7 +233,14 @@ class TestBackendProfile:
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    """OpenAI-shaped stub: echoes enough to verify the client protocol."""
+    """OpenAI-shaped stub: echoes enough to verify the client protocol.
+
+    Embedding requests are logged in ``requests``. Model ``emb`` embeds every
+    input as ``[1, 2, 2]``; any other model as ``[len(text), 1, 0]``. Rows
+    come back in reverse order, each tagged with its input position.
+    """
+
+    requests: list[dict] = []
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -214,7 +262,17 @@ class _StubHandler(BaseHTTPRequestHandler):
                 ]
             }
         elif self.path.endswith("/embeddings"):
-            body = {"data": [{"embedding": [1.0, 2.0, 2.0]}]}
+            type(self).requests.append(request)
+            rows = [
+                {
+                    "index": i,
+                    "embedding": (
+                        [1.0, 2.0, 2.0] if request["model"] == "emb" else [len(text), 1.0, 0.0]
+                    ),
+                }
+                for i, text in enumerate(request["input"])
+            ]
+            body = {"data": rows[::-1]}
         else:
             self.send_response(404)
             self.end_headers()
@@ -237,6 +295,7 @@ def stub_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 class TestRemoteBackends:
@@ -278,3 +337,50 @@ class TestRemoteBackends:
         )
         with pytest.raises(TransportError):
             _ = RemoteEmbedder(profile).dimension
+
+
+class TestRemoteEmbeddingBatches:
+    def test_embed_many_chunks_and_reorders(self, stub_server):
+        _StubHandler.requests.clear()
+        profile = BackendProfile(
+            kind=BackendKind.REMOTE_CHAT, model_id="emb-len", endpoint=stub_server
+        )
+        embedder = RemoteEmbedder(profile)
+        texts = ["x" * (i % 7 + 1) for i in range(2 * RemoteEmbedder.BATCH_SIZE + 2)]
+        rows = embedder.embed_many(texts)
+        np.testing.assert_array_equal(rows[:, 0], [len(text) for text in texts])
+        sizes = [len(r["input"]) for r in _StubHandler.requests]
+        assert sizes == [RemoteEmbedder.BATCH_SIZE, RemoteEmbedder.BATCH_SIZE, 2]
+        assert [t for r in _StubHandler.requests for t in r["input"]] == texts
+        assert {r["model"] for r in _StubHandler.requests} == {"emb-len"}
+        assert embedder.dimension == 3
+        np.testing.assert_array_equal(embedder.embed("xy"), [2.0, 1.0, 0.0])
+
+    def test_cli_embed_model_separate_from_chat_model(self, stub_server, tmp_path, capsys):
+        from memaug import ItemKind, MemoryItem, MemoryStore, VectorIndex
+        from memaug.cli import RunConfig, _config_from_args, build_parser, main
+
+        store = MemoryStore()
+        for i, content in enumerate(["x", "yy", "zzz"]):
+            store.write(MemoryItem(id=f"m{i}", kind=ItemKind.ENTITY, content=content))
+        store_path, index_path = tmp_path / "store.jsonl", tmp_path / "index.bin"
+        store.save(store_path)
+        _StubHandler.requests.clear()
+        argv = [
+            "index", "--store", str(store_path), "--out", str(index_path), "--strategy", "raw",
+            "--backend", "remote", "--endpoint", stub_server, "--model", "chat-m",
+            "--embed-model", "emb-len",
+        ]
+        assert main(argv) == 0
+        assert {r["model"] for r in _StubHandler.requests} == {"emb-len"}
+        index = VectorIndex.load(index_path)
+        assert (index.embedder_kind, index.embedder_model) == ("remote", "emb-len")
+        config = _config_from_args(build_parser().parse_args(argv))
+        assert (config.model, config.embed_model) == ("chat-m", "emb-len")
+        assert RunConfig(command="index").embed_model is None
+        without = [arg for arg in argv if arg not in ("--embed-model", "emb-len")]
+        assert main(without) == 1
+        assert "--embed-model" in capsys.readouterr().err
+        query = ["retrieve", "x", "--store", str(store_path), "--index", str(index_path)]
+        assert main(query) == 1
+        assert "index was built by embedder ('remote', 'emb-len')" in capsys.readouterr().err

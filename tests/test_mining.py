@@ -208,6 +208,25 @@ class TestMineCorpus:
         )
         assert serial.mine_corpus(items) == parallel.mine_corpus(items)
 
+    def test_over_budget_item_recorded_not_raised(self):
+        miner = AttributeMiner(
+            MockChatBackend(), granularity=Granularity.TURN_LEVEL, length_budget=60
+        )
+        items = [
+            make_turn(0, "a fine comedy"), make_turn(1, "comedy " * 20), make_turn(2, "a drama")
+        ]
+        results, report = miner.mine_corpus(items)
+        assert report.failures == [("t1", "too_long")]
+        assert [item_id for item_id, _ in results] == ["t0", "t2"]
+
+    def test_empty_item_recorded_not_raised(self):
+        miner = AttributeMiner(MockChatBackend(), granularity=Granularity.TURN_LEVEL)
+        items = [make_turn(0, "a fine comedy"), make_turn(1, ""), make_turn(2, "a drama")]
+        results, report = miner.mine_corpus(items)
+        assert report.failures == [("t1", "empty")]
+        assert (report.total, report.succeeded, report.failed) == (3, 2, 1)
+        assert [item_id for item_id, _ in results] == ["t0", "t2"]
+
     def test_report_consistency(self):
         from memaug.mining import AugmentationReport
 

@@ -24,6 +24,7 @@ from memaug import (
     QueryContext,
     QueryPart,
     RetrievalMode,
+    SchemaError,
     StrategyMismatchError,
     VectorIndex,
     ZeroVectorError,
@@ -129,6 +130,64 @@ class TestBuildIndex:
         store = entity_store({"a": single_pair("k", "1"), "b": single_pair("k", "2")})
         with pytest.raises(DimensionMismatchError):
             build_index(store, EmbeddingStrategy.RAW_CONTENT, Drifting())
+
+
+def per_item_index(store, strategy, embedder):
+    """The index as built one item at a time through ``embed``/``embed_annotation``."""
+    ids, rows, skipped = [], [], []
+    for entry in store.entries():
+        try:
+            if strategy is EmbeddingStrategy.RAW_CONTENT:
+                vector = embedder.embed(entry.item.content)
+            elif entry.annotation is None:
+                skipped.append((entry.item.id, "no annotation"))
+                continue
+            else:
+                vector = embed_annotation(entry.annotation, strategy, embedder)
+        except (ZeroVectorError, EmptyAnnotationError) as exc:
+            skipped.append((entry.item.id, str(exc)))
+            continue
+        ids.append(entry.item.id)
+        rows.append(vector)
+    return tuple(ids), np.array(rows), skipped
+
+
+class TestBatchedBuildIndex:
+    @pytest.fixture
+    def store(self):
+        rng = np.random.default_rng(11)
+        words = ["noir", "Noir", "los angeles", "heist", "café", "映画", "a b c"]
+        store = MemoryStore()
+        for i in range(60):
+            pairs = tuple(
+                AttributePair(f"k{rng.integers(0, 4)}", str(rng.choice(words)))
+                for _ in range(int(rng.integers(0, 4)))
+            )
+            annotation = None if i % 7 == 3 else Annotation(
+                pairs=pairs,
+                perspective=Perspective.ENTITY_CENTRIC,
+                granularity=Granularity.NOT_APPLICABLE,
+            )
+            content = ["", "   ", "some plain text", f"text {i}"][i % 4]
+            item = MemoryItem(id=f"m{i:02d}", kind=ItemKind.ENTITY, content=content)
+            store.write(item, annotation)
+        return store
+
+    @pytest.mark.parametrize("strategy", list(EmbeddingStrategy))
+    def test_matches_per_item_embedding_bitwise(self, store, strategy):
+        index, skipped = build_index(store, strategy, HashEmbedder(16))
+        ids, rows, expected_skipped = per_item_index(store, strategy, HashEmbedder(16))
+        assert index.item_ids == ids
+        assert index.vectors.tobytes() == rows.tobytes()
+        assert skipped == expected_skipped
+        assert {reason for _, reason in skipped} >= (
+            {"no tokens to embed"} if strategy is not EmbeddingStrategy.AVERAGED_PAIRS
+            else {"no annotation", "cannot average over zero pairs"}
+        )
+
+    def test_records_embedder(self, store):
+        index, _ = build_index(store, EmbeddingStrategy.AVERAGED_PAIRS, HashEmbedder(16))
+        assert (index.embedder_kind, index.embedder_model) == ("hash", None)
 
 
 class TestSearch:
@@ -241,6 +300,96 @@ class TestSearch:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             VectorIndex.load(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("dimension", [8, 64])
+    def test_query_equal_to_duplicated_row(self, dimension):
+        rng = np.random.default_rng(dimension)
+        for size in (6, 40, 300):
+            vectors = rng.normal(size=(size, dimension))
+            source = int(rng.integers(0, size))
+            for target in rng.integers(0, size, size=3):
+                vectors[int(target)] = vectors[source]
+            index = self.make_index(vectors, ids=[f"i{j:04d}" for j in rng.permutation(size)])
+            expected = brute_force_topk(
+                index.item_ids, vectors.tolist(), vectors[source].tolist(), size
+            )
+            for k in (1, 2, 4, 5, 10):
+                assert list(index.search(vectors[source], k).ids()) == expected[:k]
+
+    def test_k_at_least_n_ranks_everything(self):
+        rng = np.random.default_rng(5)
+        vectors = rng.normal(size=(12, 8))
+        vectors[3] = vectors[9]
+        index = self.make_index(vectors)
+        query = rng.normal(size=8)
+        expected = brute_force_topk(index.item_ids, vectors.tolist(), query.tolist(), 12)
+        for k in (12, 13, 100):
+            assert list(index.search(query, k).ids()) == expected
+
+    def test_binary_file_round_trip_with_provenance(self, tmp_path):
+        rng = np.random.default_rng(41)
+        vectors = rng.normal(size=(4, 8))
+        index = VectorIndex(
+            item_ids=("café", "映画", "😀 id", 'quote"\nline'),
+            vectors=vectors,
+            strategy=EmbeddingStrategy.WHOLE_ANNOTATION,
+            dimension=8,
+            embedder_kind="remote",
+            embedder_model="emb-3",
+        )
+        path = tmp_path / "index.bin"
+        index.save(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["index.bin"]
+        loaded = VectorIndex.load(path)
+        assert loaded.item_ids == index.item_ids
+        assert loaded.vectors.tobytes() == index.vectors.tobytes()
+        assert (loaded.strategy, loaded.dimension) == (index.strategy, 8)
+        assert (loaded.embedder_kind, loaded.embedder_model) == ("remote", "emb-3")
+
+    def test_empty_index_round_trip(self, tmp_path):
+        index = VectorIndex(
+            item_ids=(), vectors=np.zeros((0, 4)),
+            strategy=EmbeddingStrategy.AVERAGED_PAIRS, dimension=4,
+        )
+        index.save(tmp_path / "empty.idx")
+        loaded = VectorIndex.load(tmp_path / "empty.idx")
+        assert (len(loaded), loaded.dimension, loaded.vectors.shape) == (0, 4, (0, 4))
+
+    def test_legacy_json_index_rejected(self, tmp_path):
+        path = tmp_path / "index.json"
+        path.write_text(
+            '{"strategy": "raw_content", "dimension": 2, '
+            '"entries": [{"id": "a", "vector": [1.0, 0.0]}]}\n'
+        )
+        with pytest.raises(SchemaError, match="re-run `memaug index`"):
+            VectorIndex.load(path)
+
+    def test_malformed_binary_index_rejected(self, tmp_path):
+        index = self.make_index(np.eye(3))
+        path = tmp_path / "index.bin"
+        index.save(path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-10])
+        with pytest.raises(SchemaError):
+            VectorIndex.load(path)
+        header, _, matrix = data.partition(b"\n")
+        path.write_bytes(header.replace(b'"dimension": 3', b'"dimension": 4') + b"\n" + matrix)
+        with pytest.raises(SchemaError):
+            VectorIndex.load(path)
+
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "index.bin"
+        self.make_index(np.eye(3)).save(path)
+        before = path.read_bytes()
+
+        def broken_save(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "save", broken_save)
+        with pytest.raises(OSError):
+            self.make_index(np.eye(4)).save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["index.bin"]
 
 
 class TestEmbedQuery:

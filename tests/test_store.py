@@ -272,3 +272,39 @@ class TestPersistence:
         store.save(path)
         loaded = MemoryStore.load(path)
         assert loaded.lookup_by_attribute("genre", "drama", MatchPolicy.NAME_AND_VALUE) == {"m1"}
+
+
+class TestAtomicSave:
+    def test_failed_save_keeps_old_files(self, tmp_path, monkeypatch):
+        store = TestPersistence().make_store(10)
+        store.augmentation_report = AugmentationReport(total=10, succeeded=10, failed=0)
+        path = tmp_path / "store.jsonl"
+        store.save(path)
+        before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+        store.write(entity(99))
+        calls = []
+
+        def failing_record(item, annotation):
+            calls.append(item.id)
+            if len(calls) == 5:
+                raise OSError("disk full")
+            return original(item, annotation)
+
+        original = MemoryStore._record
+        monkeypatch.setattr(MemoryStore, "_record", staticmethod(failing_record))
+        with pytest.raises(OSError):
+            store.save(path)
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+
+    def test_save_without_report_removes_stale_sidecar(self, tmp_path):
+        store = TestPersistence().make_store(5)
+        store.augmentation_report = AugmentationReport(total=5, succeeded=5, failed=0)
+        path = tmp_path / "store.jsonl"
+        store.save(path)
+        sidecar = tmp_path / "store.jsonl.report.json"
+        assert sidecar.exists()
+        store.augmentation_report = None
+        store.save(path)
+        assert not sidecar.exists()
+        assert MemoryStore.load(path).augmentation_report is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["store.jsonl"]
