@@ -26,7 +26,6 @@ from .backends import (
     MockChatBackend,
     RemoteChatBackend,
     RemoteEmbedder,
-    StaticChatBackend,
     make_chat_backend,
     make_embedder,
 )
@@ -50,7 +49,6 @@ from .errors import (
     GranularityMismatchError,
     LabelNotFoundError,
     MemaugError,
-    NotFittedError,
     ParseError,
     SchemaError,
     StrategyMismatchError,
@@ -60,7 +58,6 @@ from .errors import (
 from .metrics import MetricReport, ndcg_at_k, recall_at_k, token_f1
 from .mining import AttributeMiner, AugmentationReport, QueryAnnotation
 from .retrieval import (
-    EmbeddingRetriever,
     EmbeddingStrategy,
     QueryContext,
     QueryPart,

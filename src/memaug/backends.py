@@ -44,14 +44,11 @@ class BackendProfile:
     kind: BackendKind = BackendKind.MOCK
     model_id: str = "mock"
     endpoint: str | None = None
-    max_retries: int = 2
     timeout: float = 30.0
     temperature: float | None = None
     api_key_env: str = "MEMAUG_API_KEY"
 
     def __post_init__(self):
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
         if self.kind is BackendKind.REMOTE_CHAT and not self.endpoint:
             raise ValueError("remote backends require an endpoint")
         if self.kind is BackendKind.MOCK and self.endpoint:
@@ -213,22 +210,32 @@ class MockChatBackend:
         return payload
 
 
-class StaticChatBackend:
-    """Returns canned responses in order; repeats the last one when exhausted.
+def _post_json(
+    session: requests.Session, profile: BackendProfile, path: str, body: dict, what: str
+):
+    """POST ``body`` to the profile's endpoint + ``path``; return the decoded JSON.
 
-    Useful in tests for failure paths (empty responses, refusals).
+    The bearer key is read from ``profile.api_key_env`` at call time. A failed
+    request, a non-200 status or a non-JSON body raises :class:`TransportError`
+    whose message names the ``what`` request.
     """
-
-    def __init__(self, responses: Sequence[str]):
-        if not responses:
-            raise ValueError("at least one response is required")
-        self.responses = list(responses)
-        self.calls = 0
-
-    def complete(self, prompt, *, template=None, payload=None) -> str:
-        index = min(self.calls, len(self.responses) - 1)
-        self.calls += 1
-        return self.responses[index]
+    headers = {"Content-Type": "application/json"}
+    key = os.environ.get(profile.api_key_env, "")
+    if key:
+        headers["Authorization"] = f"Bearer {key}"
+    url = profile.endpoint.rstrip("/") + path
+    try:
+        response = session.post(url, json=body, headers=headers, timeout=profile.timeout)
+    except requests.RequestException as exc:
+        raise TransportError(f"{what} request failed: {exc}") from exc
+    if response.status_code != 200:
+        raise TransportError(
+            f"{what} request returned HTTP {response.status_code}: {response.text[:200]}"
+        )
+    try:
+        return response.json()
+    except ValueError as exc:
+        raise TransportError(f"malformed {what} response: {exc}") from exc
 
 
 class RemoteChatBackend:
@@ -240,13 +247,6 @@ class RemoteChatBackend:
         self.profile = profile
         self._session = session or requests.Session()
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.profile.api_key_env, "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
-
     def complete(self, prompt, *, template=None, payload=None) -> str:
         body: dict = {
             "model": self.profile.model_id,
@@ -254,22 +254,11 @@ class RemoteChatBackend:
         }
         if self.profile.temperature is not None:
             body["temperature"] = self.profile.temperature
-        url = self.profile.endpoint.rstrip("/") + "/chat/completions"
+        data = _post_json(self._session, self.profile, "/chat/completions", body, "chat")
         try:
-            response = self._session.post(
-                url, json=body, headers=self._headers(), timeout=self.profile.timeout
-            )
-        except requests.RequestException as exc:
-            raise TransportError(f"chat request failed: {exc}") from exc
-        if response.status_code != 200:
-            raise TransportError(
-                f"chat request returned HTTP {response.status_code}: {response.text[:200]}"
-            )
-        try:
-            data = response.json()
             choice = data["choices"][0]
             content = choice["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed chat response: {exc}") from exc
         if choice.get("finish_reason") == "content_filter":
             raise BackendRefusal("backend declined the prompt")
@@ -382,9 +371,6 @@ class HashEmbedder:
     def dimension(self) -> int:
         return self._dimension
 
-    def get_params(self, deep: bool = True) -> dict:
-        return {"dimension": self._dimension}
-
     def _fill(self, tokens: Sequence[str]) -> None:
         unseen = list(dict.fromkeys(t for t in tokens if t not in self._cache))
         chunk = max(1, _CHUNK_ELEMENTS // self._dimension)
@@ -462,26 +448,10 @@ class RemoteEmbedder:
         return np.concatenate(chunks)
 
     def _request(self, texts: list[str]) -> np.ndarray:
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.profile.api_key_env, "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        url = self.profile.endpoint.rstrip("/") + "/embeddings"
+        body = {"model": self.profile.model_id, "input": texts}
+        data = _post_json(self._session, self.profile, "/embeddings", body, "embedding")
         try:
-            response = self._session.post(
-                url,
-                json={"model": self.profile.model_id, "input": texts},
-                headers=headers,
-                timeout=self.profile.timeout,
-            )
-        except requests.RequestException as exc:
-            raise TransportError(f"embedding request failed: {exc}") from exc
-        if response.status_code != 200:
-            raise TransportError(
-                f"embedding request returned HTTP {response.status_code}: {response.text[:200]}"
-            )
-        try:
-            rows = sorted(response.json()["data"], key=lambda row: row["index"])
+            rows = sorted(data["data"], key=lambda row: row["index"])
             if [row["index"] for row in rows] != list(range(len(texts))):
                 raise ValueError(f"expected rows 0..{len(texts) - 1}")
             vectors = np.array([row["embedding"] for row in rows], dtype=np.float64)

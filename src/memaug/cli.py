@@ -38,6 +38,7 @@ from .errors import (
     SchemaError,
     TransportError,
 )
+from .fileio import atomic_open
 from .mining import AttributeMiner
 from .retrieval import (
     EmbeddingStrategy,
@@ -46,7 +47,6 @@ from .retrieval import (
     RetrievalMode,
     VectorIndex,
     build_index,
-    retrieve,
 )
 from .store import MatchPolicy, MemoryStore
 from .tasks import RetrievalSetup, run_event_summarization, run_qa_task, run_rec_task
@@ -150,7 +150,6 @@ class RunConfig:
             kind=kind,
             model_id=self.model,
             endpoint=self.endpoint if kind is BackendKind.REMOTE_CHAT else None,
-            max_retries=self.max_retries,
             timeout=self.timeout,
             api_key_env=self.api_key_env,
         )
@@ -205,9 +204,9 @@ def _chat_backend(config: RunConfig, args: argparse.Namespace):
     return make_chat_backend(config.profile(), rules=rules, capture_persons=capture)
 
 
-def _miner(config: RunConfig, args: argparse.Namespace) -> AttributeMiner:
+def _miner(config: RunConfig, backend) -> AttributeMiner:
     return AttributeMiner(
-        _chat_backend(config, args),
+        backend,
         perspective=_PERSPECTIVES[config.perspective],
         granularity=_GRANULARITIES[config.granularity],
         prioritization=_PRIORITIZATIONS[config.prioritization],
@@ -231,8 +230,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
     store = MemoryStore.load(args.input, strict=args.strict, warnings=warnings)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    miner = _miner(config, args)
-    report = _augment_store(store, miner)
+    report = _augment_store(store, _miner(config, _chat_backend(config, args)))
     store.save(args.store)
     print(
         f"augmented {report.succeeded}/{report.total} items "
@@ -262,16 +260,17 @@ def cmd_index(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_retrieve(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    store = MemoryStore.load(args.store)
+def _retrieval_setup(
+    config: RunConfig, store: MemoryStore, index_path: str | None = None
+) -> RetrievalSetup:
+    """Retrieval settings of a run. Embedding mode loads the index at
+    ``index_path`` and checks that the run's embedder built it, or else
+    builds an index of ``store``."""
     mode = _MODES[config.mode]
     index = None
     embedder = None
-    if mode is RetrievalMode.EMBEDDING_BASED:
-        if not args.index:
-            raise ValueError("embedding retrieval requires --index")
-        index = VectorIndex.load(args.index)
+    if mode is RetrievalMode.EMBEDDING_BASED and index_path:
+        index = VectorIndex.load(index_path)
         built_by = (index.embedder_kind, index.embedder_model)
         config.embed_model = config.embed_model or index.embedder_model
         embedder = config.embedder(index.dimension)
@@ -279,23 +278,32 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"index was built by embedder {built_by}, not {(embedder.kind, embedder.model)}"
             )
-    query = QueryContext(text=args.query)
-    if mode is not RetrievalMode.COMPREHENSIVE:
-        miner = _miner(config, args)
-        mined = miner.mine_question(args.query)
-        query = QueryContext(
-            text=args.query, attribute_names=mined.attributes, persons=mined.persons
-        )
-    result = retrieve(
-        store,
-        query,
-        mode,
+    elif mode is RetrievalMode.EMBEDDING_BASED:
+        embedder = config.embedder(config.dim)
+        index, _ = build_index(store, _STRATEGIES[config.strategy], embedder)
+    return RetrievalSetup(
+        mode=mode,
         k=config.k,
         policy=_POLICIES[config.policy],
         index=index,
         embedder=embedder,
         query_parts=config.parts(),
     )
+
+
+def cmd_retrieve(args: argparse.Namespace) -> int:
+    config = _config_from_args(args)
+    store = MemoryStore.load(args.store)
+    if _MODES[config.mode] is RetrievalMode.EMBEDDING_BASED and not args.index:
+        raise ValueError("embedding retrieval requires --index")
+    setup = _retrieval_setup(config, store, args.index)
+    query = QueryContext(text=args.query)
+    if setup.mode is not RetrievalMode.COMPREHENSIVE:
+        mined = _miner(config, _chat_backend(config, args)).mine_question(args.query)
+        query = QueryContext(
+            text=args.query, attribute_names=mined.attributes, persons=mined.persons
+        )
+    result = setup.run(store, query)
     if args.json:
         payload = [
             {
@@ -325,39 +333,35 @@ def _write_reports(out_dir: Path, name: str, payload: dict, text: str, config: R
     if timestamp:
         payload = dict(payload, timestamp=datetime.now(timezone.utc).isoformat())
     payload = dict(payload, config=snapshot)
-    (out_dir / f"{name}.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (out_dir / f"{name}_report.txt").write_text(text + "\n", encoding="utf-8")
-    (out_dir / "config.json").write_text(
-        json.dumps(snapshot, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    reports = {
+        f"{name}.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        f"{name}_report.txt": text + "\n",
+        "config.json": json.dumps(snapshot, indent=2, sort_keys=True) + "\n",
+    }
+    for filename, content in reports.items():
+        with atomic_open(out_dir / filename) as fh:
+            fh.write(content)
 
 
-def _eval_qa(args, config: RunConfig) -> tuple[dict, str]:
-    dataset = load_conversation_dataset(args.dataset)
+def _store(args, build, miner: AttributeMiner) -> MemoryStore:
+    """The ``--store`` to evaluate; without one, ``build()`` augmented by ``miner``."""
     if args.store:
-        store = MemoryStore.load(args.store)
-    else:
-        store = store_from_sessions(dataset)
-        _augment_store(store, _miner(config, args))
-    mode = _MODES[config.mode]
-    index = None
-    embedder = None
-    if mode is RetrievalMode.EMBEDDING_BASED:
-        embedder = config.embedder(config.dim)
-        index, _ = build_index(store, _STRATEGIES[config.strategy], embedder)
-    setup = RetrievalSetup(
-        mode=mode,
-        k=config.k,
-        policy=_POLICIES[config.policy],
-        index=index,
-        embedder=embedder,
-        query_parts=config.parts(),
-    )
-    answer_backend = _chat_backend(config, args)
+        return MemoryStore.load(args.store)
+    store = build()
+    _augment_store(store, miner)
+    return store
+
+
+def _eval_qa(args, config: RunConfig, backend) -> tuple[dict, str]:
+    dataset = load_conversation_dataset(args.dataset)
+    miner = _miner(config, backend)
+    store = _store(args, lambda: store_from_sessions(dataset), miner)
     result = run_qa_task(
-        dataset, store, miner=_miner(config, args), answer_backend=answer_backend, setup=setup
+        dataset,
+        store,
+        miner=miner,
+        answer_backend=backend,
+        setup=_retrieval_setup(config, store),
     )
     payload = {
         "task": "qa",
@@ -372,41 +376,21 @@ def _eval_qa(args, config: RunConfig) -> tuple[dict, str]:
     return payload, text
 
 
-def _eval_rec(args, config: RunConfig) -> tuple[dict, str]:
+def _eval_rec(args, config: RunConfig, backend) -> tuple[dict, str]:
     dataset = load_recommendation_dataset(args.dataset)
-    if args.store:
-        store = MemoryStore.load(args.store)
-    else:
-        store = store_from_items(dataset.items)
-        entity_config = RunConfig(**{**asdict(config), "perspective": "entity", "granularity": "na"})
-        _augment_store(store, _miner(entity_config, args))
     if config.n > len(dataset.dialogues):
         raise ValueError(
             f"--n {config.n} exceeds the {len(dataset.dialogues)} dialogues in the dataset"
         )
-    mode = _MODES[config.mode]
-    index = None
-    embedder = None
-    if mode is RetrievalMode.EMBEDDING_BASED:
-        embedder = config.embedder(config.dim)
-        index, _ = build_index(store, _STRATEGIES[config.strategy], embedder)
-    setup = RetrievalSetup(
-        mode=mode,
-        k=config.k,
-        policy=_POLICIES[config.policy],
-        index=index,
-        embedder=embedder,
-        query_parts=config.parts(),
-    )
-    dialogue_config = RunConfig(
-        **{**asdict(config), "perspective": "conversation", "granularity": "session"}
-    )
+    item_miner = _miner(replace(config, perspective="entity", granularity="na"), backend)
+    store = _store(args, lambda: store_from_items(dataset.items), item_miner)
+    dialogue_config = replace(config, perspective="conversation", granularity="session")
     result = run_rec_task(
         dataset,
         store,
-        miner=_miner(dialogue_config, args),
-        rec_backend=_chat_backend(config, args),
-        setup=setup,
+        miner=_miner(dialogue_config, backend),
+        rec_backend=backend,
+        setup=_retrieval_setup(config, store),
         n=config.n,
         k=config.k,
         seed=config.seed,
@@ -424,23 +408,20 @@ def _eval_rec(args, config: RunConfig) -> tuple[dict, str]:
     return payload, text
 
 
-def _eval_events(args, config: RunConfig) -> tuple[dict, str]:
+def _eval_events(args, config: RunConfig, backend) -> tuple[dict, str]:
     dataset = load_conversation_dataset(args.dataset)
-    level = Granularity.TURN_LEVEL if config.granularity == "turn" else Granularity.SESSION_LEVEL
-    if args.store:
-        store = MemoryStore.load(args.store)
-    else:
-        level_name = "turn" if level is Granularity.TURN_LEVEL else "session"
-        store = store_from_sessions(dataset, level=level_name)
-        _augment_store(store, _miner(config, args))
-    judge = _chat_backend(config, args) if args.judge else None
+    level_name = "turn" if config.granularity == "turn" else "session"
+    store = _store(
+        args, lambda: store_from_sessions(dataset, level=level_name), _miner(config, backend)
+    )
+    level = Granularity.TURN_LEVEL if level_name == "turn" else Granularity.SESSION_LEVEL
     result = run_event_summarization(
         dataset,
         store,
         level=level,
         input_mode=args.input_mode,
-        summarizer=_chat_backend(config, args),
-        judge=judge,
+        summarizer=backend,
+        judge=backend if args.judge else None,
     )
     payload = {
         "task": "events",
@@ -476,12 +457,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.k is None and args.task == "rec":
         args.k = 10
     config = _config_from_args(args)
-    if args.task == "qa":
-        payload, text = _eval_qa(args, config)
-    elif args.task == "rec":
-        payload, text = _eval_rec(args, config)
-    else:
-        payload, text = _eval_events(args, config)
+    run = {"qa": _eval_qa, "rec": _eval_rec, "events": _eval_events}[args.task]
+    payload, text = run(args, config, _chat_backend(config, args))
     out_dir = Path(args.out_dir)
     _write_reports(
         out_dir, args.task, payload, text, config, timestamp=not args.no_timestamp

@@ -81,7 +81,3 @@ class EmptyGoldError(MemaugError):
 
 class LabelNotFoundError(MemaugError):
     """None of the ground-truth labels occur in the dialogue to mask."""
-
-
-class NotFittedError(MemaugError):
-    """Estimator method called before ``fit``."""

@@ -147,9 +147,29 @@ class AttributeMiner(ParamsMixin):
         self.length_budget = length_budget
         self.parallelism = parallelism
 
-    def _complete(self, template, payload: str) -> str:
+    def _with_retries(self, template, payload: str, parse):
+        """Prompt the backend up to ``max_retries + 1`` times; return ``parse(response)``.
+
+        The prompt is built once. A transport error, a refusal or a ``parse``
+        that raises :class:`AugmentFailure` costs one attempt; after the last
+        attempt the last failure is raised.
+        """
         prompt = build_prompt(template, payload, length_budget=self.length_budget)
-        return self.backend.complete(prompt, template=template, payload=payload)
+        failure = AugmentFailure("unparseable", "no attempts made")
+        for _ in range(self.max_retries + 1):
+            try:
+                response = self.backend.complete(prompt, template=template, payload=payload)
+            except TransportError as exc:
+                failure = AugmentFailure("transport", str(exc))
+                continue
+            except BackendRefusal as exc:
+                failure = AugmentFailure("refusal", str(exc))
+                continue
+            try:
+                return parse(response)
+            except AugmentFailure as exc:
+                failure = exc
+        raise failure
 
     def _parse_response(self, response: str, template, item: MemoryItem | None) -> Annotation:
         if template.expected_format is ResponseFormat.TURN_SCOPED_PAIR_LIST:
@@ -169,31 +189,21 @@ class AttributeMiner(ParamsMixin):
         The returned annotation always carries this miner's mode tags and at
         least one pair (a zero-pair parse counts as a failure).
         """
-        if not text:
-            raise ValueError("payload must be non-empty")
         template = self.registry.for_modes(
             self.perspective, self.granularity, self.prioritization
         )
-        failure = AugmentFailure("unparseable", "no attempts made")
-        for _ in range(self.max_retries + 1):
-            try:
-                response = self._complete(template, text)
-            except TransportError as exc:
-                failure = AugmentFailure("transport", str(exc))
-                continue
-            except BackendRefusal as exc:
-                failure = AugmentFailure("refusal", str(exc))
-                continue
+
+        def parse(response: str) -> Annotation:
             annotation = self._parse_response(response, template, item)
             if len(annotation) == 0:
-                failure = AugmentFailure("unparseable", "response contained no pairs")
-                continue
-            return annotation.with_modes(
-                perspective=self.perspective,
-                granularity=self.granularity,
-                prioritization=self.prioritization,
-            )
-        raise failure
+                raise AugmentFailure("unparseable", "response contained no pairs")
+            return annotation
+
+        return self._with_retries(template, text, parse).with_modes(
+            perspective=self.perspective,
+            granularity=self.granularity,
+            prioritization=self.prioritization,
+        )
 
     def mine(self, item: MemoryItem) -> Annotation:
         """Mine one memory item using the payload convention for its kind."""
@@ -210,21 +220,7 @@ class AttributeMiner(ParamsMixin):
         if not question:
             raise ValueError("question must be non-empty")
         template = self.registry.get(QUESTION_AUGMENTATION.id)
-        failure = AugmentFailure("unparseable", "no attempts made")
-        for _ in range(self.max_retries + 1):
-            try:
-                response = self._complete(template, question)
-            except TransportError as exc:
-                failure = AugmentFailure("transport", str(exc))
-                continue
-            except BackendRefusal as exc:
-                failure = AugmentFailure("refusal", str(exc))
-                continue
-            try:
-                return parse_person_attributes(response)
-            except AugmentFailure as exc:
-                failure = exc
-        raise failure
+        return self._with_retries(template, question, parse_person_attributes)
 
     def mine_corpus(
         self, items: list[MemoryItem]

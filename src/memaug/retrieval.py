@@ -34,7 +34,7 @@ from .errors import (
 )
 from .fileio import atomic_open
 from .store import MatchPolicy, MemoryStore
-from .validation import ParamsMixin, check_is_fitted, check_positive_int, check_vector
+from .validation import check_positive_int, check_vector
 
 
 class EmbeddingStrategy(Enum):
@@ -471,40 +471,3 @@ def retrieve(
     query_vector = embed_query(query, index.strategy, embedder, parts=query_parts)
     return index.search(query_vector, k)
 
-
-class EmbeddingRetriever(ParamsMixin):
-    """Estimator-style wrapper: ``fit`` a store, then query it.
-
-    After ``fit``, ``index_`` holds the vector index and ``skipped_`` the
-    items that could not be embedded. ``kneighbors`` searches with a raw
-    vector; ``retrieve`` embeds a :class:`QueryContext` first.
-    """
-
-    def __init__(
-        self,
-        embedder: Embedder,
-        *,
-        strategy: EmbeddingStrategy = EmbeddingStrategy.AVERAGED_PAIRS,
-        k: int = 5,
-        query_parts: Sequence[QueryPart] = DEFAULT_QUERY_PARTS,
-    ):
-        self.embedder = embedder
-        self.strategy = strategy
-        self.k = k
-        self.query_parts = tuple(query_parts)
-        self.index_: VectorIndex | None = None
-        self.skipped_: list[tuple[str, str]] | None = None
-
-    def fit(self, store: MemoryStore) -> "EmbeddingRetriever":
-        check_positive_int(self.k, "k")
-        self.index_, self.skipped_ = build_index(store, self.strategy, self.embedder)
-        return self
-
-    def kneighbors(self, query: np.ndarray | QueryVector, k: int | None = None) -> RetrievalResult:
-        check_is_fitted(self, "index_")
-        return self.index_.search(query, k if k is not None else self.k)
-
-    def retrieve(self, query: QueryContext, k: int | None = None) -> RetrievalResult:
-        check_is_fitted(self, "index_")
-        vector = embed_query(query, self.strategy, self.embedder, parts=self.query_parts)
-        return self.index_.search(vector, k if k is not None else self.k)

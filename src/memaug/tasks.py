@@ -60,6 +60,19 @@ class RetrievalSetup:
     embedder: Embedder | None = None
     query_parts: tuple[QueryPart, ...] = DEFAULT_QUERY_PARTS
 
+    def run(self, store: MemoryStore, query: QueryContext, k: int | None = None) -> RetrievalResult:
+        """:func:`~memaug.retrieval.retrieve` under these settings; ``k`` overrides ``self.k``."""
+        return retrieve(
+            store,
+            query,
+            self.mode,
+            k=self.k if k is None else k,
+            policy=self.policy,
+            index=self.index,
+            embedder=self.embedder,
+            query_parts=self.query_parts,
+        )
+
 
 @dataclass
 class QAResultRow:
@@ -134,16 +147,7 @@ def run_qa_task(
                 persons=mined.persons,
             )
             try:
-                result = retrieve(
-                    store,
-                    query,
-                    setup.mode,
-                    k=setup.k,
-                    policy=setup.policy,
-                    index=setup.index,
-                    embedder=setup.embedder,
-                    query_parts=setup.query_parts,
-                )
+                result = setup.run(store, query)
             except EmptyQueryError:
                 # nothing to match on: answer from the question alone rather
                 # than inventing a fallback retrieval
@@ -280,16 +284,7 @@ def run_rec_task(
         try:
             annotation = miner.mine_text(masked.text())
             query = QueryContext(text=masked.text(), annotation=annotation)
-            result = retrieve(
-                store,
-                query,
-                setup.mode,
-                k=k,
-                policy=setup.policy,
-                index=setup.index,
-                embedder=setup.embedder,
-                query_parts=setup.query_parts,
-            )
+            result = setup.run(store, query, k)
             retrieved = result.ids()
             counts.append(len(retrieved))
             payload = (
@@ -411,7 +406,10 @@ def run_event_summarization(
     ``level`` selects where annotations come from: per-turn annotations
     gathered across the session, or the single session-level annotation.
     ``input_mode`` is ``annotations_only`` or ``annotations_plus_dialogues``.
-    Sessions whose filtered annotations are empty are recorded and skipped.
+    Sessions whose filtered annotations are empty are recorded and skipped,
+    as are sessions whose summary fails with a :class:`MemaugError` (the
+    reason starts ``summary failed:``). A judge error leaves ``judge_scores``
+    as None.
     """
     if level not in (Granularity.TURN_LEVEL, Granularity.SESSION_LEVEL):
         raise ValueError("level must be TURN_LEVEL or SESSION_LEVEL")
@@ -434,44 +432,41 @@ def run_event_summarization(
         event_pairs = []
         for annotation in annotations:
             event_pairs.extend(filter_event_pairs(annotation, event_terms).pairs)
+        row = EventSummaryRow(
+            session_id=session.session_id,
+            level=level.value,
+            input_mode=input_mode,
+            event_pairs=len(event_pairs),
+            summary="",
+        )
+        result.rows.append(row)
         if not event_pairs:
-            result.rows.append(
-                EventSummaryRow(
-                    session_id=session.session_id,
-                    level=level.value,
-                    input_mode=input_mode,
-                    event_pairs=0,
-                    summary="",
-                    skipped_reason="no event attributes after filtering",
-                )
-            )
+            row.skipped_reason = "no event attributes after filtering"
             continue
         rendered = " ".join(pair.render() for pair in event_pairs)
         if input_mode == "annotations_plus_dialogues":
             payload = f"{rendered}\nDialogue:\n{session_text(session)}"
         else:
             payload = rendered
-        prompt = build_prompt(EVENT_SUMMARY, payload)
-        summary = summarizer.complete(prompt, template=EVENT_SUMMARY, payload=payload)
-        judge_scores = None
+        try:
+            prompt = build_prompt(EVENT_SUMMARY, payload)
+            row.summary = summarizer.complete(prompt, template=EVENT_SUMMARY, payload=payload)
+        except MemaugError as exc:
+            row.skipped_reason = f"summary failed: {exc}"
+            logger.warning("session %s summary failed: %s", session.session_id, exc)
+            continue
         if judge is not None:
             references = "\n".join(
                 label.summary for label in gold_by_session.get(session.session_id, [])
             )
-            judge_payload = f"Reference:\n{references}\nCandidate:\n{summary}"
-            judge_prompt = build_prompt(SUMMARY_JUDGE, judge_payload)
-            judge_response = judge.complete(
-                judge_prompt, template=SUMMARY_JUDGE, payload=judge_payload
-            )
-            judge_scores = parse_judge_scores(judge_response)
-        result.rows.append(
-            EventSummaryRow(
-                session_id=session.session_id,
-                level=level.value,
-                input_mode=input_mode,
-                event_pairs=len(event_pairs),
-                summary=summary,
-                judge_scores=judge_scores,
-            )
-        )
+            judge_payload = f"Reference:\n{references}\nCandidate:\n{row.summary}"
+            try:
+                judge_prompt = build_prompt(SUMMARY_JUDGE, judge_payload)
+                judge_response = judge.complete(
+                    judge_prompt, template=SUMMARY_JUDGE, payload=judge_payload
+                )
+            except MemaugError as exc:
+                logger.warning("session %s judge failed: %s", session.session_id, exc)
+            else:
+                row.judge_scores = parse_judge_scores(judge_response)
     return result

@@ -219,19 +219,6 @@ SUMMARY_JUDGE = PromptTemplate(
     expected_format=ResponseFormat.FREE_TEXT,
 )
 
-# Raw judge prompt for grading how comparable a recommendation is to the
-# ground truth. Responses are recorded verbatim, never interpreted or scored.
-RELATEDNESS_JUDGE = PromptTemplate(
-    id="relatedness_judge",
-    body=(
-        "Judge how comparable the recommended item's attributes are to the "
-        "ground truth item. Answer with one of: not comparable, comparable, "
-        "highly comparable.\n"
-        "{}"
-    ),
-    expected_format=ResponseFormat.FREE_TEXT,
-)
-
 DEFAULT_TEMPLATES = (
     ENTITY_BASIC,
     ENTITY_PRIORITY,
@@ -244,7 +231,6 @@ DEFAULT_TEMPLATES = (
     RECOMMENDATION,
     EVENT_SUMMARY,
     SUMMARY_JUDGE,
-    RELATEDNESS_JUDGE,
 )
 
 _MINING_KEYS: dict[tuple[Perspective, Granularity, Prioritization], str] = {

@@ -6,7 +6,7 @@ import inspect
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotFittedError
+from .errors import DimensionMismatchError
 
 
 class ParamsMixin:
@@ -31,13 +31,6 @@ class ParamsMixin:
                 raise ValueError(f"invalid parameter {name!r} for {type(self).__name__}")
             setattr(self, name, value)
         return self
-
-
-def check_is_fitted(estimator, attribute: str) -> None:
-    if getattr(estimator, attribute, None) is None:
-        raise NotFittedError(
-            f"{type(estimator).__name__} is not fitted yet; call fit() first"
-        )
 
 
 def check_positive_int(value: int, name: str) -> int:

@@ -220,10 +220,6 @@ class TestBackendProfile:
         with pytest.raises(ValueError):
             BackendProfile(kind=BackendKind.MOCK, endpoint="http://x")
 
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ValueError):
-            BackendProfile(max_retries=-1)
-
     def test_factories(self):
         assert isinstance(make_chat_backend(BackendProfile()), MockChatBackend)
         assert isinstance(make_embedder(BackendProfile(), dimension=4), HashEmbedder)
@@ -237,7 +233,8 @@ class _StubHandler(BaseHTTPRequestHandler):
 
     Embedding requests are logged in ``requests``. Model ``emb`` embeds every
     input as ``[1, 2, 2]``; any other model as ``[len(text), 1, 0]``. Rows
-    come back in reverse order, each tagged with its input position.
+    come back in reverse order, each tagged with its input position. On
+    either path, model ``boom`` gets HTTP 500 and ``notjson`` a non-JSON body.
     """
 
     requests: list[dict] = []
@@ -245,12 +242,13 @@ class _StubHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         request = json.loads(self.rfile.read(length))
+        if request.get("model") in ("boom", "notjson"):
+            boom = request["model"] == "boom"
+            self.send_response(500 if boom else 200)
+            self.end_headers()
+            self.wfile.write(b"server exploded" if boom else b"not json")
+            return
         if self.path.endswith("/chat/completions"):
-            if request.get("model") == "boom":
-                self.send_response(500)
-                self.end_headers()
-                self.wfile.write(b"server exploded")
-                return
             body = {
                 "choices": [
                     {
@@ -322,6 +320,23 @@ class TestRemoteBackends:
         )
         with pytest.raises(TransportError):
             RemoteChatBackend(profile).complete("hello")
+
+    @pytest.mark.parametrize("what", ["chat", "embedding"])
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ("boom", "^{what} request returned HTTP 500: server exploded$"),
+            ("notjson", "^malformed {what} response: "),
+        ],
+    )
+    def test_http_failures_name_the_request(self, stub_server, what, model, message):
+        profile = BackendProfile(
+            kind=BackendKind.REMOTE_CHAT, model_id=model, endpoint=stub_server
+        )
+        client = RemoteChatBackend(profile) if what == "chat" else RemoteEmbedder(profile)
+        call = client.complete if what == "chat" else client.embed
+        with pytest.raises(TransportError, match=message.format(what=what)):
+            call("hello")
 
     def test_embeddings_round_trip(self, stub_server):
         profile = BackendProfile(

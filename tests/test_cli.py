@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from memaug import cli
 from memaug.cli import main
 
 from synthetic import build_qa_fixture, build_rec_fixture
@@ -201,6 +202,26 @@ class TestEvalCommand:
         for name in ("qa.json", "qa_report.txt", "config.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    def test_failed_report_write_keeps_previous_report(self, tmp_path, monkeypatch):
+        dataset, rules_path = self._qa_paths(tmp_path)
+        out_dir = tmp_path / "reports"
+        args = [
+            "eval", "--task", "qa", "--dataset", str(dataset), "--mode", "attribute",
+            "--mock-rules", str(rules_path), "--out-dir", str(out_dir), "--no-timestamp",
+        ]
+        assert main(args + ["--k", "5"]) == 0
+        before = (out_dir / "qa.json").read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("memaug.fileio.os.replace", fail)
+        assert main(args + ["--k", "3"]) == 2
+        assert (out_dir / "qa.json").read_bytes() == before
+        assert sorted(path.name for path in out_dir.iterdir()) == [
+            "config.json", "qa.json", "qa_report.txt"
+        ]
+
     def test_rec_eval(self, tmp_path):
         data, store, rules = build_rec_fixture(n_dialogues=12, n_items=10)
         dataset = tmp_path / "rec.json"
@@ -222,10 +243,12 @@ class TestEvalCommand:
         assert report["metrics"]["recall@1"]["overall"] == 1.0
         assert report["avg_items_retrieved"] == 10.0
 
-    def test_rec_n_too_large_fails_before_work(self, tmp_path, capsys):
+    def test_rec_n_too_large_fails_before_work(self, tmp_path, capsys, monkeypatch):
         data, store, rules = build_rec_fixture(n_dialogues=4, n_items=5)
         dataset = tmp_path / "rec.json"
         dataset.write_text(json.dumps(data), encoding="utf-8")
+        augmented = []
+        monkeypatch.setattr(cli, "_augment_store", lambda *args: augmented.append(args))
         code = main([
             "eval", "--task", "rec", "--dataset", str(dataset),
             "--mode", "comprehensive", "--n", "50",
@@ -233,6 +256,7 @@ class TestEvalCommand:
         ])
         assert code == 1
         assert not (tmp_path / "reports").exists()
+        assert augmented == []
 
     def test_events_without_event_annotations_warns_but_succeeds(self, tmp_path, capsys):
         payload = {

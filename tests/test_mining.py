@@ -11,10 +11,11 @@ from memaug import (
     MockChatBackend,
     Perspective,
     Prioritization,
-    StaticChatBackend,
     TransportError,
 )
 from memaug.mining import parse_person_attributes, turn_payload
+
+from doubles import StaticChatBackend
 
 
 def make_turn(i: int, text: str) -> MemoryItem:
@@ -108,6 +109,10 @@ class TestMine:
         miner = AttributeMiner(MockChatBackend(), max_retries=0)
         with pytest.raises(AugmentFailure):
             miner.mine(make_turn(1, "zzz qqq"))
+
+    def test_negative_retries_rejected(self):
+        with pytest.raises(ValueError):
+            AttributeMiner(MockChatBackend(), max_retries=-1)
 
     def test_empty_content_rejected(self):
         miner = AttributeMiner(MockChatBackend())

@@ -9,7 +9,6 @@ from memaug import (
     Annotation,
     AttributePair,
     DimensionMismatchError,
-    EmbeddingRetriever,
     EmbeddingStrategy,
     EmptyAnnotationError,
     EmptyQueryError,
@@ -19,7 +18,6 @@ from memaug import (
     MatchPolicy,
     MemoryItem,
     MemoryStore,
-    NotFittedError,
     Perspective,
     QueryContext,
     QueryPart,
@@ -515,46 +513,6 @@ class TestRetrieve:
     def test_embedding_requires_index(self, store):
         with pytest.raises(ValueError):
             retrieve(store, QueryContext(text="x"), RetrievalMode.EMBEDDING_BASED)
-
-
-class TestEmbeddingRetriever:
-    def test_fit_then_retrieve(self):
-        store = entity_store({f"m{i}": single_pair(f"key{i}", f"val{i}") for i in range(10)})
-        retriever = EmbeddingRetriever(HashEmbedder(8), k=3)
-        assert retriever.fit(store) is retriever
-        result = retriever.retrieve(QueryContext(annotation=single_pair("key4", "val4")))
-        assert result.hits[0].item_id == "m4"
-        assert len(result) == 3
-
-    def test_not_fitted(self):
-        retriever = EmbeddingRetriever(HashEmbedder(8))
-        with pytest.raises(NotFittedError):
-            retriever.kneighbors(np.ones(8))
-
-    def test_get_set_params(self):
-        retriever = EmbeddingRetriever(HashEmbedder(8), k=3)
-        params = retriever.get_params()
-        assert params["k"] == 3
-        assert params["strategy"] is EmbeddingStrategy.AVERAGED_PAIRS
-        retriever.set_params(k=7)
-        assert retriever.k == 7
-        with pytest.raises(ValueError):
-            retriever.set_params(bogus=1)
-
-    def test_kneighbors_with_raw_vector(self):
-        store = entity_store({f"m{i}": single_pair(f"key{i}", f"val{i}") for i in range(6)})
-        embedder = HashEmbedder(8)
-        retriever = EmbeddingRetriever(embedder, k=2).fit(store)
-        vector = embed_annotation(
-            single_pair("key2", "val2"), EmbeddingStrategy.AVERAGED_PAIRS, embedder
-        )
-        assert retriever.kneighbors(vector).hits[0].item_id == "m2"
-
-    def test_skip_report_exposed(self):
-        store = entity_store({"a": single_pair("k", "v")})
-        store.write(MemoryItem(id="plain", kind=ItemKind.ENTITY, content="text"))
-        retriever = EmbeddingRetriever(HashEmbedder(8)).fit(store)
-        assert retriever.skipped_ == [("plain", "no annotation")]
 
 
 def test_deterministic_results_across_runs():

@@ -14,7 +14,7 @@ from memaug import (
     MockChatBackend,
     Prioritization,
     RetrievalMode,
-    StaticChatBackend,
+    TransportError,
     build_index,
 )
 from memaug.datasets import load_conversation_dataset, load_recommendation_dataset, store_from_sessions
@@ -29,6 +29,7 @@ from memaug.tasks import (
     run_rec_task,
 )
 
+from doubles import StaticChatBackend
 from synthetic import build_qa_fixture, build_rec_fixture
 
 
@@ -268,18 +269,27 @@ EVENT_RULES = {
 }
 
 
-def build_event_world():
-    """One session mentioning hiking twice; turn- and session-level items."""
+def build_event_world(n_sessions: int = 1):
+    """Sessions mentioning hiking twice; turn- and session-level items."""
+    turns = [
+        ("ana", "went hiking at dawn"),
+        ("bob", "my mood improved"),
+        ("ana", "more hiking after the wedding"),
+    ]
     dataset_payload = {
         "sessions": [
             {
-                "session_id": "s1",
+                "session_id": f"s{s}",
                 "turns": [
-                    {"turn_id": "t1", "speaker": "ana", "text": "went hiking at dawn"},
-                    {"turn_id": "t2", "speaker": "bob", "text": "my mood improved"},
-                    {"turn_id": "t3", "speaker": "ana", "text": "more hiking after the wedding"},
+                    {
+                        "turn_id": f"t{t}" if s == 1 else f"s{s}t{t}",
+                        "speaker": speaker,
+                        "text": text,
+                    }
+                    for t, (speaker, text) in enumerate(turns, start=1)
                 ],
             }
+            for s in range(1, n_sessions + 1)
         ],
         "events": [{"session_id": "s1", "speaker": "ana", "summary": "ana hiked a lot"}],
     }
@@ -378,6 +388,37 @@ class TestEventSummarization:
             "coherence": 5.0,
             "consistency": 3.0,
         }
+
+    def test_backend_errors_are_recorded_per_session(self):
+        dataset, store, _ = build_event_world(n_sessions=2)
+
+        class FailsFirstCall:
+            calls = 0
+
+            def complete(self, prompt, *, template=None, payload=None):
+                self.calls += 1
+                if self.calls == 1:
+                    raise TransportError("connection reset")
+                return "summary"
+
+        class DownJudge:
+            def complete(self, prompt, *, template=None, payload=None):
+                raise TransportError("judge down")
+
+        out = run_event_summarization(
+            dataset,
+            store,
+            level=Granularity.SESSION_LEVEL,
+            summarizer=FailsFirstCall(),
+            judge=DownJudge(),
+        )
+        failed, summarized = out.rows
+        assert failed.skipped_reason == "summary failed: connection reset"
+        assert (failed.summary, failed.judge_scores) == ("", None)
+        assert summarized.skipped_reason is None
+        assert summarized.summary == "summary"
+        assert summarized.judge_scores is None
+        assert out.skipped == 1
 
     def test_judge_garbage_gives_none(self):
         assert parse_judge_scores("not scores") is None
