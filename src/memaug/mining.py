@@ -150,9 +150,10 @@ class AttributeMiner(ParamsMixin):
     def _with_retries(self, template, payload: str, parse):
         """Prompt the backend up to ``max_retries + 1`` times; return ``parse(response)``.
 
-        The prompt is built once. A transport error, a refusal or a ``parse``
-        that raises :class:`AugmentFailure` costs one attempt; after the last
-        attempt the last failure is raised.
+        The prompt is built once. A transport error or a ``parse`` that
+        raises :class:`AugmentFailure` costs one attempt; after the last
+        attempt the last failure is raised. A refusal is raised at once,
+        since the same prompt gets the same refusal.
         """
         prompt = build_prompt(template, payload, length_budget=self.length_budget)
         failure = AugmentFailure("unparseable", "no attempts made")
@@ -163,8 +164,7 @@ class AttributeMiner(ParamsMixin):
                 failure = AugmentFailure("transport", str(exc))
                 continue
             except BackendRefusal as exc:
-                failure = AugmentFailure("refusal", str(exc))
-                continue
+                raise AugmentFailure("refusal", str(exc)) from exc
             try:
                 return parse(response)
             except AugmentFailure as exc:

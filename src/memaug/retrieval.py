@@ -14,7 +14,9 @@ are immutable after build; searches are pure and can run concurrently.
 
 from __future__ import annotations
 
+import heapq
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -412,6 +414,11 @@ def _comprehensive(store: MemoryStore) -> RetrievalResult:
     return RetrievalResult(hits=hits, mode=RetrievalMode.COMPREHENSIVE)
 
 
+def _smallest(n: int | None, ids) -> list[str]:
+    """The ``n`` smallest ids in ascending order; every id when ``n`` is None."""
+    return sorted(ids) if n is None else heapq.nsmallest(n, ids)
+
+
 def _attribute_based(
     store: MemoryStore,
     query: QueryContext,
@@ -424,22 +431,27 @@ def _attribute_based(
     matches: list[set[str]] = [
         store.lookup_by_attribute(name, value, policy) for name, value in terms
     ]
-    if policy is MatchPolicy.NAME_AND_VALUE:
-        candidates = set.intersection(*matches) if matches else set()
-        if not candidates:
-            candidates = set.union(*matches)
+    # Ranked by matched-term count, then ascending id. Only the top k are
+    # selected; a negative k slices the full ranking from the end.
+    limit = k if k is None or k >= 0 else None
+    both = set.intersection(*matches) if policy is MatchPolicy.NAME_AND_VALUE else set()
+    if both:
+        # Every candidate matched every term, so ids alone order them.
+        ranked = [(item_id, len(matches)) for item_id in _smallest(limit, both)]
     else:
-        candidates = set.union(*matches)
-    counts = {item_id: 0 for item_id in candidates}
-    for match in matches:
-        for item_id in match & candidates:
-            counts[item_id] += 1
-    ranked = sorted(candidates, key=lambda item_id: (-counts[item_id], item_id))
-    if k is not None:
-        ranked = ranked[:k]
+        counts = Counter()
+        for match in matches:
+            counts.update(match)
+        ranked = []
+        for level in range(len(matches), 0, -1):
+            if limit is not None and len(ranked) >= limit:
+                break
+            bucket = [item_id for item_id, n in counts.items() if n == level]
+            room = None if limit is None else limit - len(ranked)
+            ranked += [(item_id, level) for item_id in _smallest(room, bucket)]
     hits = tuple(
-        RankedHit(item_id=item_id, score=counts[item_id] / len(terms), rank=rank)
-        for rank, item_id in enumerate(ranked, start=1)
+        RankedHit(item_id=item_id, score=n / len(terms), rank=rank)
+        for rank, (item_id, n) in enumerate(ranked[:k], start=1)
     )
     return RetrievalResult(hits=hits, mode=RetrievalMode.ATTRIBUTE_BASED)
 

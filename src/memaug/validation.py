@@ -25,11 +25,15 @@ class ParamsMixin:
         return {name: getattr(self, name) for name in self._param_names()}
 
     def set_params(self, **params):
+        """Build a fresh instance from the merged parameters, so every check of
+        ``__init__`` applies, and take its state; a rejected call leaves this
+        instance unchanged."""
         valid = set(self._param_names())
-        for name, value in params.items():
+        for name in params:
             if name not in valid:
                 raise ValueError(f"invalid parameter {name!r} for {type(self).__name__}")
-            setattr(self, name, value)
+        fresh = type(self)(**{**self.get_params(), **params})
+        self.__dict__.update(fresh.__dict__)
         return self
 
 

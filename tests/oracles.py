@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import math
 
+from memaug import EmptyQueryError, MatchPolicy, RetrievalMode
+from memaug.retrieval import RankedHit, RetrievalResult
+
 
 _MASK64 = (1 << 64) - 1
 
@@ -43,6 +46,38 @@ def brute_force_topk(ids, vectors, query, k):
         scored.append((-(dot / (norm * query_norm)), item_id))
     scored.sort()
     return [item_id for _, item_id in scored[:k]]
+
+
+def attribute_ranking(store, query, policy, k):
+    """Attribute retrieval by sorting every candidate on (-count, id).
+
+    Every candidate gets a matched-term count and the whole candidate set is
+    sorted before the first k are kept.
+    """
+    terms = query.attribute_queries()
+    if not terms:
+        raise EmptyQueryError("query has no attributes to match")
+    matches: list[set[str]] = [
+        store.lookup_by_attribute(name, value, policy) for name, value in terms
+    ]
+    if policy is MatchPolicy.NAME_AND_VALUE:
+        candidates = set.intersection(*matches) if matches else set()
+        if not candidates:
+            candidates = set.union(*matches)
+    else:
+        candidates = set.union(*matches)
+    counts = {item_id: 0 for item_id in candidates}
+    for match in matches:
+        for item_id in match & candidates:
+            counts[item_id] += 1
+    ranked = sorted(candidates, key=lambda item_id: (-counts[item_id], item_id))
+    if k is not None:
+        ranked = ranked[:k]
+    hits = tuple(
+        RankedHit(item_id=item_id, score=counts[item_id] / len(terms), rank=rank)
+        for rank, item_id in enumerate(ranked, start=1)
+    )
+    return RetrievalResult(hits=hits, mode=RetrievalMode.ATTRIBUTE_BASED)
 
 
 def oracle_recall(retrieved, gold, k):

@@ -13,6 +13,7 @@ from memaug import (
     Prioritization,
     TransportError,
 )
+from memaug.errors import BackendRefusal
 from memaug.mining import parse_person_attributes, turn_payload
 
 from doubles import StaticChatBackend
@@ -84,6 +85,25 @@ class TestMine:
             miner.mine(make_turn(1, "text"))
         assert exc_info.value.reason == "transport"
 
+    def test_refusal_is_not_retried(self):
+        class Refusing:
+            def __init__(self):
+                self.calls = 0
+
+            def complete(self, prompt, *, template=None, payload=None):
+                self.calls += 1
+                raise BackendRefusal("declined")
+
+        backend = Refusing()
+        miner = AttributeMiner(backend, max_retries=3)
+        with pytest.raises(AugmentFailure) as exc_info:
+            miner.mine(make_turn(1, "text"))
+        assert exc_info.value.reason == "refusal"
+        assert backend.calls == 1
+        with pytest.raises(AugmentFailure):
+            miner.mine_question("what does Ana do?")
+        assert backend.calls == 2
+
     def test_entity_centric_requires_na_granularity(self):
         with pytest.raises(ValueError):
             AttributeMiner(
@@ -128,6 +148,34 @@ class TestMine:
         assert miner.max_retries == 5
         with pytest.raises(ValueError):
             miner.set_params(nope=1)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"max_retries": -1},
+            {"parallelism": 0},
+            {"perspective": Perspective.ENTITY_CENTRIC},
+            {"max_retries": 1, "parallelism": 0},
+        ],
+    )
+    def test_set_params_runs_constructor_checks(self, params):
+        miner = AttributeMiner(MockChatBackend(), max_retries=2, parallelism=2)
+        before = dict(vars(miner))
+        with pytest.raises(ValueError):
+            miner.set_params(**params)
+        assert vars(miner) == before
+
+    def test_set_params_accepts_a_consistent_mode_change(self):
+        backend = MockChatBackend()
+        miner = AttributeMiner(backend)
+        miner.set_params(
+            perspective=Perspective.ENTITY_CENTRIC, granularity=Granularity.NOT_APPLICABLE
+        )
+        assert miner.perspective is Perspective.ENTITY_CENTRIC
+        assert miner.granularity is Granularity.NOT_APPLICABLE
+        assert miner.backend is backend
+        item = MemoryItem(id="m1", kind=ItemKind.ENTITY, content="a great thriller")
+        assert miner.mine(item).perspective is Perspective.ENTITY_CENTRIC
 
 
 class TestTurnPayload:

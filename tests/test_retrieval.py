@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_force_topk
+from oracles import attribute_ranking, brute_force_topk
 
 from memaug import (
     Annotation,
@@ -513,6 +515,85 @@ class TestRetrieve:
     def test_embedding_requires_index(self, store):
         with pytest.raises(ValueError):
             retrieve(store, QueryContext(text="x"), RetrievalMode.EMBEDDING_BASED)
+
+
+_NAMES = ("genre", "mood", "era")
+_VALUES = ("noir", "Noir", "drama", "1990s")
+_QUERY_NAMES = _NAMES + (" GENRE", "unknown")
+
+
+def _annotation(pairs) -> Annotation:
+    return Annotation(pairs=tuple(AttributePair(name, value) for name, value in pairs))
+
+
+_stores = st.dictionaries(
+    keys=st.text(alphabet="abm01", min_size=1, max_size=3),
+    values=st.none() | st.lists(
+        st.tuples(st.sampled_from(_NAMES), st.sampled_from(_VALUES)), max_size=4
+    ),
+    max_size=25,
+)
+_queries = st.one_of(
+    st.lists(st.sampled_from(_QUERY_NAMES), min_size=1, max_size=4).map(
+        lambda names: QueryContext(attribute_names=tuple(names))
+    ),
+    st.lists(
+        st.tuples(st.sampled_from(_QUERY_NAMES), st.sampled_from(_VALUES + ("absent",))),
+        min_size=1,
+        max_size=4,
+    ).map(lambda pairs: QueryContext(annotation=_annotation(pairs))),
+)
+_BOTH = [("genre", "noir"), ("mood", "drama")]
+_SPLIT = {"y": [("genre", "noir")], "x": [("mood", "drama")], "z": _BOTH, "w": None}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    items=_stores,
+    query=_queries,
+    policy=st.sampled_from(MatchPolicy),
+    k=st.none() | st.integers(-2, 30),
+)
+# An empty intersection falls back to the union.
+@example(
+    items={"y": [("genre", "noir")], "x": [("mood", "drama")]},
+    query=QueryContext(annotation=_annotation(_BOTH)),
+    policy=MatchPolicy.NAME_AND_VALUE,
+    k=None,
+)
+# Duplicate query names count once per occurrence.
+@example(
+    items=_SPLIT,
+    query=QueryContext(attribute_names=("genre", "genre", "mood")),
+    policy=MatchPolicy.NAME_ONLY,
+    k=1,
+)
+# Unknown names match nothing; k at and above the number of candidates.
+@example(
+    items=_SPLIT,
+    query=QueryContext(attribute_names=("unknown", "genre")),
+    policy=MatchPolicy.NAME_AND_VALUE,
+    k=2,
+)
+@example(
+    items=_SPLIT,
+    query=QueryContext(attribute_names=("mood", "genre")),
+    policy=MatchPolicy.NAME_ONLY,
+    k=100,
+)
+# Annotation queries carry values, matched case-folded under NAME_AND_VALUE.
+@example(
+    items={"b": [("genre", "Noir")], "a": [("genre", "noir"), ("genre", "drama")]},
+    query=QueryContext(annotation=_annotation([("genre", "NOIR"), ("genre", "drama")])),
+    policy=MatchPolicy.NAME_AND_VALUE,
+    k=None,
+)
+def test_attribute_ranking_matches_sorting_oracle(items, query, policy, k):
+    store = entity_store(
+        {item_id: None if pairs is None else _annotation(pairs) for item_id, pairs in items.items()}
+    )
+    got = retrieve(store, query, RetrievalMode.ATTRIBUTE_BASED, k=k, policy=policy)
+    assert got == attribute_ranking(store, query, policy, k)
 
 
 def test_deterministic_results_across_runs():
