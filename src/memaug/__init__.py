@@ -77,6 +77,6 @@ from .store import (
     MemoryItem,
     MemoryStore,
 )
-from .templates import PromptTemplate, ResponseFormat, TemplateRegistry, build_prompt
+from .templates import PromptTemplate, ResponseFormat, build_prompt
 
 __version__ = "0.1.0"

@@ -263,24 +263,17 @@ def parse_annotation(
     *,
     strict: bool = False,
     warnings: list[str] | None = None,
-    perspective: Perspective = Perspective.CONVERSATION_CENTRIC,
-    granularity: Granularity = Granularity.NOT_APPLICABLE,
-    prioritization: Prioritization = Prioritization.BASIC,
 ) -> Annotation:
     """Parse a run of ``[name]<value>`` pairs into an :class:`Annotation`.
 
     Pairs come back in textual order; names are normalized, values trimmed.
-    Empty input yields an empty annotation. In lenient mode (the default)
-    unparseable spans are skipped and described in ``warnings`` when a list
-    is supplied; strict mode raises :class:`ParseError` instead.
+    The annotation carries the default mode tags; a miner retags it with
+    its own. Empty input yields an empty annotation. In lenient mode (the
+    default) unparseable spans are skipped and described in ``warnings``
+    when a list is supplied; strict mode raises :class:`ParseError` instead.
     """
     pairs, _ = _scan_pairs(text, 0, len(text), strict=strict, warnings=warnings)
-    return Annotation(
-        pairs=tuple(pairs),
-        perspective=perspective,
-        granularity=granularity,
-        prioritization=prioritization,
-    )
+    return Annotation(pairs=tuple(pairs))
 
 
 def _parse_group(

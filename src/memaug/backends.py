@@ -45,7 +45,6 @@ class BackendProfile:
     model_id: str = "mock"
     endpoint: str | None = None
     timeout: float = 30.0
-    temperature: float | None = None
     api_key_env: str = "MEMAUG_API_KEY"
 
     def __post_init__(self):
@@ -248,12 +247,10 @@ class RemoteChatBackend:
         self._session = session or requests.Session()
 
     def complete(self, prompt, *, template=None, payload=None) -> str:
-        body: dict = {
+        body = {
             "model": self.profile.model_id,
             "messages": [{"role": "user", "content": prompt}],
         }
-        if self.profile.temperature is not None:
-            body["temperature"] = self.profile.temperature
         data = _post_json(self._session, self.profile, "/chat/completions", body, "chat")
         try:
             choice = data["choices"][0]

@@ -87,36 +87,56 @@ _POLICIES = {
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, "_Parser"]  # subcommand parsers, set by build_parser
+
     def error(self, message):  # exit 1 on usage errors, not argparse's 2
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
-_INT_KEYS = {"k", "n", "seed", "dim", "parallelism", "max_retries"}
-_FLOAT_KEYS = {"max_failure_rate", "timeout"}
+def _config_tokens(path: str, command: argparse.ArgumentParser) -> list[str]:
+    """The ``[memaug]`` values of a config file as flags of ``command``.
 
-
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
+    A value becomes ``--key=value``, or a bare ``--flag`` for a boolean
+    flag set true, so argparse checks it like a typed flag. Keys the
+    subcommand has no option for are skipped. A file configparser cannot
+    read raises :class:`SchemaError`.
+    """
     source = Path(path)
     if not source.exists():
         raise FileNotFoundError(f"config file not found: {source}")
+    actions = {
+        action.dest: action
+        for action in command._actions
+        if action.option_strings and action.dest != "help"
+    }
     parser = configparser.ConfigParser()
-    parser.read(source)
-    if "memaug" not in parser:
-        return {}
-    values: dict = {}
-    for key, raw in parser["memaug"].items():
-        key = key.replace("-", "_")
-        if key in _INT_KEYS:
-            values[key] = int(raw)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(raw)
-        else:
-            values[key] = raw
-    return values
+    tokens = []
+    try:
+        parser.read(source)
+        section = parser["memaug"] if parser.has_section("memaug") else {}
+        for key in section:
+            action = actions.get(key.replace("-", "_"))
+            if action is None:
+                continue
+            option = action.option_strings[0]
+            if action.nargs != 0:
+                tokens.append(f"{option}={section[key]}")
+            elif section.getboolean(key):
+                tokens.append(option)
+    except configparser.Error as exc:
+        raise SchemaError(f"config file {source}: {exc}") from exc
+    return tokens
+
+
+def _with_config(argv: list[str], path: str, command: argparse.ArgumentParser) -> list[str]:
+    """``argv`` with the config file's flags right after the subcommand, so
+    that flags given on the command line come later and win."""
+    at = 0
+    while argv[at].startswith("-"):  # --config PATH or --config=PATH
+        at += 1 if "=" in argv[at] else 2
+    return argv[: at + 1] + _config_tokens(path, command) + argv[at + 1 :]
 
 
 @dataclass
@@ -490,6 +510,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="memaug", description=__doc__)
     parser.add_argument("--config", help="INI config file with a [memaug] section")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def common(p: _Parser) -> None:
         p.add_argument("--backend", choices=["mock", "remote"], default=None)
@@ -574,12 +595,12 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        config_defaults = _load_config(args.config)
-        for key, value in config_defaults.items():
-            if hasattr(args, key) and getattr(args, key) is None:
-                setattr(args, key, value)
+        if args.config:
+            argv = _with_config(argv, args.config, parser.commands[args.command])
+            args = parser.parse_args(argv)
         return args.func(args)
     except (FileNotFoundError, SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -221,16 +221,17 @@ def load_recommendation_dataset(path: str | Path) -> RecommendationDataset:
     return RecommendationDataset(items=tuple(items), dialogues=tuple(dialogues))
 
 
-def mask_dialogue(dialogue: RecDialogue, labels: tuple[str, ...] | None = None) -> RecDialogue:
-    """Mask every label occurrence and cut the dialogue after the first mask.
+def mask_dialogue(dialogue: RecDialogue) -> RecDialogue:
+    """Mask every gold label occurrence and cut the dialogue after the first mask.
 
     Occurrences are matched case-insensitively and replaced with
     ``[MASKED]``; every turn strictly after the first turn containing a mask
     is removed (those turns back the evaluation labels). Raises
     :class:`LabelNotFoundError` when no label occurs anywhere.
     """
-    labels = labels if labels is not None else dialogue.gold_labels
-    patterns = [re.compile(re.escape(label), re.IGNORECASE) for label in labels if label]
+    patterns = [
+        re.compile(re.escape(label), re.IGNORECASE) for label in dialogue.gold_labels if label
+    ]
     if not patterns:
         raise LabelNotFoundError("no labels to mask")
     masked_turns: list[tuple[str, str]] = []

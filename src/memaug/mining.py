@@ -1,9 +1,9 @@
 """Attribute mining: prompt a chat backend and parse its annotation output.
 
 ``AttributeMiner`` owns the mode triple (perspective, granularity,
-prioritization), selects the matching prompt template, and retries failed
-calls. Corpus-level mining fans out over a thread pool and aggregates an
-:class:`AugmentationReport`; individual failures never abort the stream.
+prioritization), takes the one prompt template of that triple, and retries
+failed calls. Corpus-level mining fans out over a thread pool and aggregates
+an :class:`AugmentationReport`; individual failures never abort the stream.
 """
 
 from __future__ import annotations
@@ -24,14 +24,7 @@ from .annotations import (
 from .backends import ChatBackend
 from .errors import AugmentFailure, BackendRefusal, LengthBudgetExceeded, TransportError
 from .store import ItemKind, MemoryItem
-from .templates import (
-    DEFAULT_LENGTH_BUDGET,
-    QUESTION_AUGMENTATION,
-    ResponseFormat,
-    TemplateRegistry,
-    build_prompt,
-)
-from .validation import ParamsMixin
+from .templates import QUESTION_AUGMENTATION, ResponseFormat, build_prompt, mining_template
 
 
 @dataclass(frozen=True)
@@ -110,14 +103,14 @@ def turn_payload(item: MemoryItem) -> str:
     return f"[{item.turn_id}] {speaker}: {item.content}"
 
 
-class AttributeMiner(ParamsMixin):
+class AttributeMiner:
     """Mines attribute annotations for memory items, questions, and text.
 
     Parameters mirror the augmentation modes: ``perspective`` selects whether
     attributes describe the stored entity or the conversation, ``granularity``
     the unit of conversation, and ``prioritization`` whether the backend is
-    asked to order pairs by relevance. Entity-centric mining requires
-    granularity ``NOT_APPLICABLE``.
+    asked to order pairs by relevance. A triple without a mining template
+    (entity-centric mining at turn or session level) is refused here.
     """
 
     def __init__(
@@ -127,13 +120,10 @@ class AttributeMiner(ParamsMixin):
         perspective: Perspective = Perspective.CONVERSATION_CENTRIC,
         granularity: Granularity = Granularity.TURN_LEVEL,
         prioritization: Prioritization = Prioritization.BASIC,
-        registry: TemplateRegistry | None = None,
         max_retries: int = 2,
-        length_budget: int = DEFAULT_LENGTH_BUDGET,
         parallelism: int = 1,
     ):
-        if perspective is Perspective.ENTITY_CENTRIC and granularity is not Granularity.NOT_APPLICABLE:
-            raise ValueError("entity-centric mining requires granularity NOT_APPLICABLE")
+        self.template = mining_template(perspective, granularity, prioritization)
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if parallelism < 1:
@@ -142,9 +132,7 @@ class AttributeMiner(ParamsMixin):
         self.perspective = perspective
         self.granularity = granularity
         self.prioritization = prioritization
-        self.registry = registry or TemplateRegistry()
         self.max_retries = max_retries
-        self.length_budget = length_budget
         self.parallelism = parallelism
 
     def _with_retries(self, template, payload: str, parse):
@@ -155,7 +143,7 @@ class AttributeMiner(ParamsMixin):
         attempt the last failure is raised. A refusal is raised at once,
         since the same prompt gets the same refusal.
         """
-        prompt = build_prompt(template, payload, length_budget=self.length_budget)
+        prompt = build_prompt(template, payload)
         failure = AugmentFailure("unparseable", "no attempts made")
         for _ in range(self.max_retries + 1):
             try:
@@ -189,17 +177,13 @@ class AttributeMiner(ParamsMixin):
         The returned annotation always carries this miner's mode tags and at
         least one pair (a zero-pair parse counts as a failure).
         """
-        template = self.registry.for_modes(
-            self.perspective, self.granularity, self.prioritization
-        )
-
         def parse(response: str) -> Annotation:
-            annotation = self._parse_response(response, template, item)
+            annotation = self._parse_response(response, self.template, item)
             if len(annotation) == 0:
                 raise AugmentFailure("unparseable", "response contained no pairs")
             return annotation
 
-        return self._with_retries(template, text, parse).with_modes(
+        return self._with_retries(self.template, text, parse).with_modes(
             perspective=self.perspective,
             granularity=self.granularity,
             prioritization=self.prioritization,
@@ -219,8 +203,7 @@ class AttributeMiner(ParamsMixin):
         """Identify the persons and attribute names a question asks about."""
         if not question:
             raise ValueError("question must be non-empty")
-        template = self.registry.get(QUESTION_AUGMENTATION.id)
-        return self._with_retries(template, question, parse_person_attributes)
+        return self._with_retries(QUESTION_AUGMENTATION, question, parse_person_attributes)
 
     def mine_corpus(
         self, items: list[MemoryItem]

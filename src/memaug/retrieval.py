@@ -109,19 +109,6 @@ class QueryVector:
     strategy: EmbeddingStrategy
 
 
-def _embed_rows(embedder: Embedder, texts: Sequence[str]) -> np.ndarray:
-    """``embedder.embed_many(texts)``; an embedder without it embeds text by text."""
-    if hasattr(embedder, "embed_many"):
-        return np.asarray(embedder.embed_many(texts), dtype=np.float64)
-    rows = [np.asarray(embedder.embed(text), dtype=np.float64) for text in texts]
-    for row in rows[1:]:
-        if row.shape != rows[0].shape:
-            raise DimensionMismatchError(
-                f"embedder emitted dimension {row.shape[0]} after {rows[0].shape[0]}"
-            )
-    return np.array(rows)
-
-
 def _average(rows: np.ndarray) -> np.ndarray:
     """The averaged-pairs vector: the mean of the rows, L2-normalized."""
     return l2_normalize(np.mean(rows, axis=0))
@@ -148,7 +135,7 @@ def embed_annotation(
     embeds exactly like its pair. WHOLE_ANNOTATION embeds the full rendered
     annotation as one string.
     """
-    rows = _embed_rows(embedder, _annotation_texts(ann, strategy))
+    rows = embedder.embed_many(_annotation_texts(ann, strategy))
     return _average(rows) if strategy is EmbeddingStrategy.AVERAGED_PAIRS else rows[0]
 
 
@@ -328,16 +315,16 @@ def build_index(
     )
     errors: dict[str, str] = {}
     try:
-        rows = _embed_rows(embedder, distinct)
+        rows = embedder.embed_many(distinct)
     except ZeroVectorError:
         # Embed one text at a time to learn which ones fail, then batch the rest.
         for text in distinct:
             try:
-                _embed_rows(embedder, [text])
+                embedder.embed_many([text])
             except ZeroVectorError as exc:
                 errors[text] = str(exc)
         distinct = [text for text in distinct if text not in errors]
-        rows = _embed_rows(embedder, distinct)
+        rows = embedder.embed_many(distinct)
     position = {text: i for i, text in enumerate(distinct)}
 
     ids: list[str] = []
@@ -402,7 +389,7 @@ def embed_query(
     if not units:
         raise EmptyQueryError("query has no embeddable content for the selected parts")
     if strategy is EmbeddingStrategy.AVERAGED_PAIRS and len(units) > 1:
-        return QueryVector(_average(_embed_rows(embedder, units)), strategy)
+        return QueryVector(_average(embedder.embed_many(units)), strategy)
     return QueryVector(embedder.embed(" ".join(units)), strategy)
 
 
@@ -425,33 +412,33 @@ def _attribute_based(
     policy: MatchPolicy,
     k: int | None,
 ) -> RetrievalResult:
+    if k is not None:
+        check_positive_int(k, "k")
     terms = query.attribute_queries()
     if not terms:
         raise EmptyQueryError("query has no attributes to match")
     matches: list[set[str]] = [
         store.lookup_by_attribute(name, value, policy) for name, value in terms
     ]
-    # Ranked by matched-term count, then ascending id. Only the top k are
-    # selected; a negative k slices the full ranking from the end.
-    limit = k if k is None or k >= 0 else None
+    # Ranked by matched-term count, then ascending id; only the top k are selected.
     both = set.intersection(*matches) if policy is MatchPolicy.NAME_AND_VALUE else set()
     if both:
         # Every candidate matched every term, so ids alone order them.
-        ranked = [(item_id, len(matches)) for item_id in _smallest(limit, both)]
+        ranked = [(item_id, len(matches)) for item_id in _smallest(k, both)]
     else:
         counts = Counter()
         for match in matches:
             counts.update(match)
         ranked = []
         for level in range(len(matches), 0, -1):
-            if limit is not None and len(ranked) >= limit:
+            if k is not None and len(ranked) >= k:
                 break
             bucket = [item_id for item_id, n in counts.items() if n == level]
-            room = None if limit is None else limit - len(ranked)
+            room = None if k is None else k - len(ranked)
             ranked += [(item_id, level) for item_id in _smallest(room, bucket)]
     hits = tuple(
         RankedHit(item_id=item_id, score=n / len(terms), rank=rank)
-        for rank, (item_id, n) in enumerate(ranked[:k], start=1)
+        for rank, (item_id, n) in enumerate(ranked, start=1)
     )
     return RetrievalResult(hits=hits, mode=RetrievalMode.ATTRIBUTE_BASED)
 
@@ -471,8 +458,9 @@ def retrieve(
 
     Comprehensive ignores the query and returns everything in store order
     with a zero sentinel score. Attribute mode matches the query's attribute
-    terms against the inverted index. Embedding mode embeds the query with
-    the index's strategy and runs a top-k cosine search.
+    terms against the inverted index and keeps the top ``k``, or every match
+    when ``k`` is None. Embedding mode embeds the query with the index's
+    strategy and runs a top-k cosine search. Both refuse a ``k`` below 1.
     """
     if mode is RetrievalMode.COMPREHENSIVE:
         return _comprehensive(store)

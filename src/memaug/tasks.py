@@ -11,7 +11,6 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .annotations import Annotation, Granularity, render_annotation
 from .backends import ChatBackend, Embedder
@@ -39,7 +38,8 @@ from .templates import ANSWER_GENERATION, EVENT_SUMMARY, RECOMMENDATION, SUMMARY
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_EVENT_ATTRIBUTE_TERMS = (
+# Attribute-name terms that mark a pair as an event (see filter_event_pairs).
+EVENT_ATTRIBUTE_TERMS = (
     "event",
     "events",
     "life event",
@@ -47,6 +47,9 @@ DEFAULT_EVENT_ATTRIBUTE_TERMS = (
     "activity",
     "activities",
 )
+
+# Recall@N and NDCG@N cut-offs of the recommendation task.
+REC_CUTOFFS = (1, 5, 10)
 
 
 @dataclass(frozen=True)
@@ -249,7 +252,6 @@ def run_rec_task(
     n: int = 200,
     k: int = 10,
     seed: int = 0,
-    cutoffs: Sequence[int] = (1, 5, 10),
 ) -> RecTaskResult:
     """Conversational recommendation over masked dialogues.
 
@@ -257,7 +259,7 @@ def run_rec_task(
     and cuts each dialogue at the first mask, mines the remaining turns
     conversation-centrically, retrieves ``k`` candidate items, prompts the
     recommendation backend for a ranked list, and scores direct title
-    matches with Recall@N and NDCG@N.
+    matches with Recall@N and NDCG@N for each N in ``REC_CUTOFFS``.
     """
     if n > len(dataset.dialogues):
         raise ValueError(
@@ -266,7 +268,7 @@ def run_rec_task(
     rng = random.Random(seed)
     sampled = rng.sample(list(dataset.dialogues), n)
     score_rows: dict[tuple[str, int], list[tuple[str, float]]] = {
-        (metric, cutoff): [] for metric in ("recall", "ndcg") for cutoff in cutoffs
+        (metric, cutoff): [] for metric in ("recall", "ndcg") for cutoff in REC_CUTOFFS
     }
     rows: list[RecResultRow] = []
     counts: list[int] = []
@@ -300,7 +302,7 @@ def run_rec_task(
         gold = {normalize_title(label) for label in dialogue.gold_labels}
         predicted = [normalize_title(title) for title in recommendations]
         scores: dict[str, float] = {}
-        for cutoff in cutoffs:
+        for cutoff in REC_CUTOFFS:
             recall = 0.0 if error else recall_at_k(predicted, gold, cutoff)
             ndcg = 0.0 if error else ndcg_at_k(predicted, gold, cutoff)
             scores[f"recall@{cutoff}"] = recall
@@ -348,16 +350,13 @@ class EventTaskResult:
         return sum(1 for row in self.rows if row.skipped_reason)
 
 
-def filter_event_pairs(
-    annotation: Annotation,
-    terms: Sequence[str] = DEFAULT_EVENT_ATTRIBUTE_TERMS,
-) -> Annotation:
-    """Keep only pairs whose name contains an event-related term.
+def filter_event_pairs(annotation: Annotation) -> Annotation:
+    """Keep only pairs whose name contains one of ``EVENT_ATTRIBUTE_TERMS``.
 
     A term matches when its words appear as a contiguous word sequence in
     the attribute name, so "event" matches "life event" but not "prevent".
     """
-    term_words = [tuple(term.split()) for term in terms]
+    term_words = [tuple(term.split()) for term in EVENT_ATTRIBUTE_TERMS]
 
     def matches(name: str) -> bool:
         words = tuple(name.split())
@@ -399,7 +398,6 @@ def run_event_summarization(
     input_mode: str = "annotations_only",
     summarizer: ChatBackend,
     judge: ChatBackend | None = None,
-    event_terms: Sequence[str] = DEFAULT_EVENT_ATTRIBUTE_TERMS,
 ) -> EventTaskResult:
     """Summarize each session's event attributes, optionally judging them.
 
@@ -431,7 +429,7 @@ def run_event_summarization(
             annotations = [session_ann] if session_ann is not None else []
         event_pairs = []
         for annotation in annotations:
-            event_pairs.extend(filter_event_pairs(annotation, event_terms).pairs)
+            event_pairs.extend(filter_event_pairs(annotation).pairs)
         row = EventSummaryRow(
             session_id=session.session_id,
             level=level.value,

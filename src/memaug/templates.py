@@ -1,4 +1,4 @@
-"""Prompt templates and the registry that maps mining modes onto them.
+"""Prompt templates and the table that maps mining modes onto them.
 
 Each template body carries exactly one ``{}`` placeholder that receives the
 payload (an item description, a dialogue turn, a whole dialogue, a question,
@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 from .annotations import Granularity, Perspective, Prioritization
 from .errors import LengthBudgetExceeded
 
 PLACEHOLDER = "{}"
 
-DEFAULT_LENGTH_BUDGET = 100_000
+# Longest payload a prompt may carry, in characters.
+LENGTH_BUDGET = 100_000
 
 
 class ResponseFormat(Enum):
@@ -43,18 +43,13 @@ class PromptTemplate:
             )
 
 
-def build_prompt(
-    template: PromptTemplate,
-    payload: str,
-    *,
-    length_budget: int = DEFAULT_LENGTH_BUDGET,
-) -> str:
+def build_prompt(template: PromptTemplate, payload: str) -> str:
     """Substitute ``payload`` into the template's single placeholder."""
     if not payload:
         raise ValueError("payload must be non-empty")
-    if len(payload) > length_budget:
+    if len(payload) > LENGTH_BUDGET:
         raise LengthBudgetExceeded(
-            f"payload of {len(payload)} chars exceeds budget of {length_budget}"
+            f"payload of {len(payload)} chars exceeds budget of {LENGTH_BUDGET}"
         )
     return template.body.replace(PLACEHOLDER, payload, 1)
 
@@ -219,90 +214,28 @@ SUMMARY_JUDGE = PromptTemplate(
     expected_format=ResponseFormat.FREE_TEXT,
 )
 
-DEFAULT_TEMPLATES = (
-    ENTITY_BASIC,
-    ENTITY_PRIORITY,
-    TURN_BASIC,
-    TURN_PRIORITY,
-    SESSION_BASIC,
-    SESSION_PRIORITY,
-    QUESTION_AUGMENTATION,
-    ANSWER_GENERATION,
-    RECOMMENDATION,
-    EVENT_SUMMARY,
-    SUMMARY_JUDGE,
-)
-
-_MINING_KEYS: dict[tuple[Perspective, Granularity, Prioritization], str] = {
-    (Perspective.ENTITY_CENTRIC, Granularity.NOT_APPLICABLE, Prioritization.BASIC): "entity_basic",
-    (Perspective.ENTITY_CENTRIC, Granularity.NOT_APPLICABLE, Prioritization.PRIORITY): "entity_priority",
-    (Perspective.CONVERSATION_CENTRIC, Granularity.TURN_LEVEL, Prioritization.BASIC): "turn_basic",
-    (Perspective.CONVERSATION_CENTRIC, Granularity.TURN_LEVEL, Prioritization.PRIORITY): "turn_priority",
-    (Perspective.CONVERSATION_CENTRIC, Granularity.SESSION_LEVEL, Prioritization.BASIC): "session_basic",
-    (Perspective.CONVERSATION_CENTRIC, Granularity.SESSION_LEVEL, Prioritization.PRIORITY): "session_priority",
+# The one prompt per mining mode triple; a triple absent here is impossible
+# (entity-centric mining has no turns or sessions).
+MINING_TEMPLATES: dict[tuple[Perspective, Granularity, Prioritization], PromptTemplate] = {
+    (Perspective.ENTITY_CENTRIC, Granularity.NOT_APPLICABLE, Prioritization.BASIC): ENTITY_BASIC,
+    (Perspective.ENTITY_CENTRIC, Granularity.NOT_APPLICABLE, Prioritization.PRIORITY): ENTITY_PRIORITY,
+    (Perspective.CONVERSATION_CENTRIC, Granularity.TURN_LEVEL, Prioritization.BASIC): TURN_BASIC,
+    (Perspective.CONVERSATION_CENTRIC, Granularity.TURN_LEVEL, Prioritization.PRIORITY): TURN_PRIORITY,
+    (Perspective.CONVERSATION_CENTRIC, Granularity.SESSION_LEVEL, Prioritization.BASIC): SESSION_BASIC,
+    (Perspective.CONVERSATION_CENTRIC, Granularity.SESSION_LEVEL, Prioritization.PRIORITY): SESSION_PRIORITY,
 }
 
-_FORMAT_DIRECTIVE = "# format:"
 
-
-class TemplateRegistry:
-    """Template lookup by id and by mining mode triple."""
-
-    def __init__(self, templates: tuple[PromptTemplate, ...] = DEFAULT_TEMPLATES):
-        self._by_id: dict[str, PromptTemplate] = {}
-        for template in templates:
-            self.register(template)
-
-    def register(self, template: PromptTemplate) -> None:
-        if template.id in self._by_id:
-            raise ValueError(f"duplicate template id {template.id!r}")
-        self._by_id[template.id] = template
-
-    def get(self, template_id: str) -> PromptTemplate:
-        try:
-            return self._by_id[template_id]
-        except KeyError:
-            raise KeyError(f"unknown template id {template_id!r}") from None
-
-    def __contains__(self, template_id: str) -> bool:
-        return template_id in self._by_id
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._by_id))
-
-    def for_modes(
-        self,
-        perspective: Perspective,
-        granularity: Granularity,
-        prioritization: Prioritization,
-    ) -> PromptTemplate:
-        key = (perspective, granularity, prioritization)
-        if key not in _MINING_KEYS:
-            raise ValueError(
-                "no mining template for "
-                f"({perspective.value}, {granularity.value}, {prioritization.value})"
-            )
-        return self.get(_MINING_KEYS[key])
-
-    @classmethod
-    def from_directory(cls, path: str | Path) -> "TemplateRegistry":
-        """Load ``*.txt`` files as templates; the file stem is the id.
-
-        An optional first line ``# format: <response format value>`` selects
-        how responses are parsed; the default is ``pair_list``.
-        """
-        directory = Path(path)
-        if not directory.is_dir():
-            raise FileNotFoundError(f"template directory not found: {directory}")
-        registry = cls(templates=())
-        for file in sorted(directory.glob("*.txt")):
-            text = file.read_text(encoding="utf-8")
-            response_format = ResponseFormat.PAIR_LIST
-            if text.startswith(_FORMAT_DIRECTIVE):
-                first, _, rest = text.partition("\n")
-                response_format = ResponseFormat(first[len(_FORMAT_DIRECTIVE):].strip())
-                text = rest
-            registry.register(
-                PromptTemplate(id=file.stem, body=text.strip("\n"), expected_format=response_format)
-            )
-        return registry
+def mining_template(
+    perspective: Perspective,
+    granularity: Granularity,
+    prioritization: Prioritization,
+) -> PromptTemplate:
+    """The prompt for a mining mode triple; ``ValueError`` for an impossible one."""
+    try:
+        return MINING_TEMPLATES[(perspective, granularity, prioritization)]
+    except KeyError:
+        raise ValueError(
+            "no mining template for "
+            f"({perspective.value}, {granularity.value}, {prioritization.value})"
+        ) from None

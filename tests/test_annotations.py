@@ -123,16 +123,6 @@ class TestParseAnnotation:
         ann = parse_annotation("[a]<x [y] z>", strict=True)
         assert ann.pairs[0].value == "x [y] z"
 
-    def test_mode_flags_applied(self):
-        ann = parse_annotation(
-            "[a]<1>",
-            perspective=Perspective.ENTITY_CENTRIC,
-            granularity=Granularity.NOT_APPLICABLE,
-            prioritization=Prioritization.PRIORITY,
-        )
-        assert ann.perspective is Perspective.ENTITY_CENTRIC
-        assert ann.prioritization is Prioritization.PRIORITY
-
 
 class TestParseTurnAnnotations:
     def test_single_group(self):

@@ -232,9 +232,11 @@ class _StubHandler(BaseHTTPRequestHandler):
     """OpenAI-shaped stub: echoes enough to verify the client protocol.
 
     Embedding requests are logged in ``requests``. Model ``emb`` embeds every
-    input as ``[1, 2, 2]``; any other model as ``[len(text), 1, 0]``. Rows
-    come back in reverse order, each tagged with its input position. On
-    either path, model ``boom`` gets HTTP 500 and ``notjson`` a non-JSON body.
+    input as ``[1, 2, 2]``; model ``drift`` as ones, as many as the request
+    has inputs, so two requests of different sizes disagree on the dimension;
+    any other model as ``[len(text), 1, 0]``. Rows come back in reverse order,
+    each tagged with its input position. On either path, model ``boom`` gets
+    HTTP 500 and ``notjson`` a non-JSON body.
     """
 
     requests: list[dict] = []
@@ -261,13 +263,12 @@ class _StubHandler(BaseHTTPRequestHandler):
             }
         elif self.path.endswith("/embeddings"):
             type(self).requests.append(request)
+            embed = {
+                "emb": lambda text: [1.0, 2.0, 2.0],
+                "drift": lambda text: [1.0] * len(request["input"]),
+            }.get(request["model"], lambda text: [len(text), 1.0, 0.0])
             rows = [
-                {
-                    "index": i,
-                    "embedding": (
-                        [1.0, 2.0, 2.0] if request["model"] == "emb" else [len(text), 1.0, 0.0]
-                    ),
-                }
+                {"index": i, "embedding": embed(text)}
                 for i, text in enumerate(request["input"])
             ]
             body = {"data": rows[::-1]}
@@ -370,6 +371,17 @@ class TestRemoteEmbeddingBatches:
         assert {r["model"] for r in _StubHandler.requests} == {"emb-len"}
         assert embedder.dimension == 3
         np.testing.assert_array_equal(embedder.embed("xy"), [2.0, 1.0, 0.0])
+
+    def test_dimension_drift_between_chunks_rejected(self, stub_server):
+        profile = BackendProfile(
+            kind=BackendKind.REMOTE_CHAT, model_id="drift", endpoint=stub_server
+        )
+        embedder = RemoteEmbedder(profile)
+        with pytest.raises(TransportError, match="do not match the dimension"):
+            embedder.embed_many(["x"] * (RemoteEmbedder.BATCH_SIZE + 1))
+        assert embedder.dimension == RemoteEmbedder.BATCH_SIZE
+        with pytest.raises(TransportError, match="do not match the dimension"):
+            embedder.embed("x")
 
     def test_cli_embed_model_separate_from_chat_model(self, stub_server, tmp_path, capsys):
         from memaug import ItemKind, MemoryItem, MemoryStore, VectorIndex

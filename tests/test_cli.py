@@ -149,6 +149,18 @@ class TestIndexAndRetrieve:
         out = capsys.readouterr().out
         assert "m2" in out
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_attribute_mode_k_below_one_exit(self, store_path, capsys, k):
+        capsys.readouterr()
+        code = main([
+            "retrieve", "a great thriller", "--store", str(store_path),
+            "--mode", "attribute", "--k", k,
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "k must be a positive integer" in captured.err
+
 
 class TestEvalCommand:
     def _qa_paths(self, tmp_path):
@@ -303,3 +315,109 @@ class TestConfigFile:
             "stats", "--store", str(tmp_path / "s.jsonl"),
         ])
         assert code == 2
+
+    def test_bad_choice_exits_1_without_traceback(self, tmp_path, capsys):
+        config = tmp_path / "memaug.ini"
+        config.write_text("[memaug]\nmode = bogus\n")
+        with pytest.raises(SystemExit) as exc_info:
+            main([
+                "--config", str(config),
+                "retrieve", "a thriller", "--store", str(tmp_path / "s.jsonl"),
+            ])
+        assert exc_info.value.code == 1
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err
+        assert "Traceback" not in err
+
+    def test_strict_true_applies(self, tmp_path, capsys):
+        source = write_items_jsonl(tmp_path / "items.jsonl", ["a fine comedy"])
+        source.write_text(source.read_text() + "not json\n", encoding="utf-8")
+        config = tmp_path / "memaug.ini"
+        args = ["augment", "--input", str(source), "--store", str(tmp_path / "store.jsonl")]
+        config.write_text("[memaug]\nstrict = false\n")
+        assert main(["--config", str(config)] + args) == 0
+        config.write_text("[memaug]\nstrict = true\n")
+        assert main(["--config", str(config)] + args) == 2
+
+    def test_explicit_flag_overrides_file(self, tmp_path, capsys):
+        source = write_items_jsonl(
+            tmp_path / "items.jsonl", ["a great thriller", "a dark thriller", "a tense thriller"]
+        )
+        store = tmp_path / "store.jsonl"
+        config = tmp_path / "memaug.ini"
+        config.write_text(
+            "[memaug]\nperspective = entity\ngranularity = na\nmode = attribute\n"
+            "k = 1\njson = true\n"
+        )
+        assert main(["--config", str(config), "augment", "--input", str(source),
+                     "--store", str(store)]) == 0
+        query = ["--config", str(config), "retrieve", "which thriller", "--store", str(store)]
+        capsys.readouterr()
+        assert main(query) == 0
+        assert [hit["id"] for hit in json.loads(capsys.readouterr().out)] == ["m0"]
+        assert main(query + ["--k", "2"]) == 0
+        assert [hit["id"] for hit in json.loads(capsys.readouterr().out)] == ["m0", "m1"]
+
+    def test_flag_values_apply_to_eval(self, tmp_path):
+        payload = {
+            "sessions": [
+                {
+                    "session_id": "s1",
+                    "turns": [{"turn_id": "t1", "speaker": "a", "text": "we moved house"}],
+                }
+            ],
+            "events": [],
+        }
+        dataset = tmp_path / "d.json"
+        dataset.write_text(json.dumps(payload), encoding="utf-8")
+        rules_path = write_mock_rules(tmp_path / "rules.json", {"moved": ["life event", "move"]})
+        config = tmp_path / "memaug.ini"
+        config.write_text(
+            "[memaug]\ninput_mode = annotations_plus_dialogues\nno_timestamp = true\n"
+        )
+        out_dir = tmp_path / "reports"
+        code = main([
+            "--config", str(config), "eval", "--task", "events", "--dataset", str(dataset),
+            "--granularity", "session", "--mock-rules", str(rules_path),
+            "--out-dir", str(out_dir),
+        ])
+        assert code == 0
+        report = json.loads((out_dir / "events.json").read_text())
+        assert "timestamp" not in report
+        assert report["sessions"][0]["input_mode"] == "annotations_plus_dialogues"
+        assert report["sessions"][0]["skipped_reason"] is None
+
+    def test_keys_without_a_flag_are_skipped(self, tmp_path):
+        source = write_items_jsonl(tmp_path / "items.jsonl", ["a fine comedy"])
+        config = tmp_path / "memaug.ini"
+        config.write_text("[memaug]\ndim = 4\nunknown_key = 1\nperspective = entity\n"
+                          "granularity = na\n")
+        code = main([
+            "--config", str(config),
+            "augment", "--input", str(source), "--store", str(tmp_path / "store.jsonl"),
+        ])
+        assert code == 0
+
+    def test_boolean_key_needs_a_boolean(self, tmp_path, capsys):
+        config = tmp_path / "memaug.ini"
+        config.write_text("[memaug]\njson = maybe\n")
+        code = main(["--config", str(config), "stats", "--store", str(tmp_path / "s.jsonl")])
+        assert code == 1
+        assert "Not a boolean: maybe" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["endpoint = http://x/\n", "[memaug]\nendpoint = http://x/%20\n"],
+        ids=["no-section-header", "bad-interpolation"],
+    )
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, text):
+        config = tmp_path / "memaug.ini"
+        config.write_text(text)
+        code = main([
+            "--config", str(config),
+            "index", "--store", str(tmp_path / "s.jsonl"), "--out", str(tmp_path / "i.bin"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {config}: ")
+        assert "Traceback" not in err

@@ -15,6 +15,7 @@ from memaug import (
 )
 from memaug.errors import BackendRefusal
 from memaug.mining import parse_person_attributes, turn_payload
+from memaug.templates import LENGTH_BUDGET
 
 from doubles import StaticChatBackend
 
@@ -139,43 +140,21 @@ class TestMine:
         with pytest.raises(ValueError):
             miner.mine_text("")
 
-    def test_get_params(self):
-        miner = AttributeMiner(MockChatBackend(), parallelism=3)
-        params = miner.get_params()
-        assert params["parallelism"] == 3
-        assert params["granularity"] is Granularity.TURN_LEVEL
-        miner.set_params(max_retries=5)
-        assert miner.max_retries == 5
+    def test_zero_parallelism_rejected(self):
         with pytest.raises(ValueError):
-            miner.set_params(nope=1)
+            AttributeMiner(MockChatBackend(), parallelism=0)
 
     @pytest.mark.parametrize(
-        "params",
+        "perspective, granularity",
         [
-            {"max_retries": -1},
-            {"parallelism": 0},
-            {"perspective": Perspective.ENTITY_CENTRIC},
-            {"max_retries": 1, "parallelism": 0},
+            (Perspective.ENTITY_CENTRIC, Granularity.SESSION_LEVEL),
+            (Perspective.CONVERSATION_CENTRIC, Granularity.NOT_APPLICABLE),
         ],
+        ids=["entity-session", "conversation-na"],
     )
-    def test_set_params_runs_constructor_checks(self, params):
-        miner = AttributeMiner(MockChatBackend(), max_retries=2, parallelism=2)
-        before = dict(vars(miner))
-        with pytest.raises(ValueError):
-            miner.set_params(**params)
-        assert vars(miner) == before
-
-    def test_set_params_accepts_a_consistent_mode_change(self):
-        backend = MockChatBackend()
-        miner = AttributeMiner(backend)
-        miner.set_params(
-            perspective=Perspective.ENTITY_CENTRIC, granularity=Granularity.NOT_APPLICABLE
-        )
-        assert miner.perspective is Perspective.ENTITY_CENTRIC
-        assert miner.granularity is Granularity.NOT_APPLICABLE
-        assert miner.backend is backend
-        item = MemoryItem(id="m1", kind=ItemKind.ENTITY, content="a great thriller")
-        assert miner.mine(item).perspective is Perspective.ENTITY_CENTRIC
+    def test_impossible_mode_triple_refused_at_construction(self, perspective, granularity):
+        with pytest.raises(ValueError, match="no mining template for"):
+            AttributeMiner(MockChatBackend(), perspective=perspective, granularity=granularity)
 
 
 class TestTurnPayload:
@@ -262,11 +241,11 @@ class TestMineCorpus:
         assert serial.mine_corpus(items) == parallel.mine_corpus(items)
 
     def test_over_budget_item_recorded_not_raised(self):
-        miner = AttributeMiner(
-            MockChatBackend(), granularity=Granularity.TURN_LEVEL, length_budget=60
-        )
+        miner = AttributeMiner(MockChatBackend(), granularity=Granularity.TURN_LEVEL)
         items = [
-            make_turn(0, "a fine comedy"), make_turn(1, "comedy " * 20), make_turn(2, "a drama")
+            make_turn(0, "a fine comedy"),
+            make_turn(1, "c" * LENGTH_BUDGET),  # the turn payload adds "[t1] Ana: "
+            make_turn(2, "a drama"),
         ]
         results, report = miner.mine_corpus(items)
         assert report.failures == [("t1", "too_long")]

@@ -117,20 +117,6 @@ class TestBuildIndex:
         assert len(index) == 5
         assert skipped == []
 
-    def test_dimension_drift_rejected(self):
-        class Drifting:
-            def __init__(self):
-                self.calls = 0
-                self.dimension = 4
-
-            def embed(self, text):
-                self.calls += 1
-                return np.ones(4 if self.calls == 1 else 5)
-
-        store = entity_store({"a": single_pair("k", "1"), "b": single_pair("k", "2")})
-        with pytest.raises(DimensionMismatchError):
-            build_index(store, EmbeddingStrategy.RAW_CONTENT, Drifting())
-
 
 def per_item_index(store, strategy, embedder):
     """The index as built one item at a time through ``embed``/``embed_annotation``."""
@@ -489,6 +475,12 @@ class TestRetrieve:
         )
         assert set(result.ids()) == {"x", "y"}
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_attribute_k_below_one_rejected(self, store, k):
+        query = QueryContext(attribute_names=("genre",))
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            retrieve(store, query, RetrievalMode.ATTRIBUTE_BASED, k=k)
+
     def test_empty_query_attributes(self, store):
         with pytest.raises(EmptyQueryError):
             retrieve(store, QueryContext(text="hello"), RetrievalMode.ATTRIBUTE_BASED)
@@ -552,7 +544,7 @@ _SPLIT = {"y": [("genre", "noir")], "x": [("mood", "drama")], "z": _BOTH, "w": N
     items=_stores,
     query=_queries,
     policy=st.sampled_from(MatchPolicy),
-    k=st.none() | st.integers(-2, 30),
+    k=st.none() | st.integers(1, 30),
 )
 # An empty intersection falls back to the union.
 @example(

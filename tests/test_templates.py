@@ -1,10 +1,11 @@
-"""Prompt template and registry tests."""
+"""Prompt template and mining-template table tests."""
 
 import pytest
 
-from memaug import PromptTemplate, ResponseFormat, TemplateRegistry, build_prompt
+from memaug import PromptTemplate, ResponseFormat, build_prompt
 from memaug.annotations import Granularity, Perspective, Prioritization
 from memaug.errors import LengthBudgetExceeded
+from memaug.templates import LENGTH_BUDGET, MINING_TEMPLATES, mining_template
 
 
 class TestBuildPrompt:
@@ -22,8 +23,9 @@ class TestBuildPrompt:
 
     def test_length_budget(self):
         template = PromptTemplate(id="t", body="x {}")
+        assert build_prompt(template, "a" * LENGTH_BUDGET) == "x " + "a" * LENGTH_BUDGET
         with pytest.raises(LengthBudgetExceeded):
-            build_prompt(template, "a" * 101, length_budget=100)
+            build_prompt(template, "a" * (LENGTH_BUDGET + 1))
 
     def test_empty_payload_rejected(self):
         template = PromptTemplate(id="t", body="x {}")
@@ -40,51 +42,31 @@ class TestBuildPrompt:
 
 
 class TestRegistry:
+    """The mining-template table and its lookup."""
+
     def test_default_mode_mapping(self):
-        registry = TemplateRegistry()
-        entity = registry.for_modes(
+        entity = mining_template(
             Perspective.ENTITY_CENTRIC, Granularity.NOT_APPLICABLE, Prioritization.BASIC
         )
+        assert entity.id == "entity_basic"
         assert entity.expected_format is ResponseFormat.PAIR_LIST
-        turn_basic = registry.for_modes(
+        turn_basic = mining_template(
             Perspective.CONVERSATION_CENTRIC, Granularity.TURN_LEVEL, Prioritization.BASIC
         )
         assert turn_basic.expected_format is ResponseFormat.TURN_SCOPED_PAIR_LIST
         for granularity in (Granularity.TURN_LEVEL, Granularity.SESSION_LEVEL):
             for prioritization in Prioritization:
-                template = registry.for_modes(
+                template = mining_template(
                     Perspective.CONVERSATION_CENTRIC, granularity, prioritization
                 )
                 assert template.body.count("{}") == 1
+        assert len({template.id for template in MINING_TEMPLATES.values()}) == 6
 
     def test_invalid_mode_combination(self):
-        registry = TemplateRegistry()
-        with pytest.raises(ValueError):
-            registry.for_modes(
-                Perspective.ENTITY_CENTRIC, Granularity.TURN_LEVEL, Prioritization.BASIC
+        for granularity in (Granularity.TURN_LEVEL, Granularity.SESSION_LEVEL):
+            with pytest.raises(ValueError, match=r"^no mining template for \(entity_centric, "):
+                mining_template(Perspective.ENTITY_CENTRIC, granularity, Prioritization.BASIC)
+        with pytest.raises(ValueError, match="no mining template for"):
+            mining_template(
+                Perspective.CONVERSATION_CENTRIC, Granularity.NOT_APPLICABLE, Prioritization.BASIC
             )
-
-    def test_duplicate_id_rejected(self):
-        registry = TemplateRegistry()
-        with pytest.raises(ValueError):
-            registry.register(PromptTemplate(id="entity_basic", body="{}"))
-
-    def test_unknown_id(self):
-        registry = TemplateRegistry()
-        with pytest.raises(KeyError):
-            registry.get("nope")
-
-    def test_from_directory(self, tmp_path):
-        (tmp_path / "custom_one.txt").write_text("mine these: {}", encoding="utf-8")
-        (tmp_path / "custom_two.txt").write_text(
-            "# format: person_attributes\nwho: {}", encoding="utf-8"
-        )
-        registry = TemplateRegistry.from_directory(tmp_path)
-        assert registry.ids() == ("custom_one", "custom_two")
-        assert registry.get("custom_one").expected_format is ResponseFormat.PAIR_LIST
-        assert registry.get("custom_two").expected_format is ResponseFormat.PERSON_ATTRIBUTES
-        assert registry.get("custom_two").body == "who: {}"
-
-    def test_from_directory_missing(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            TemplateRegistry.from_directory(tmp_path / "missing")
