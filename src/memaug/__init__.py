@@ -17,7 +17,6 @@ from .annotations import (
     parse_annotation,
     parse_turn_annotations,
     render_annotation,
-    reorder_by_priority,
 )
 from .backends import (
     BackendKind,

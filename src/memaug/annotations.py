@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 from .errors import ParseError
 
@@ -50,7 +49,7 @@ def normalize_name(name: str) -> str:
     return " ".join(name.split()).casefold()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttributePair:
     """One mined attribute: a normalized name and a verbatim (trimmed) value."""
 
@@ -71,7 +70,7 @@ class AttributePair:
         return f"[{self.name}]<{self.value}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Annotation:
     """Ordered attribute pairs plus the mode tags they were produced under.
 
@@ -138,7 +137,7 @@ class Annotation:
             raise ValueError(f"malformed annotation record: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TurnScopedAnnotation:
     """A turn-level annotation labelled with the speaker and dialog id."""
 
@@ -389,25 +388,3 @@ def render_annotation(ann: Annotation) -> str:
     exactly, order included.
     """
     return " ".join(p.render() for p in ann.pairs)
-
-
-def reorder_by_priority(ann: Annotation, ranking: Sequence[str]) -> Annotation:
-    """Move pairs whose names appear in ``ranking`` to the front, in ranking
-    order; the rest keep their original relative order. The result is tagged
-    as priority-ordered. Ranked names absent from the annotation are ignored.
-    """
-    normalized = [normalize_name(name) for name in ranking]
-    if len(set(normalized)) != len(normalized):
-        raise ValueError("ranking contains duplicate names after normalization")
-    position = {name: idx for idx, name in enumerate(normalized)}
-    ranked = sorted(
-        (p for p in ann.pairs if p.name in position),
-        key=lambda p: position[p.name],
-    )
-    unranked = [p for p in ann.pairs if p.name not in position]
-    return Annotation(
-        pairs=tuple(ranked) + tuple(unranked),
-        perspective=ann.perspective,
-        granularity=ann.granularity,
-        prioritization=Prioritization.PRIORITY,
-    )

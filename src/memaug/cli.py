@@ -38,7 +38,7 @@ from .errors import (
     SchemaError,
     TransportError,
 )
-from .fileio import atomic_open
+from .fileio import replace_together
 from .mining import AttributeMiner
 from .retrieval import (
     EmbeddingStrategy,
@@ -353,14 +353,11 @@ def _write_reports(out_dir: Path, name: str, payload: dict, text: str, config: R
     if timestamp:
         payload = dict(payload, timestamp=datetime.now(timezone.utc).isoformat())
     payload = dict(payload, config=snapshot)
-    reports = {
-        f"{name}.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        f"{name}_report.txt": text + "\n",
-        "config.json": json.dumps(snapshot, indent=2, sort_keys=True) + "\n",
-    }
-    for filename, content in reports.items():
-        with atomic_open(out_dir / filename) as fh:
-            fh.write(content)
+    replace_together({
+        out_dir / f"{name}.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        out_dir / f"{name}_report.txt": text + "\n",
+        out_dir / "config.json": json.dumps(snapshot, indent=2, sort_keys=True) + "\n",
+    })
 
 
 def _store(args, build, miner: AttributeMiner) -> MemoryStore:

@@ -84,9 +84,6 @@ class ConversationDataset:
     qa: tuple[QAExample, ...] = ()
     events: tuple[EventLabel, ...] = ()
 
-    def turn_count(self) -> int:
-        return sum(len(s.turns) for s in self.sessions)
-
 
 @dataclass(frozen=True)
 class RecDialogue:

@@ -18,7 +18,7 @@ def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
     as it was. Text modes write UTF-8.
     """
     target = Path(path)
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    tmp = _temp_path(target)
     try:
         with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
@@ -26,3 +26,31 @@ def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def replace_together(contents: dict[Path, str]) -> None:
+    """Replace UTF-8 text files as one set: all temporaries are written
+    first, and if a replace fails the files already replaced get their
+    earlier bytes back (or are removed if new) before the error re-raises."""
+    previous = {path: path.read_bytes() if path.exists() else None for path in contents}
+    temps = {path: _temp_path(path) for path in contents}
+    replaced: list[Path] = []
+    try:
+        for path, text in contents.items():
+            temps[path].write_text(text, encoding="utf-8")
+        for path in contents:
+            os.replace(temps[path], path)
+            replaced.append(path)
+    except BaseException:
+        for path in replaced:
+            if previous[path] is None:
+                path.unlink(missing_ok=True)
+            else:
+                path.write_bytes(previous[path])
+        for tmp in temps.values():
+            tmp.unlink(missing_ok=True)
+        raise
+
+
+def _temp_path(target: Path) -> Path:
+    return target.with_name(f".{target.name}.{os.getpid()}.{threading.get_ident()}.tmp")

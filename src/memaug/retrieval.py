@@ -142,8 +142,17 @@ def embed_annotation(
 # Binary index file: one JSON header line, then the float64 matrix in .npy form.
 INDEX_FORMAT = "memaug-index"
 INDEX_VERSION = 2
-# A gemv score is within ~1e-13 of the row-wise score; rows within this much
-# of the k-th gemv score are re-scored row-wise, so the band holds the top-k.
+# Search ranks rows by float32 dot products of unit vectors, then re-scores
+# a band in float64. Each float32 product term takes at most d + 2 roundings
+# of unit u = 2**-24 (row entry, query entry, d multiply-adds in any order),
+# so by Cauchy-Schwarz a float32 score is within gamma = (d+2)u / (1-(d+2)u)
+# of the true cosine. Float64 roundings and float32 underflow stay far below
+# _BAND for d under 1e6, and clipping only moves a score towards the true
+# cosine, so a float32 score a and the clipped float64 score t differ by at
+# most E = gamma + _BAND. With T the k-th largest t, fewer than k rows have
+# a > T + E, so the k-th float32 score is at most T + E, while a top-k row
+# has a >= t - E >= T - E: the rows within 2E of the k-th float32 score
+# hold the exact top k, ties included.
 _BAND = 1e-9
 
 
@@ -152,6 +161,8 @@ class VectorIndex:
     """Flat exact-scan cosine index; immutable after build.
 
     ``embedder_kind`` and ``embedder_model`` record what built the vectors.
+    ``unit32``, the unit-scaled rows in float32 for the first search pass,
+    is derived from the float64 rows and never saved.
     """
 
     item_ids: tuple[str, ...]
@@ -161,6 +172,7 @@ class VectorIndex:
     embedder_kind: str | None = None
     embedder_model: str | None = None
     norms: np.ndarray = field(init=False, repr=False)
+    unit32: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.item_ids)) != len(self.item_ids):
@@ -176,8 +188,14 @@ class VectorIndex:
         norms = np.linalg.norm(vectors, axis=1) if vectors.size else np.zeros(0)
         if vectors.size and not np.all(norms > 0):
             raise ZeroVectorError("index contains a zero vector")
+        # One rounding of each float64 quotient to float32, in place: no
+        # float64 temporary of the matrix's size.
+        unit32 = np.empty(vectors.shape, np.float32)
+        if vectors.size:
+            np.divide(vectors, norms[:, None], out=unit32, casting="same_kind")
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "norms", norms)
+        object.__setattr__(self, "unit32", unit32)
 
     def __len__(self) -> int:
         return len(self.item_ids)
@@ -207,11 +225,12 @@ class VectorIndex:
         if k >= n:
             band = np.arange(n)
         else:
-            # One gemv ranks every row; only the band around its k-th score
-            # can hold the exact top-k.
-            approx = (self.vectors @ vector) / (self.norms * qnorm)
+            # One float32 gemv ranks every row; the rows within 2E of its
+            # k-th score hold the exact top-k (see _BAND).
+            approx = self.unit32 @ (vector / qnorm).astype(np.float32)
             kth = np.partition(approx, n - k)[n - k]
-            band = np.flatnonzero(approx >= kth - _BAND)
+            rounding = (self.dimension + 2) * 2.0**-24
+            band = np.flatnonzero(approx >= float(kth) - 2 * (rounding / (1 - rounding) + _BAND))
         # Row-wise reduction over the band: duplicate entries must produce
         # bitwise-equal scores so that exact ties fall through to the id
         # tie-break regardless of row position.

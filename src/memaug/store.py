@@ -42,7 +42,7 @@ _KIND_GRANULARITY = {
 _FIELD_ORDER = ("id", "kind", "content", "speaker", "session_id", "turn_id", "timestamp", "annotation")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemoryItem:
     """One unit of memory: an entity, a dialogue turn, or a whole session."""
 
@@ -63,22 +63,27 @@ class MemoryItem:
             raise ValueError("sessions require session_id")
 
 
-@dataclass(frozen=True)
+def _check_granularity(item: MemoryItem, annotation: Annotation | None) -> None:
+    """Raise unless the annotation's granularity is the one the item kind needs."""
+    if annotation is not None:
+        expected = _KIND_GRANULARITY[item.kind]
+        if annotation.granularity is not expected:
+            raise GranularityMismatchError(
+                f"item kind {item.kind.value} requires granularity "
+                f"{expected.value}, got {annotation.granularity.value}"
+            )
+
+
+@dataclass(frozen=True, slots=True)
 class AugmentedMemory:
     item: MemoryItem
     annotation: Annotation | None = None
 
     def __post_init__(self):
-        if self.annotation is not None:
-            expected = _KIND_GRANULARITY[self.item.kind]
-            if self.annotation.granularity is not expected:
-                raise GranularityMismatchError(
-                    f"item kind {self.item.kind.value} requires granularity "
-                    f"{expected.value}, got {self.annotation.granularity.value}"
-                )
+        _check_granularity(self.item, self.annotation)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorpusStats:
     total_items: int
     annotated_items: int
@@ -151,7 +156,7 @@ class MemoryStore:
         overwrite: bool = False,
     ) -> str:
         """Append an item (validating annotation granularity) and index it."""
-        AugmentedMemory(item, annotation)  # granularity check
+        _check_granularity(item, annotation)
         if item.id in self._items and not overwrite:
             raise DuplicateIdError(f"item id {item.id!r} already present")
         if item.id in self._items:

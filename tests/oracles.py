@@ -1,13 +1,15 @@
 """Independent brute-force oracles used to check the fast implementations.
 
-Everything here is deliberately written in plain Python (explicit loops,
-``math`` instead of numpy) so the oracle shares no code path with the
-implementation it checks.
+Everything here except :func:`single_pass_search` is deliberately written
+in plain Python (explicit loops, ``math`` instead of numpy) so the oracle
+shares no code path with the implementation it checks.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from memaug import EmptyQueryError, MatchPolicy, RetrievalMode
 from memaug.retrieval import RankedHit, RetrievalResult
@@ -46,6 +48,33 @@ def brute_force_topk(ids, vectors, query, k):
         scored.append((-(dot / (norm * query_norm)), item_id))
     scored.sort()
     return [item_id for _, item_id in scored[:k]]
+
+
+def single_pass_search(index, query, k):
+    """The float64 single-pass search that the float32 first pass replaced.
+
+    One float64 gemv ranks every row; rows within 1e-9 of its k-th score are
+    re-scored row-wise, clipped and sorted on (-score, id). ``VectorIndex``
+    must return these hits with bitwise-equal scores.
+    """
+    vector = np.asarray(query, dtype=np.float64)
+    qnorm = float(np.linalg.norm(vector))
+    n = len(index.item_ids)
+    if k >= n:
+        band = np.arange(n)
+    else:
+        approx = (index.vectors @ vector) / (index.norms * qnorm)
+        kth = np.partition(approx, n - k)[n - k]
+        band = np.flatnonzero(approx >= kth - 1e-9)
+    scores = (index.vectors[band] * vector).sum(axis=1) / (index.norms[band] * qnorm)
+    np.clip(scores, -1.0, 1.0, out=scores)
+    ids = [index.item_ids[i] for i in band]
+    order = sorted(range(len(band)), key=lambda j: (-scores[j], ids[j]))[:k]
+    hits = tuple(
+        RankedHit(item_id=ids[j], score=float(scores[j]), rank=rank)
+        for rank, j in enumerate(order, start=1)
+    )
+    return RetrievalResult(hits=hits, mode=RetrievalMode.EMBEDDING_BASED)
 
 
 def attribute_ranking(store, query, policy, k):

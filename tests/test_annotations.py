@@ -1,7 +1,5 @@
 """Annotation model and parser tests."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,9 +15,7 @@ from memaug import (
     parse_annotation,
     parse_turn_annotations,
     render_annotation,
-    reorder_by_priority,
 )
-from synthetic import random_annotation
 
 
 class TestAttributePair:
@@ -172,48 +168,6 @@ class TestRenderAnnotation:
     def test_two_pairs_space_separated(self):
         ann = Annotation(pairs=(AttributePair("a", "1"), AttributePair("b", "2")))
         assert render_annotation(ann) == "[a]<1> [b]<2>"
-
-
-class TestReorderByPriority:
-    def test_ranked_names_first(self):
-        ann = Annotation(pairs=(AttributePair("b", "2"), AttributePair("a", "1")))
-        out = reorder_by_priority(ann, ["a", "b"])
-        assert out.names == ("a", "b")
-        assert out.prioritization is Prioritization.PRIORITY
-
-    def test_empty_ranking_is_identity_with_flag(self):
-        ann = Annotation(pairs=(AttributePair("a", "1"),))
-        out = reorder_by_priority(ann, [])
-        assert out.pairs == ann.pairs
-        assert out.prioritization is Prioritization.PRIORITY
-
-    def test_stable_partition(self):
-        ann = Annotation(
-            pairs=(AttributePair("a", "1"), AttributePair("b", "2"), AttributePair("c", "3"))
-        )
-        out = reorder_by_priority(ann, ["c"])
-        assert out.names == ("c", "a", "b")
-
-    def test_unknown_ranked_names_ignored(self):
-        ann = Annotation(pairs=(AttributePair("a", "1"),))
-        assert reorder_by_priority(ann, ["zzz"]).names == ("a",)
-
-    def test_duplicate_ranking_rejected(self):
-        ann = Annotation(pairs=(AttributePair("a", "1"),))
-        with pytest.raises(ValueError):
-            reorder_by_priority(ann, ["A", "a"])
-
-    def test_is_a_permutation(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            ann = random_annotation(rng, max_pairs=10)
-            names = list(dict.fromkeys(ann.names))
-            rng.shuffle(names)
-            ranking = names[: rng.randint(0, len(names))]
-            out = reorder_by_priority(ann, ranking)
-            assert sorted(out.pairs, key=lambda p: (p.name, p.value)) == sorted(
-                ann.pairs, key=lambda p: (p.name, p.value)
-            )
 
 
 _name_strategy = st.text(

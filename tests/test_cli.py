@@ -1,6 +1,7 @@
 """CLI tests: exit codes, outputs, and report determinism."""
 
 import json
+import os
 
 import pytest
 
@@ -233,6 +234,38 @@ class TestEvalCommand:
         assert sorted(path.name for path in out_dir.iterdir()) == [
             "config.json", "qa.json", "qa_report.txt"
         ]
+
+    def test_failed_report_write_keeps_previous_set(self, tmp_path, monkeypatch):
+        dataset, rules_path = self._qa_paths(tmp_path)
+
+        def run(out_dir, k):
+            return main([
+                "eval", "--task", "qa", "--dataset", str(dataset), "--mode", "attribute",
+                "--mock-rules", str(rules_path), "--out-dir", str(out_dir),
+                "--no-timestamp", "--k", k,
+            ])
+
+        out_dir = tmp_path / "reports"
+        assert run(out_dir, "5") == 0
+        names = ["config.json", "qa.json", "qa_report.txt"]
+        before = {name: (out_dir / name).read_bytes() for name in names}
+        real_replace = os.replace
+        calls = []
+
+        def fail_second(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr("memaug.fileio.os.replace", fail_second)
+        assert run(out_dir, "3") == 2
+        assert {name: (out_dir / name).read_bytes() for name in names} == before
+        assert sorted(path.name for path in out_dir.iterdir()) == names
+        # A first run that fails leaves no report behind.
+        calls.clear()
+        assert run(tmp_path / "fresh", "3") == 2
+        assert list((tmp_path / "fresh").iterdir()) == []
 
     def test_rec_eval(self, tmp_path):
         data, store, rules = build_rec_fixture(n_dialogues=12, n_items=10)

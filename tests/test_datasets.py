@@ -30,7 +30,7 @@ class TestConversationDataset:
     def test_load_fixture(self, tmp_path):
         data, _ = build_qa_fixture(n_turns=10, n_sessions=2)
         dataset = load_conversation_dataset(write_json(tmp_path, "d.json", data))
-        assert dataset.turn_count() == 10
+        assert sum(len(session.turns) for session in dataset.sessions) == 10
         assert len(dataset.qa) == 10
         assert dataset.qa[0].category is QACategory.SINGLE_HOP
 

@@ -1,11 +1,14 @@
 """Retrieval engine tests: embedding strategies, flat search, modes."""
 
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import attribute_ranking, brute_force_topk
+from oracles import attribute_ranking, brute_force_topk, single_pass_search
 
 from memaug import (
     Annotation,
@@ -332,6 +335,31 @@ class TestSearch:
         assert (loaded.strategy, loaded.dimension) == (index.strategy, 8)
         assert (loaded.embedder_kind, loaded.embedder_model) == ("remote", "emb-3")
 
+    def test_float32_rows_agree_across_constructions(self, tmp_path):
+        store = entity_store({f"m{i}": single_pair(f"key{i % 4}", f"word{i} extra") for i in range(12)})
+        built, _ = build_index(store, EmbeddingStrategy.AVERAGED_PAIRS, HashEmbedder(16))
+        path = tmp_path / "index.bin"
+        built.save(path)
+        loaded = VectorIndex.load(path)
+        direct = VectorIndex(
+            item_ids=built.item_ids, vectors=built.vectors.tolist(),
+            strategy=built.strategy, dimension=built.dimension,
+        )
+        unit = built.vectors / np.linalg.norm(built.vectors, axis=1)[:, None]
+        expected = unit.astype(np.float32).tobytes()
+        for index in (built, loaded, direct):
+            assert index.unit32.dtype == np.float32
+            assert index.unit32.tobytes() == expected
+        # The file holds the header line and the float64 matrix, nothing else.
+        header = {
+            "format": "memaug-index", "version": 2, "strategy": "averaged_pairs",
+            "dimension": 16, "embedder": {"kind": "hash", "model": None},
+            "ids": list(built.item_ids),
+        }
+        matrix = io.BytesIO()
+        np.save(matrix, built.vectors, allow_pickle=False)
+        assert path.read_bytes() == json.dumps(header).encode() + b"\n" + matrix.getvalue()
+
     def test_empty_index_round_trip(self, tmp_path):
         index = VectorIndex(
             item_ids=(), vectors=np.zeros((0, 4)),
@@ -600,3 +628,77 @@ def test_deterministic_results_across_runs():
         )
 
     assert run() == run()
+
+
+def _search_case(dimension, n, seed, near_tie_step, self_match, duplicates, exponents, query_exponent):
+    """Rows, ids and a query with the structures a two-pass search must get right.
+
+    A seeded generator draws the values. Near-tie rows are
+    ``base + t * |base| * unit(query)`` for t = 0, step, 2*step, ...: their
+    scores sit about a step apart, far above float64 rounding and inside the
+    float32 band. Scaling a row by a power of two changes its norm exactly,
+    so its score ties bit for bit with the unscaled row's.
+    """
+    rng = np.random.default_rng(seed)
+    vectors = rng.normal(size=(n, dimension))
+    query = rng.normal(size=dimension)
+    if near_tie_step is not None and dimension > 1:
+        base = vectors[0].copy()
+        query = base + rng.normal(size=dimension)
+        direction = query / np.linalg.norm(query) * np.linalg.norm(base)
+        for t, row in enumerate(rng.permutation(n)[: max(2, n // 2)]):
+            vectors[row] = base + t * near_tie_step * direction
+    for _ in range(duplicates):
+        vectors[rng.integers(n)] = vectors[rng.integers(n)]
+    if self_match and near_tie_step is None:
+        query = vectors[rng.integers(n)].copy()
+    for row, exponent in zip(rng.permutation(n), exponents):
+        vectors[row] *= 2.0**exponent
+    ids = tuple(f"i{j:03d}" for j in rng.permutation(n))
+    return ids, vectors, query * 2.0**query_exponent
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dimension=st.sampled_from([1, 2, 8, 256]),
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    near_tie_step=st.none() | st.sampled_from([1e-6, 1e-7, 1e-8, 1e-9]),
+    self_match=st.booleans(),
+    duplicates=st.integers(0, 3),
+    exponents=st.lists(st.integers(-400, 400), max_size=4),
+    query_exponent=st.integers(-16, 100),
+    k=st.integers(1, 45),
+)
+# Near-ties at the top, closer than the float32 band.
+@example(dimension=256, n=40, seed=1, near_tie_step=1e-9, self_match=False,
+         duplicates=0, exponents=[], query_exponent=0, k=5)
+@example(dimension=8, n=30, seed=2, near_tie_step=1e-7, self_match=False,
+         duplicates=2, exponents=[3], query_exponent=0, k=3)
+# A query equal to a row, duplicated, with very large and very small norms.
+@example(dimension=256, n=30, seed=3, near_tie_step=None, self_match=True,
+         duplicates=3, exponents=[400, -400, 400], query_exponent=-16, k=4)
+# Dimension 1: every score is +1 or -1, so ids alone order the ties.
+@example(dimension=1, n=12, seed=4, near_tie_step=None, self_match=False,
+         duplicates=2, exponents=[300, -300], query_exponent=100, k=3)
+# k at and above the number of rows.
+@example(dimension=8, n=6, seed=5, near_tie_step=1e-6, self_match=False,
+         duplicates=1, exponents=[], query_exponent=0, k=6)
+@example(dimension=2, n=6, seed=6, near_tie_step=None, self_match=True,
+         duplicates=1, exponents=[], query_exponent=0, k=45)
+def test_two_pass_search_matches_oracles(
+    dimension, n, seed, near_tie_step, self_match, duplicates, exponents, query_exponent, k
+):
+    ids, vectors, query = _search_case(
+        dimension, n, seed, near_tie_step, self_match, duplicates, exponents, query_exponent
+    )
+    index = VectorIndex(
+        item_ids=ids, vectors=vectors, strategy=EmbeddingStrategy.RAW_CONTENT, dimension=dimension
+    )
+    got = index.search(query, k)
+    assert list(got.ids()) == brute_force_topk(ids, vectors.tolist(), query.tolist(), k)
+
+    def bits(result):
+        return [(hit.item_id, hit.score.hex(), hit.rank) for hit in result.hits]
+
+    assert bits(got) == bits(single_pass_search(index, query, k))
