@@ -126,9 +126,17 @@ class Annotation:
     @classmethod
     def from_dict(cls, data: dict) -> "Annotation":
         try:
-            pairs = tuple(AttributePair(p["name"], p["value"]) for p in data["pairs"])
+            pairs = []
+            for pair in data["pairs"]:
+                name, value = pair["name"], pair["value"]
+                if not (isinstance(name, str) and isinstance(value, str)):
+                    raise TypeError(
+                        f"pair name and value must be strings, got "
+                        f"{type(name).__name__} and {type(value).__name__}"
+                    )
+                pairs.append(AttributePair(name, value))
             return cls(
-                pairs=pairs,
+                pairs=tuple(pairs),
                 perspective=Perspective(data["perspective"]),
                 granularity=Granularity(data["granularity"]),
                 prioritization=Prioritization(data["prioritization"]),

@@ -6,7 +6,7 @@ import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator, Mapping
 
 
 @contextmanager
@@ -28,21 +28,34 @@ def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
         raise
 
 
-def replace_together(contents: dict[Path, str]) -> None:
-    """Replace UTF-8 text files as one set: all temporaries are written
-    first, and if a replace fails the files already replaced get their
-    earlier bytes back (or are removed if new) before the error re-raises."""
+def replace_together(contents: Mapping[Path, str | Callable[[IO[str]], object] | None]) -> None:
+    """Replace UTF-8 text files as one set.
+
+    Each file's new content is a string, a writer called with the open
+    temporary file, or None to remove the file. All temporaries are written
+    first; if a write, replace or removal fails, the files already changed
+    get their earlier bytes back (or are removed if new) before the error
+    re-raises, and no temporary file is left.
+    """
     previous = {path: path.read_bytes() if path.exists() else None for path in contents}
-    temps = {path: _temp_path(path) for path in contents}
-    replaced: list[Path] = []
+    temps = {path: _temp_path(path) for path, content in contents.items() if content is not None}
+    changed: list[Path] = []
     try:
-        for path, text in contents.items():
-            temps[path].write_text(text, encoding="utf-8")
+        for path, tmp in temps.items():
+            content = contents[path]
+            with open(tmp, "w", encoding="utf-8") as fh:
+                if isinstance(content, str):
+                    fh.write(content)
+                else:
+                    content(fh)
         for path in contents:
-            os.replace(temps[path], path)
-            replaced.append(path)
+            if path in temps:
+                os.replace(temps[path], path)
+            else:
+                path.unlink(missing_ok=True)
+            changed.append(path)
     except BaseException:
-        for path in replaced:
+        for path in changed:
             if previous[path] is None:
                 path.unlink(missing_ok=True)
             else:

@@ -185,7 +185,10 @@ class VectorIndex:
             )
         if not np.all(np.isfinite(vectors)):
             raise ValueError("index vectors contain non-finite entries")
-        norms = np.linalg.norm(vectors, axis=1) if vectors.size else np.zeros(0)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(vectors, axis=1) if vectors.size else np.zeros(0)
+        if not np.all(np.isfinite(norms)):
+            raise ValueError("index vectors have a norm that overflows float64")
         if vectors.size and not np.all(norms > 0):
             raise ZeroVectorError("index contains a zero vector")
         # One rounding of each float64 quotient to float32, in place: no

@@ -12,6 +12,7 @@ sets/lists, so readers never observe a structure mutated underneath them.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -20,7 +21,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from .annotations import Annotation, Granularity, normalize_name
 from .errors import DuplicateIdError, GranularityMismatchError, SchemaError
-from .fileio import atomic_open
+from .fileio import replace_together
 
 if TYPE_CHECKING:
     from .mining import AugmentationReport
@@ -40,6 +41,8 @@ _KIND_GRANULARITY = {
 
 # Canonical JSONL field order; None-valued fields are omitted.
 _FIELD_ORDER = ("id", "kind", "content", "speaker", "session_id", "turn_id", "timestamp", "annotation")
+# Text fields a stored record may leave out or set to null.
+_OPTIONAL_TEXT_FIELDS = ("speaker", "session_id", "turn_id", "timestamp")
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,19 +160,23 @@ class MemoryStore:
     ) -> str:
         """Append an item (validating annotation granularity) and index it."""
         _check_granularity(item, annotation)
-        if item.id in self._items and not overwrite:
-            raise DuplicateIdError(f"item id {item.id!r} already present")
         if item.id in self._items:
+            if not overwrite:
+                raise DuplicateIdError(f"item id {item.id!r} already present")
             self._unindex(item.id)
-        self._items[item.id] = item
-        if annotation is not None:
-            self._annotations[item.id] = annotation
-            for pair in annotation.pairs:
-                self._by_name.setdefault(pair.name, set()).add(item.id)
-                self._by_name_value.setdefault(
-                    (pair.name, pair.value.casefold()), set()
-                ).add(item.id)
+        self._add(item, annotation)
         return item.id
+
+    def _add(self, item: MemoryItem, annotation: Annotation | None) -> None:
+        """Store a checked item and index its pairs; an existing id keeps its slot."""
+        item_id = item.id
+        self._items[item_id] = item
+        if annotation is None:
+            return
+        self._annotations[item_id] = annotation
+        for pair in annotation.pairs:
+            self._by_name.setdefault(pair.name, set()).add(item_id)
+            self._by_name_value.setdefault((pair.name, pair.value.casefold()), set()).add(item_id)
 
     def attach_annotation(self, item_id: str, annotation: Annotation) -> None:
         """Replace the annotation of an existing item."""
@@ -234,21 +241,42 @@ class MemoryStore:
         return {key: raw[key] for key in _FIELD_ORDER if raw[key] is not None}
 
     @staticmethod
-    def _from_record(record: dict) -> tuple[MemoryItem, Annotation | None]:
+    def _from_line(line: str) -> tuple[MemoryItem, Annotation | None]:
+        """Decode one JSONL line into an item and its annotation.
+
+        ``id`` and ``content`` must be strings, the other text fields
+        strings or null; the item and annotation constructors then make
+        their own checks.
+        """
+        record = json.loads(line)
         if not isinstance(record, dict) or "id" not in record or "kind" not in record:
             raise ValueError("record must be an object with 'id' and 'kind'")
-        item = MemoryItem(
-            id=record["id"],
-            kind=ItemKind(record["kind"]),
-            content=record.get("content", ""),
-            speaker=record.get("speaker"),
-            session_id=record.get("session_id"),
-            turn_id=record.get("turn_id"),
-            timestamp=record.get("timestamp"),
+        get = record.get
+        item_id, content = record["id"], get("content", "")
+        speaker, session_id, turn_id, timestamp = (
+            get("speaker"), get("session_id"), get("turn_id"), get("timestamp")
         )
-        annotation = None
-        if record.get("annotation") is not None:
-            annotation = Annotation.from_dict(record["annotation"])
+        if not (
+            isinstance(item_id, str)
+            and isinstance(content, str)
+            and (speaker is None or isinstance(speaker, str))
+            and (session_id is None or isinstance(session_id, str))
+            and (turn_id is None or isinstance(turn_id, str))
+            and (timestamp is None or isinstance(timestamp, str))
+        ):
+            raise TypeError(_wrong_type_message(record))
+        item = MemoryItem(
+            id=item_id,
+            kind=ItemKind(record["kind"]),
+            content=content,
+            speaker=speaker,
+            session_id=session_id,
+            turn_id=turn_id,
+            timestamp=timestamp,
+        )
+        annotation = get("annotation")
+        if annotation is not None:
+            annotation = Annotation.from_dict(annotation)
         return item, annotation
 
     def save(self, path: str | Path) -> None:
@@ -256,22 +284,21 @@ class MemoryStore:
 
         When an augmentation report is attached, it is saved next to the
         store as ``<path>.report.json`` so stats survive a reload; without
-        one, a report left by an earlier save is removed. Each file is
-        replaced atomically.
+        one, a report left by an earlier save is removed. The store and its
+        report are replaced as one set: if either replacement fails, both
+        files keep their earlier contents.
         """
         target = Path(path)
-        with atomic_open(target) as fh:
+
+        def write_items(fh) -> None:
             for item_id, item in self._items.items():
                 record = self._record(item, self._annotations.get(item_id))
                 fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-        report_path = target.with_name(target.name + ".report.json")
-        if self.augmentation_report is None:
-            report_path.unlink(missing_ok=True)
-            return
-        with atomic_open(report_path) as fh:
-            fh.write(
-                json.dumps(self.augmentation_report.to_dict(), indent=2, sort_keys=True) + "\n"
-            )
+
+        report = None
+        if self.augmentation_report is not None:
+            report = json.dumps(self.augmentation_report.to_dict(), indent=2, sort_keys=True) + "\n"
+        replace_together({target: write_items, _report_path(target): report})
 
     @classmethod
     def load(
@@ -284,30 +311,64 @@ class MemoryStore:
         """Rebuild a store (and its attribute index) from a JSONL file.
 
         Malformed lines raise :class:`SchemaError` with the line number in
-        strict mode; lenient mode skips them, reporting via ``warnings``.
+        strict mode; lenient mode skips them, reporting via ``warnings``. A
+        line is checked in full before it changes the store. A malformed
+        ``<path>.report.json`` raises :class:`SchemaError` in either mode.
         """
         source = Path(path)
         if not source.exists():
             raise FileNotFoundError(f"store file not found: {source}")
         store = cls()
-        with source.open("r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                    item, annotation = cls._from_record(record)
-                    store.write(item, annotation)
-                except (ValueError, KeyError, TypeError, DuplicateIdError, GranularityMismatchError) as exc:
-                    if strict:
-                        raise SchemaError(str(exc), line=line_no) from exc
-                    if warnings is not None:
-                        warnings.append(f"line {line_no}: skipped ({exc})")
-        report_path = source.with_name(source.name + ".report.json")
+        items, add, from_line = store._items, store._add, cls._from_line
+        # The cyclic collector is paused for this one file read. Each line's
+        # objects are freed by reference counting (only the exception chain
+        # of a skipped line can form a cycle, and the collector takes it once
+        # the pause ends), so it would find nothing here; left running, it
+        # makes one to three full passes over every object in the process
+        # while the store grows. A caller's own gc.disable() stays in force.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with source.open("r", encoding="utf-8") as fh:
+                for line_no, line in enumerate(fh, start=1):
+                    if not line.strip():
+                        continue
+                    try:
+                        item, annotation = from_line(line)
+                        _check_granularity(item, annotation)
+                        if item.id in items:
+                            raise DuplicateIdError(f"item id {item.id!r} already present")
+                    except (ValueError, KeyError, TypeError, DuplicateIdError, GranularityMismatchError) as exc:
+                        if strict:
+                            raise SchemaError(str(exc), line=line_no) from exc
+                        if warnings is not None:
+                            warnings.append(f"line {line_no}: skipped ({exc})")
+                        continue
+                    add(item, annotation)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        report_path = _report_path(source)
         if report_path.exists():
             from .mining import AugmentationReport
 
-            store.augmentation_report = AugmentationReport.from_dict(
-                json.loads(report_path.read_text(encoding="utf-8"))
-            )
+            try:
+                store.augmentation_report = AugmentationReport.from_dict(
+                    json.loads(report_path.read_text(encoding="utf-8"))
+                )
+            except (ValueError, KeyError, TypeError) as exc:
+                raise SchemaError(f"store report {report_path}: {exc!r}") from exc
         return store
+
+
+def _report_path(store_path: Path) -> Path:
+    return store_path.with_name(store_path.name + ".report.json")
+
+
+def _wrong_type_message(record: dict) -> str:
+    """Name the first text field of ``record`` that is not a string."""
+    for key in ("id", "content", *_OPTIONAL_TEXT_FIELDS):
+        value = record.get(key, "")
+        if not isinstance(value, str) and (value is not None or key not in _OPTIONAL_TEXT_FIELDS):
+            return f"field {key!r} must be a string, got {type(value).__name__}"
+    return "text fields must be strings"

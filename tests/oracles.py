@@ -1,17 +1,36 @@
 """Independent brute-force oracles used to check the fast implementations.
 
-Everything here except :func:`single_pass_search` is deliberately written
-in plain Python (explicit loops, ``math`` instead of numpy) so the oracle
-shares no code path with the implementation it checks.
+Everything here except :func:`single_pass_search` and
+:func:`load_store_oracle` is deliberately written in plain Python (explicit
+loops, ``math`` instead of numpy) so the oracle shares no code path with the
+implementation it checks.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
-from memaug import EmptyQueryError, MatchPolicy, RetrievalMode
+from memaug import (
+    Annotation,
+    AttributePair,
+    DuplicateIdError,
+    EmptyQueryError,
+    Granularity,
+    GranularityMismatchError,
+    ItemKind,
+    MatchPolicy,
+    MemoryItem,
+    MemoryStore,
+    Perspective,
+    Prioritization,
+    RetrievalMode,
+    SchemaError,
+)
+from memaug.mining import AugmentationReport
 from memaug.retrieval import RankedHit, RetrievalResult
 
 
@@ -149,3 +168,64 @@ def oracle_f1(prediction, gold):
     precision = overlap / len(pred_tokens)
     recall = overlap / len(gold_tokens)
     return 2 * precision * recall / (precision + recall)
+
+
+def load_store_oracle(path, *, strict=True, warnings=None):
+    """``MemoryStore.load`` as it was before the one-pass load.
+
+    Each line is decoded, built into an item and annotation with the public
+    constructors, and inserted with the public ``write``, which makes the
+    granularity and duplicate-id checks. Lines whose fields have the wrong
+    JSON type are loaded as they come, or crash with whatever the
+    constructors raise.
+    """
+    source = Path(path)
+    if not source.exists():
+        raise FileNotFoundError(f"store file not found: {source}")
+    store = MemoryStore()
+    with source.open("r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+                item, annotation = _record_oracle(record)
+                store.write(item, annotation)
+            except (ValueError, KeyError, TypeError, DuplicateIdError, GranularityMismatchError) as exc:
+                if strict:
+                    raise SchemaError(str(exc), line=line_no) from exc
+                if warnings is not None:
+                    warnings.append(f"line {line_no}: skipped ({exc})")
+    report_path = source.with_name(source.name + ".report.json")
+    if report_path.exists():
+        store.augmentation_report = AugmentationReport.from_dict(
+            json.loads(report_path.read_text(encoding="utf-8"))
+        )
+    return store
+
+
+def _record_oracle(record):
+    if not isinstance(record, dict) or "id" not in record or "kind" not in record:
+        raise ValueError("record must be an object with 'id' and 'kind'")
+    item = MemoryItem(
+        id=record["id"],
+        kind=ItemKind(record["kind"]),
+        content=record.get("content", ""),
+        speaker=record.get("speaker"),
+        session_id=record.get("session_id"),
+        turn_id=record.get("turn_id"),
+        timestamp=record.get("timestamp"),
+    )
+    annotation = None
+    data = record.get("annotation")
+    if data is not None:
+        try:
+            annotation = Annotation(
+                pairs=tuple(AttributePair(p["name"], p["value"]) for p in data["pairs"]),
+                perspective=Perspective(data["perspective"]),
+                granularity=Granularity(data["granularity"]),
+                prioritization=Prioritization(data["prioritization"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed annotation record: {exc}") from exc
+    return item, annotation

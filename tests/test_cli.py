@@ -86,6 +86,24 @@ class TestStatsCommand:
         assert "genre" in names
 
 
+    def test_stats_reports_malformed_pair_without_traceback(self, tmp_path, capsys):
+        store = tmp_path / "store.jsonl"
+        annotation = {
+            "pairs": [{"name": "g", "value": 5}], "perspective": "entity_centric",
+            "granularity": "not_applicable", "prioritization": "basic",
+        }
+        record = {"id": "m1", "kind": "entity", "content": "x", "annotation": annotation}
+        store.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert main(["stats", "--store", str(store)]) == 2
+        assert "line 1" in capsys.readouterr().err
+
+    def test_stats_reports_malformed_sidecar(self, tmp_path, capsys):
+        store = write_items_jsonl(tmp_path / "store.jsonl", ["a great thriller"])
+        (tmp_path / "store.jsonl.report.json").write_text('{"total": 1, "failed": 0}')
+        assert main(["stats", "--store", str(store)]) == 2
+        assert "store.jsonl.report.json" in capsys.readouterr().err
+
+
 class TestIndexAndRetrieve:
     @pytest.fixture
     def store_path(self, tmp_path):

@@ -261,6 +261,12 @@ class TestSearch:
         with pytest.raises(ZeroVectorError):
             index.search(np.zeros(2), k=1)
 
+    def test_norm_overflow_rejected(self):
+        # Finite entries whose squared norm overflows: such a row would get
+        # the norm inf and never rank, though "big" has cosine 1.0 here.
+        with pytest.raises(ValueError, match="norm"):
+            self.make_index([[1e200, 1.0], [1.0, 0.0], [1.0, 1.0]], ids=("big", "small", "mid"))
+
     def test_empty_index(self):
         index = VectorIndex(
             item_ids=(), vectors=np.zeros((0, 4)),

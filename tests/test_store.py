@@ -1,8 +1,17 @@
 """Memory store tests: writes, index, stats, persistence."""
 
+import gc
+import json
+import os
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles import load_store_oracle
 
 from memaug import (
     Annotation,
@@ -308,3 +317,329 @@ class TestAtomicSave:
         assert not sidecar.exists()
         assert MemoryStore.load(path).augmentation_report is None
         assert sorted(p.name for p in tmp_path.iterdir()) == ["store.jsonl"]
+
+    # With a report, the store is replaced and then the report fails. Without
+    # one, the store replacement fails and the stale report must survive it.
+    @pytest.mark.parametrize("with_report, failing_call", [(True, 2), (False, 1)])
+    def test_store_and_report_replaced_as_one_set(
+        self, tmp_path, monkeypatch, with_report, failing_call
+    ):
+        old = TestPersistence().make_store(5)
+        old.augmentation_report = AugmentationReport(total=5, succeeded=5, failed=0)
+        path = tmp_path / "store.jsonl"
+        old.save(path)
+        before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+        new = TestPersistence().make_store(8)
+        if with_report:
+            new.augmentation_report = AugmentationReport(
+                total=8, succeeded=7, failed=1, failures=[("m1", "refusal")]
+            )
+        real_replace = os.replace
+        calls = []
+
+        def failing_replace(src, dst):
+            calls.append(dst)
+            if len(calls) == failing_call:
+                raise OSError("disk full")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr("memaug.fileio.os.replace", failing_replace)
+        with pytest.raises(OSError):
+            new.save(path)
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+
+
+def _write_lines(path: Path, lines: list[str]) -> Path:
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+def _entity_line(**fields) -> str:
+    record = {"id": "m1", "kind": "entity", "content": "x", **fields}
+    return json.dumps(record)
+
+
+def _annotated_line(name, value) -> str:
+    return _entity_line(annotation={
+        "pairs": [{"name": "genre", "value": "noir"}, {"name": name, "value": value}],
+        "perspective": "entity_centric",
+        "granularity": "not_applicable",
+        "prioritization": "basic",
+    })
+
+
+class TestMalformedInput:
+    """Fields of the wrong JSON type are schema errors at their line, in both modes."""
+
+    CASES = {
+        "pair-value-int": _annotated_line("g", 5),
+        "pair-name-int": _annotated_line(5, "noir"),
+        "pair-value-null": _annotated_line("g", None),
+        "pair-name-list": _annotated_line(["g"], "noir"),
+        "id-int": _entity_line(id=7),
+        "id-list": _entity_line(id=["m1"]),
+        "content-int": _entity_line(content=3),
+        "content-null": _entity_line(content=None),
+        "speaker-int": _entity_line(speaker=1),
+        "session-id-object": _entity_line(session_id={"s": 1}),
+        "turn-id-float": _entity_line(turn_id=2.5),
+        "timestamp-int": _entity_line(timestamp=20240101),
+    }
+
+    @pytest.mark.parametrize("line", CASES.values(), ids=CASES.keys())
+    def test_strict_raises_schema_error_at_line(self, tmp_path, line):
+        path = _write_lines(tmp_path / "store.jsonl", [_entity_line(id="m0"), line])
+        with pytest.raises(SchemaError) as exc_info:
+            MemoryStore.load(path)
+        assert exc_info.value.line == 2
+        assert "string" in str(exc_info.value)
+
+    @pytest.mark.parametrize("line", CASES.values(), ids=CASES.keys())
+    def test_lenient_skips_line_with_warning(self, tmp_path, line):
+        path = _write_lines(tmp_path / "store.jsonl", [line, _entity_line(id="m2")])
+        warnings: list[str] = []
+        store = MemoryStore.load(path, strict=False, warnings=warnings)
+        assert store.ids() == ("m2",)
+        assert store.lookup_by_attribute("genre") == set()
+        assert len(warnings) == 1 and warnings[0].startswith("line 1: skipped (")
+
+    def test_null_optional_fields_accepted(self, tmp_path):
+        path = _write_lines(tmp_path / "store.jsonl", [_entity_line(speaker=None, timestamp=None)])
+        assert MemoryStore.load(path).get("m1") == MemoryItem("m1", ItemKind.ENTITY, "x")
+
+    @pytest.mark.parametrize("report", [
+        {"total": 2, "failed": 0, "failures": []},
+        {"total": 2, "succeeded": 2, "failed": 0, "failures": [{"item_id": "m1"}]},
+        ["total", 2],
+        "{not json",
+    ], ids=["no-succeeded", "failure-without-reason", "not-an-object", "broken-json"])
+    def test_malformed_report_sidecar(self, tmp_path, report):
+        path = _write_lines(tmp_path / "store.jsonl", [_entity_line()])
+        sidecar = tmp_path / "store.jsonl.report.json"
+        sidecar.write_text(report if isinstance(report, str) else json.dumps(report))
+        for strict in (True, False):
+            with pytest.raises(SchemaError, match="store.jsonl.report.json"):
+                MemoryStore.load(path, strict=strict)
+
+
+class TestLoadPausesCollector:
+    @pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+    def gc_state(self, request):
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    def test_state_restored_after_load(self, tmp_path, gc_state):
+        path = tmp_path / "store.jsonl"
+        TestPersistence().make_store(20).save(path)
+        assert len(MemoryStore.load(path)) == 20
+        assert gc.isenabled() is gc_state
+
+    def test_state_restored_after_failed_load(self, tmp_path, gc_state):
+        path = _write_lines(tmp_path / "store.jsonl", [_entity_line(), "{broken"])
+        with pytest.raises(SchemaError):
+            MemoryStore.load(path)
+        assert gc.isenabled() is gc_state
+
+
+# -- the one-pass load against the per-line write it replaced -------------------
+
+# Mostly valid values, with a few that the constructors reject.
+_NAMES = ("genre", "Genre", "  release   YEAR ", "release year", "mood", "x[y]", "")
+_VALUES = ("noir", " Noir ", "NOIR", "1990s\t", "café", "a<b", "")
+_NON_STRINGS = (0, 7, 1.5, True, [], ["x"], {"a": 1})
+_OPTIONAL_TEXT = ("speaker", "session_id", "turn_id", "timestamp")
+_KIND_GRANULARITY = {
+    "entity": "not_applicable", "dialogue_turn": "turn_level", "session": "session_level",
+}
+
+
+_IDS = tuple(f"{letter}{digit}" for letter in "abcdef" for digit in "01234")
+
+
+@st.composite
+def _annotation_record(draw, kind, rarely):
+    valid = len(_NAMES) if rarely(3) else 5
+    pairs = draw(st.lists(
+        st.fixed_dictionaries({
+            "name": st.sampled_from(_NAMES[:valid]),
+            "value": st.sampled_from(_VALUES[:valid]),
+        }),
+        max_size=5,
+    ))
+    if pairs and draw(st.integers(0, 2)) == 0:
+        pairs.append(dict(draw(st.sampled_from(pairs))))  # an exact duplicate pair
+    granularity = _KIND_GRANULARITY.get(kind, "not_applicable")
+    if rarely(8):
+        granularity = draw(st.sampled_from(sorted(set(_KIND_GRANULARITY.values()))))
+    record = {
+        "pairs": pairs,
+        "perspective": draw(st.sampled_from(["entity_centric", "conversation_centric"])),
+        "granularity": granularity,
+        "prioritization": draw(st.sampled_from(["basic", "priority"])),
+    }
+    if rarely(12):
+        record["prioritization"] = "bogus"
+    if rarely(12):
+        del record[draw(st.sampled_from(sorted(record)))]
+    return record
+
+
+@st.composite
+def _store_line(draw, noisy):
+    """One JSONL line of a store file.
+
+    A noisy line is mostly a valid record over few ids; otherwise it is a
+    valid record (ids may still repeat) or a blank line.
+    """
+
+    def rarely(n: int) -> bool:
+        return noisy and draw(st.integers(0, n - 1)) == 0
+
+    if not noisy and draw(st.integers(0, 9)) == 0:
+        return ""
+    shape = "record"
+    if noisy:
+        shape = draw(st.sampled_from(["record"] * 12 + ["blank", "broken", "not_object"]))
+    if shape == "blank":
+        return draw(st.sampled_from(["", "  ", "\t "]))
+    if shape == "broken":
+        return draw(st.sampled_from(["{broken", "not json", '{"id": "a",', '{"id": "a"}}']))
+    if shape == "not_object":
+        return draw(st.sampled_from(["[1, 2]", "5", "null", '"text"']))
+    kind = draw(st.sampled_from(["entity"] * 4 + ["dialogue_turn", "session"]))
+    record = {"id": draw(st.sampled_from(_IDS[:6] if noisy else _IDS)), "kind": kind}
+    if kind != "entity" or draw(st.integers(0, 7)) == 0:
+        record["session_id"] = "s1"
+    if kind == "dialogue_turn" or draw(st.integers(0, 7)) == 0:
+        record["turn_id"] = draw(st.sampled_from(["t1", "t2"]))
+    if draw(st.booleans()):
+        record["content"] = draw(st.sampled_from(["a great thriller", "", " x "]))
+    for key in ("speaker", "timestamp"):
+        if draw(st.integers(0, 2)) == 0:
+            record[key] = draw(st.sampled_from([None, "ana", "2024-01-01"]))
+    if draw(st.integers(0, 3)):
+        record["annotation"] = (
+            None if draw(st.integers(0, 7)) == 0 else draw(_annotation_record(kind, rarely))
+        )
+    if rarely(10):
+        record["kind"] = "bogus"
+    if rarely(10):
+        record["id"] = ""
+    if rarely(10):
+        record.pop(draw(st.sampled_from(["id", "kind", "session_id", "turn_id"])), None)
+    if rarely(5):
+        # One field of the wrong JSON type.
+        wrong = draw(st.sampled_from(_NON_STRINGS))
+        target = draw(st.sampled_from(["id", "content", *_OPTIONAL_TEXT, "pair"]))
+        pairs = (record.get("annotation") or {}).get("pairs")
+        if target == "pair" and pairs:
+            draw(st.sampled_from(pairs))[draw(st.sampled_from(["name", "value"]))] = wrong
+        elif target in ("id", "content"):
+            record[target] = draw(st.sampled_from([None, wrong]))
+        elif target != "pair":
+            record[target] = wrong
+    return json.dumps(record, ensure_ascii=False)
+
+
+def _wrong_type(line: str) -> bool:
+    """Whether a line holds a text field that is not a string.
+
+    The optional fields may be null; pairs count only where the annotation
+    is an object whose pairs are a list of objects.
+    """
+    try:
+        record = json.loads(line)
+    except ValueError:
+        return False
+    if not isinstance(record, dict):
+        return False
+    for key in ("id", "content"):
+        if key in record and not isinstance(record[key], str):
+            return True
+    if any(record.get(key) is not None and not isinstance(record[key], str) for key in _OPTIONAL_TEXT):
+        return True
+    annotation = record.get("annotation")
+    pairs = annotation.get("pairs") if isinstance(annotation, dict) else None
+    return isinstance(pairs, list) and any(
+        isinstance(pair, dict)
+        and any(key in pair and not isinstance(pair[key], str) for key in ("name", "value"))
+        for pair in pairs
+    )
+
+
+def _outcome(load, path, **kwargs):
+    try:
+        return load(path, **kwargs)
+    except SchemaError as exc:
+        return exc
+
+
+def _assert_same_store(got: MemoryStore, expected: MemoryStore) -> None:
+    assert list(got.entries()) == list(expected.entries())
+    for name in _NAMES:
+        assert got.lookup_by_attribute(name) == expected.lookup_by_attribute(name)
+        for value in _VALUES:
+            policy = MatchPolicy.NAME_AND_VALUE
+            assert got.lookup_by_attribute(name, value, policy) == expected.lookup_by_attribute(
+                name, value, policy
+            )
+
+
+_TURN = {"id": "t", "kind": "dialogue_turn", "session_id": "s1", "turn_id": "t1"}
+
+
+@settings(max_examples=250, deadline=None)
+@given(lines=st.booleans().flatmap(lambda noisy: st.lists(_store_line(noisy), max_size=12)))
+# A pair name that is not a string crashed the per-line load.
+@example(lines=[_entity_line(id="a"), _annotated_line(5, "noir")])
+# Non-canonical names and edge whitespace in values, duplicates, a wrong granularity.
+@example(lines=[
+    _annotated_line("  Release   YEAR ", " 1990s "),
+    "",
+    _annotated_line("release year", "1990S"),
+    json.dumps({**_TURN, "annotation": json.loads(_annotated_line("g", "x"))["annotation"]}),
+])
+def test_load_matches_per_line_oracle(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_lines(Path(tmp) / "store.jsonl", lines)
+        # Lines with a field of the wrong type are rejected by the new load
+        # and loaded (or crashed on) by the oracle; every other line must
+        # behave exactly as before, so the oracle reads them blanked out.
+        wrong = [n for n, line in enumerate(lines, start=1) if _wrong_type(line)]
+        blanked = _write_lines(
+            Path(tmp) / "blanked.jsonl", ["" if n in wrong else line for n, line in enumerate(lines, start=1)]
+        )
+        try:
+            load_store_oracle(path)
+        except SchemaError:
+            pass
+        except Exception:  # the oracle crashed: the new load must not
+            assert isinstance(_outcome(MemoryStore.load, path), SchemaError)
+
+        got = _outcome(MemoryStore.load, path)
+        expected = _outcome(load_store_oracle, blanked)
+        if wrong and (not isinstance(expected, SchemaError) or wrong[0] < expected.line):
+            assert isinstance(got, SchemaError) and got.line == wrong[0]
+        elif isinstance(expected, SchemaError):
+            assert isinstance(got, SchemaError)
+            assert (got.line, str(got)) == (expected.line, str(expected))
+        else:
+            _assert_same_store(got, expected)
+
+        got_warnings: list[str] = []
+        expected_warnings: list[str] = []
+        got = MemoryStore.load(path, strict=False, warnings=got_warnings)
+        expected = load_store_oracle(blanked, strict=False, warnings=expected_warnings)
+        _assert_same_store(got, expected)
+        skipped = sorted(
+            [(int(w.split()[1].rstrip(":")), w) for w in expected_warnings]
+            + [(n, None) for n in wrong]
+        )
+        assert len(got_warnings) == len(skipped)
+        for warning, (line_no, text) in zip(got_warnings, skipped):
+            if text is None:
+                assert warning.startswith(f"line {line_no}: skipped (")
+            else:
+                assert warning == text
