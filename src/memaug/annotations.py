@@ -9,7 +9,8 @@ carries relevance. The textual form is a whitespace-separated run of
 
 Parsing is lenient by default (malformed spans are skipped and reported via
 an optional warnings sink) because annotation text usually comes from an LLM.
-Strict mode raises :class:`~memaug.errors.ParseError` and is meant for tests
+Both modes scan once and record each malformed span; strict mode raises
+:class:`~memaug.errors.ParseError` for the first one and is meant for tests
 and round-trip checks.
 """
 
@@ -160,65 +161,59 @@ class TurnScopedAnnotation:
             raise ValueError("turn-scoped annotation must be turn-level")
 
 
-def _warn(warnings: list[str] | None, position: int, reason: str) -> None:
+# (position, reason) of each malformed span, in scan order.
+_Problems = list[tuple[int, str]]
+
+
+def _skip(problems: _Problems, position: int, reason: str, resume: int):
+    """Record a malformed span; the scan goes on at ``resume`` with no result."""
+    problems.append((position, reason))
+    return None, resume
+
+
+def _report(problems: _Problems, strict: bool, warnings: list[str] | None, offset: int = 0):
+    """Raise the first problem (strict) or describe each one in ``warnings``.
+
+    Both modes scan alike up to the first malformed span, so the strict error
+    is the first problem a lenient scan records. ``offset`` shifts positions
+    back into the caller's text.
+    """
+    if strict and problems:
+        position, reason = problems[0]
+        raise ParseError(position + offset, reason)
     if warnings is not None:
-        warnings.append(f"{reason} (position {position})")
+        warnings.extend(f"skipped {r} (position {p + offset})" for p, r in problems)
 
 
-def _scan_pair(
-    text: str,
-    i: int,
-    *,
-    strict: bool,
-    warnings: list[str] | None,
-    base: int = 0,
-) -> tuple[AttributePair | None, int]:
+def _scan_pair(text: str, i: int, problems: _Problems) -> tuple[AttributePair | None, int]:
     """Scan one ``[name]<value>`` starting at ``text[i] == '['``.
 
     Returns (pair, next_index). ``pair`` is None when the span was dropped:
-    either malformed (lenient mode) or carrying an empty/"none" value, which
-    the surface syntax cannot represent and is skipped by design.
+    either malformed (recorded in ``problems``) or carrying an empty/"none"
+    value, which the surface syntax cannot represent and is skipped by design.
     """
     n = len(text)
     close = text.find("]", i + 1)
     if close == -1:
-        if strict:
-            raise ParseError(base + i, "unclosed attribute bracket")
-        _warn(warnings, base + i, "skipped span with unclosed attribute bracket")
-        return None, n
+        return _skip(problems, i, "unclosed attribute bracket", n)
     name_raw = text[i + 1 : close]
     j = close + 1
     while j < n and text[j].isspace():
         j += 1
     if j >= n or text[j] != "<":
-        if strict:
-            raise ParseError(base + i, "attribute name not followed by <value>")
-        _warn(warnings, base + i, "skipped attribute without a <value>")
-        return None, close + 1
+        return _skip(problems, i, "attribute name not followed by <value>", close + 1)
     vclose = text.find(">", j + 1)
     if vclose == -1:
-        if strict:
-            raise ParseError(base + j, "unclosed value bracket")
-        _warn(warnings, base + j, "skipped span with unclosed value bracket")
-        return None, n
+        return _skip(problems, j, "unclosed value bracket", n)
     value_raw = text[j + 1 : vclose]
     next_i = vclose + 1
     if "<" in value_raw:
-        if strict:
-            raise ParseError(base + j, "'<' inside value")
-        _warn(warnings, base + j, "skipped value containing '<'")
-        return None, next_i
+        return _skip(problems, j, "'<' inside value", next_i)
     name = normalize_name(name_raw)
     if not name:
-        if strict:
-            raise ParseError(base + i, "empty attribute name")
-        _warn(warnings, base + i, "skipped pair with empty attribute name")
-        return None, next_i
+        return _skip(problems, i, "empty attribute name", next_i)
     if "[" in name:
-        if strict:
-            raise ParseError(base + i, "'[' inside attribute name")
-        _warn(warnings, base + i, "skipped pair with '[' inside its name")
-        return None, next_i
+        return _skip(problems, i, "'[' inside attribute name", next_i)
     value = value_raw.strip()
     if not value or value.casefold() == "none":
         # Unrepresentable content; mirrors the prompt instruction to skip
@@ -228,14 +223,7 @@ def _scan_pair(
 
 
 def _scan_pairs(
-    text: str,
-    start: int,
-    stop: int,
-    *,
-    strict: bool,
-    warnings: list[str] | None,
-    base: int = 0,
-    terminator: str | None = None,
+    text: str, start: int, stop: int, problems: _Problems, terminator: str | None = None
 ) -> tuple[list[AttributePair], int]:
     """Scan pairs in ``text[start:stop]``; stop early at ``terminator``."""
     pairs: list[AttributePair] = []
@@ -248,18 +236,14 @@ def _scan_pairs(
         if terminator is not None and ch == terminator:
             return pairs, i
         if ch != "[":
-            if strict:
-                raise ParseError(base + i, "stray text outside [name]<value> pair")
-            _warn(warnings, base + i, "skipped stray text between pairs")
+            problems.append((i, "stray text outside [name]<value> pair"))
             nxt = text.find("[", i + 1, stop)
             term = text.find(terminator, i + 1, stop) if terminator else -1
             if term != -1 and (nxt == -1 or term < nxt):
                 return pairs, term
-            if nxt == -1:
-                return pairs, stop
-            i = nxt
+            i = stop if nxt == -1 else nxt
             continue
-        pair, i = _scan_pair(text, i, strict=strict, warnings=warnings, base=base)
+        pair, i = _scan_pair(text, i, problems)
         if pair is not None:
             pairs.append(pair)
     return pairs, stop
@@ -277,75 +261,46 @@ def parse_annotation(
     The annotation carries the default mode tags; a miner retags it with
     its own. Empty input yields an empty annotation. In lenient mode (the
     default) unparseable spans are skipped and described in ``warnings``
-    when a list is supplied; strict mode raises :class:`ParseError` instead.
+    when a list is supplied; strict mode raises :class:`ParseError` for the
+    first of them instead.
     """
-    pairs, _ = _scan_pairs(text, 0, len(text), strict=strict, warnings=warnings)
+    problems: _Problems = []
+    pairs, _ = _scan_pairs(text, 0, len(text), problems)
+    _report(problems, strict, warnings)
     return Annotation(pairs=tuple(pairs))
 
 
-def _parse_group(
-    text: str,
-    i: int,
-    *,
-    strict: bool,
-    warnings: list[str] | None,
-) -> tuple[TurnScopedAnnotation | None, int]:
+def _parse_group(text: str, i: int, problems: _Problems) -> tuple[TurnScopedAnnotation | None, int]:
     """Parse one ``{speaker:[dialog_id]:pairs}`` group at ``text[i] == '{'``."""
     n = len(text)
     colon = text.find(":", i + 1)
     brace = text.find("}", i + 1)
     if colon == -1 or (brace != -1 and brace < colon):
-        if strict:
-            raise ParseError(i, "turn group is missing its speaker segment")
-        _warn(warnings, i, "skipped turn group without a speaker segment")
-        return None, (brace + 1 if brace != -1 else n)
+        resume = brace + 1 if brace != -1 else n
+        return _skip(problems, i, "turn group is missing its speaker segment", resume)
     speaker = text[i + 1 : colon].strip()
     if not speaker:
-        if strict:
-            raise ParseError(i, "turn group has an empty speaker")
-        _warn(warnings, i, "skipped turn group with an empty speaker")
-        return None, colon + 1
+        return _skip(problems, i, "turn group has an empty speaker", colon + 1)
     j = colon + 1
     while j < n and text[j].isspace():
         j += 1
     if j >= n or text[j] != "[":
-        if strict:
-            raise ParseError(j if j < n else n, "turn group is missing its dialog id segment")
-        _warn(warnings, i, "skipped turn group without a dialog id segment")
-        return None, j
+        return _skip(problems, j, "turn group is missing its dialog id segment", j)
     id_close = text.find("]", j + 1)
     if id_close == -1:
-        if strict:
-            raise ParseError(j, "unclosed dialog id bracket")
-        _warn(warnings, j, "skipped turn group with an unclosed dialog id")
-        return None, n
+        return _skip(problems, j, "unclosed dialog id bracket", n)
     dialog_id = text[j + 1 : id_close].strip()
     if not dialog_id:
-        if strict:
-            raise ParseError(j, "turn group has an empty dialog id")
-        _warn(warnings, j, "skipped turn group with an empty dialog id")
-        return None, id_close + 1
+        return _skip(problems, j, "turn group has an empty dialog id", id_close + 1)
     k = id_close + 1
     while k < n and text[k].isspace():
         k += 1
     if k >= n or text[k] != ":":
-        if strict:
-            raise ParseError(k if k < n else n, "expected ':' after the dialog id")
-        _warn(warnings, i, "skipped turn group without ':' after the dialog id")
-        return None, k
-    pairs, end = _scan_pairs(
-        text, k + 1, n, strict=strict, warnings=warnings, terminator="}"
-    )
+        return _skip(problems, k, "expected ':' after the dialog id", k)
+    pairs, end = _scan_pairs(text, k + 1, n, problems, terminator="}")
     if end >= n or text[end] != "}":
-        if strict:
-            raise ParseError(i, "unclosed turn group")
-        _warn(warnings, i, "skipped unclosed turn group")
-        return None, n
-    annotation = Annotation(
-        pairs=tuple(pairs),
-        perspective=Perspective.CONVERSATION_CENTRIC,
-        granularity=Granularity.TURN_LEVEL,
-    )
+        return _skip(problems, i, "unclosed turn group", n)
+    annotation = Annotation(tuple(pairs), Perspective.CONVERSATION_CENTRIC, Granularity.TURN_LEVEL)
     return TurnScopedAnnotation(speaker, dialog_id, annotation), end + 1
 
 
@@ -358,15 +313,16 @@ def parse_turn_annotations(
     """Parse ``{speaker:[dialog_id]:[name]<value>...}`` groups, in order.
 
     A single outer ``[...]`` wrapper around the groups is tolerated. Empty
-    input yields an empty list.
+    input yields an empty list. ``strict`` and ``warnings`` work as in
+    :func:`parse_annotation`; positions index ``text`` itself.
     """
     stripped = text.strip()
-    if (
-        stripped.startswith("[")
-        and stripped.endswith("]")
-        and stripped[1:].lstrip().startswith("{")
-    ):
+    offset = len(text) - len(text.lstrip())
+    wrapped = stripped.startswith("[") and stripped.endswith("]")
+    if wrapped and stripped[1:].lstrip().startswith("{"):
         stripped = stripped[1:-1]
+        offset += 1
+    problems: _Problems = []
     out: list[TurnScopedAnnotation] = []
     i, n = 0, len(stripped)
     while i < n:
@@ -375,17 +331,14 @@ def parse_turn_annotations(
             i += 1
             continue
         if ch != "{":
-            if strict:
-                raise ParseError(i, "stray text outside {...} turn group")
-            _warn(warnings, i, "skipped stray text between turn groups")
+            problems.append((i, "stray text outside {...} turn group"))
             nxt = stripped.find("{", i + 1)
-            if nxt == -1:
-                break
-            i = nxt
+            i = n if nxt == -1 else nxt
             continue
-        scoped, i = _parse_group(stripped, i, strict=strict, warnings=warnings)
+        scoped, i = _parse_group(stripped, i, problems)
         if scoped is not None:
             out.append(scoped)
+    _report(problems, strict, warnings, offset)
     return out
 
 

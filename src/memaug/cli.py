@@ -38,7 +38,7 @@ from .errors import (
     SchemaError,
     TransportError,
 )
-from .fileio import replace_together
+from .fileio import read_json_object, replace_together
 from .mining import AttributeMiner
 from .retrieval import (
     EmbeddingStrategy,
@@ -206,17 +206,20 @@ def _load_mock_rules(path: str | None) -> tuple[dict | None, bool]:
 
     Schema: {"rules": {"token": ["attribute", "value"], ...},
              "capture_persons": true}
+    A file that breaks it raises :class:`SchemaError`.
     """
     if not path:
         return None, True
-    source = Path(path)
-    if not source.exists():
-        raise FileNotFoundError(f"mock rules file not found: {source}")
-    data = json.loads(source.read_text(encoding="utf-8"))
-    rules = {
-        token: (pair[0], pair[1]) for token, pair in data.get("rules", {}).items()
-    }
-    return rules, bool(data.get("capture_persons", True))
+    data = read_json_object(path, "mock rules file")
+    rules, capture = data.get("rules", {}), data.get("capture_persons", True)
+    if not isinstance(rules, dict) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)
+        for pair in rules.values()
+    ):
+        raise SchemaError(f"mock rules file {path}: rules must map tokens to [name, value] strings")
+    if not isinstance(capture, bool):
+        raise SchemaError(f"mock rules file {path}: capture_persons must be true or false")
+    return {token: (pair[0], pair[1]) for token, pair in rules.items()}, capture
 
 
 def _chat_backend(config: RunConfig, args: argparse.Namespace):
@@ -442,18 +445,7 @@ def _eval_events(args, config: RunConfig, backend) -> tuple[dict, str]:
     )
     payload = {
         "task": "events",
-        "sessions": [
-            {
-                "session_id": row.session_id,
-                "level": row.level,
-                "input_mode": row.input_mode,
-                "event_pairs": row.event_pairs,
-                "summary": row.summary,
-                "judge_scores": row.judge_scores,
-                "skipped_reason": row.skipped_reason,
-            }
-            for row in result.rows
-        ],
+        "sessions": [asdict(row) for row in result.rows],
         "skipped": result.skipped,
     }
     lines = []

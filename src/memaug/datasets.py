@@ -25,13 +25,13 @@ Recommendation dataset::
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 from .errors import LabelNotFoundError, SchemaError
+from .fileio import read_json_object
 from .store import ItemKind, MemoryItem, MemoryStore
 
 MASK_TOKEN = "[MASKED]"
@@ -111,22 +111,44 @@ class RecommendationDataset:
     dialogues: tuple[RecDialogue, ...]
 
 
-def _require(record: dict, key: str, context: str):
-    if key not in record:
-        raise SchemaError(f"{context}: missing required field {key!r}")
-    return record[key]
+_REQUIRED = object()
+
+
+def _require(record: dict, key: str, context: str, default=_REQUIRED, *, strings: bool = False):
+    """``record[key]``, which must be a string (with ``strings``: a list of
+    strings). A missing or null field is ``default``, or an error if none."""
+    value = record.get(key)
+    if isinstance(value, str) and not strings:
+        return value
+    if value is None:
+        if default is _REQUIRED:
+            raise SchemaError(f"{context}: missing required field {key!r}")
+        return default
+    if not (strings and isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        kind = "a list of strings" if strings else "a string"
+        raise SchemaError(f"{context}: field {key!r} must be {kind}, not {type(value).__name__}")
+    return value
+
+
+def _records(record: dict, key: str, context: str = "") -> list[dict]:
+    """The objects listed under ``record[key]``; an absent key lists none."""
+    where = f"{context}.{key}" if context else key
+    records = record.get(key, [])
+    if not isinstance(records, list):
+        raise SchemaError(f"{where} must be a list")
+    for idx, entry in enumerate(records):
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{where}[{idx}] must be an object")
+    return records
 
 
 def load_conversation_dataset(path: str | Path) -> ConversationDataset:
-    source = Path(path)
-    if not source.exists():
-        raise FileNotFoundError(f"dataset file not found: {source}")
-    data = json.loads(source.read_text(encoding="utf-8"))
+    data = read_json_object(path, "dataset file")
     sessions = []
     seen_turn_ids: set[str] = set()
-    for s_idx, raw in enumerate(data.get("sessions", [])):
+    for s_idx, raw in enumerate(_records(data, "sessions")):
         turns = []
-        for t_idx, turn in enumerate(raw.get("turns", [])):
+        for t_idx, turn in enumerate(_records(raw, "turns", f"sessions[{s_idx}]")):
             turn_id = _require(turn, "turn_id", f"sessions[{s_idx}].turns[{t_idx}]")
             if turn_id in seen_turn_ids:
                 raise SchemaError(f"duplicate turn_id {turn_id!r}")
@@ -142,16 +164,16 @@ def load_conversation_dataset(path: str | Path) -> ConversationDataset:
             Session(
                 session_id=_require(raw, "session_id", f"sessions[{s_idx}]"),
                 turns=tuple(turns),
-                timestamp=raw.get("timestamp"),
+                timestamp=_require(raw, "timestamp", f"sessions[{s_idx}]", None),
             )
         )
     qa = []
-    for q_idx, raw in enumerate(data.get("qa", [])):
+    for q_idx, raw in enumerate(_records(data, "qa")):
         try:
             category = QACategory(_require(raw, "category", f"qa[{q_idx}]"))
         except ValueError as exc:
             raise SchemaError(f"qa[{q_idx}]: {exc}") from exc
-        gold_ids = frozenset(raw.get("gold_turn_ids", []))
+        gold_ids = frozenset(_require(raw, "gold_turn_ids", f"qa[{q_idx}]", [], strings=True))
         unknown = gold_ids - seen_turn_ids
         if unknown:
             raise SchemaError(f"qa[{q_idx}]: unknown gold turn ids {sorted(unknown)}")
@@ -172,19 +194,16 @@ def load_conversation_dataset(path: str | Path) -> ConversationDataset:
             speaker=_require(raw, "speaker", f"events[{e_idx}]"),
             summary=_require(raw, "summary", f"events[{e_idx}]"),
         )
-        for e_idx, raw in enumerate(data.get("events", []))
+        for e_idx, raw in enumerate(_records(data, "events"))
     )
     return ConversationDataset(sessions=tuple(sessions), qa=tuple(qa), events=events)
 
 
 def load_recommendation_dataset(path: str | Path) -> RecommendationDataset:
-    source = Path(path)
-    if not source.exists():
-        raise FileNotFoundError(f"dataset file not found: {source}")
-    data = json.loads(source.read_text(encoding="utf-8"))
+    data = read_json_object(path, "dataset file")
     items = []
     seen_ids: set[str] = set()
-    for i_idx, raw in enumerate(data.get("items", [])):
+    for i_idx, raw in enumerate(_records(data, "items")):
         item_id = _require(raw, "id", f"items[{i_idx}]")
         if item_id in seen_ids:
             raise SchemaError(f"duplicate item id {item_id!r}")
@@ -193,19 +212,19 @@ def load_recommendation_dataset(path: str | Path) -> RecommendationDataset:
             RecItem(
                 id=item_id,
                 title=_require(raw, "title", f"items[{i_idx}]"),
-                content=raw.get("content", ""),
+                content=_require(raw, "content", f"items[{i_idx}]", ""),
             )
         )
     dialogues = []
-    for d_idx, raw in enumerate(data.get("dialogues", [])):
+    for d_idx, raw in enumerate(_records(data, "dialogues")):
         turns = tuple(
             (
                 _require(turn, "speaker", f"dialogues[{d_idx}].turns[{t_idx}]"),
                 _require(turn, "text", f"dialogues[{d_idx}].turns[{t_idx}]"),
             )
-            for t_idx, turn in enumerate(raw.get("turns", []))
+            for t_idx, turn in enumerate(_records(raw, "turns", f"dialogues[{d_idx}]"))
         )
-        labels = tuple(_require(raw, "gold_labels", f"dialogues[{d_idx}]"))
+        labels = tuple(_require(raw, "gold_labels", f"dialogues[{d_idx}]", strings=True))
         if not labels:
             raise SchemaError(f"dialogues[{d_idx}]: gold_labels must be non-empty")
         dialogues.append(

@@ -1,12 +1,31 @@
-"""Atomic file replacement for everything the package saves."""
+"""Atomic file replacement for everything the package saves, and the JSON
+object reader its input loaders share."""
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Callable, Iterator, Mapping
+
+from .errors import SchemaError
+
+
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object in ``path``; a missing file raises ``FileNotFoundError``
+    ("<what> not found"), anything but a JSON object :class:`SchemaError`."""
+    source = Path(path)
+    if not source.exists():
+        raise FileNotFoundError(f"{what} not found: {source}")
+    try:
+        data = json.loads(source.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise SchemaError(f"{what} {source} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SchemaError(f"{what} {source} must hold a JSON object, not {type(data).__name__}")
+    return data
 
 
 @contextmanager

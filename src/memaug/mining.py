@@ -159,8 +159,8 @@ class AttributeMiner:
                 failure = exc
         raise failure
 
-    def _parse_response(self, response: str, template, item: MemoryItem | None) -> Annotation:
-        if template.expected_format is ResponseFormat.TURN_SCOPED_PAIR_LIST:
+    def _parse_response(self, response: str, item: MemoryItem | None) -> Annotation:
+        if self.template.expected_format is ResponseFormat.TURN_SCOPED_PAIR_LIST:
             scoped = parse_turn_annotations(response)
             if item is not None and item.turn_id:
                 for group in scoped:
@@ -178,7 +178,7 @@ class AttributeMiner:
         least one pair (a zero-pair parse counts as a failure).
         """
         def parse(response: str) -> Annotation:
-            annotation = self._parse_response(response, self.template, item)
+            annotation = self._parse_response(response, item)
             if len(annotation) == 0:
                 raise AugmentFailure("unparseable", "response contained no pairs")
             return annotation

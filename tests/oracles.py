@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to check the fast implementations.
 
-Everything here except :func:`single_pass_search` and
-:func:`load_store_oracle` is deliberately written in plain Python (explicit
+Everything here except :func:`single_pass_search`, :func:`load_store_oracle`
+and the two parser oracles is deliberately written in plain Python (explicit
 loops, ``math`` instead of numpy) so the oracle shares no code path with the
 implementation it checks.
 """
@@ -25,10 +25,13 @@ from memaug import (
     MatchPolicy,
     MemoryItem,
     MemoryStore,
+    ParseError,
     Perspective,
     Prioritization,
     RetrievalMode,
     SchemaError,
+    TurnScopedAnnotation,
+    normalize_name,
 )
 from memaug.mining import AugmentationReport
 from memaug.retrieval import RankedHit, RetrievalResult
@@ -229,3 +232,226 @@ def _record_oracle(record):
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed annotation record: {exc}") from exc
     return item, annotation
+
+
+def _oracle_warn(warnings: list[str] | None, position: int, reason: str) -> None:
+    if warnings is not None:
+        warnings.append(f"{reason} (position {position})")
+
+
+def _oracle_scan_pair(
+    text: str,
+    i: int,
+    *,
+    strict: bool,
+    warnings: list[str] | None,
+    base: int = 0,
+) -> tuple[AttributePair | None, int]:
+    """Scan one ``[name]<value>`` starting at ``text[i] == '['``.
+
+    Returns (pair, next_index). ``pair`` is None when the span was dropped:
+    either malformed (lenient mode) or carrying an empty/"none" value, which
+    the surface syntax cannot represent and is skipped by design.
+    """
+    n = len(text)
+    close = text.find("]", i + 1)
+    if close == -1:
+        if strict:
+            raise ParseError(base + i, "unclosed attribute bracket")
+        _oracle_warn(warnings, base + i, "skipped span with unclosed attribute bracket")
+        return None, n
+    name_raw = text[i + 1 : close]
+    j = close + 1
+    while j < n and text[j].isspace():
+        j += 1
+    if j >= n or text[j] != "<":
+        if strict:
+            raise ParseError(base + i, "attribute name not followed by <value>")
+        _oracle_warn(warnings, base + i, "skipped attribute without a <value>")
+        return None, close + 1
+    vclose = text.find(">", j + 1)
+    if vclose == -1:
+        if strict:
+            raise ParseError(base + j, "unclosed value bracket")
+        _oracle_warn(warnings, base + j, "skipped span with unclosed value bracket")
+        return None, n
+    value_raw = text[j + 1 : vclose]
+    next_i = vclose + 1
+    if "<" in value_raw:
+        if strict:
+            raise ParseError(base + j, "'<' inside value")
+        _oracle_warn(warnings, base + j, "skipped value containing '<'")
+        return None, next_i
+    name = normalize_name(name_raw)
+    if not name:
+        if strict:
+            raise ParseError(base + i, "empty attribute name")
+        _oracle_warn(warnings, base + i, "skipped pair with empty attribute name")
+        return None, next_i
+    if "[" in name:
+        if strict:
+            raise ParseError(base + i, "'[' inside attribute name")
+        _oracle_warn(warnings, base + i, "skipped pair with '[' inside its name")
+        return None, next_i
+    value = value_raw.strip()
+    if not value or value.casefold() == "none":
+        # Unrepresentable content; mirrors the prompt instruction to skip
+        # attributes without real values.
+        return None, next_i
+    return AttributePair(name, value), next_i
+
+
+def _oracle_scan_pairs(
+    text: str,
+    start: int,
+    stop: int,
+    *,
+    strict: bool,
+    warnings: list[str] | None,
+    base: int = 0,
+    terminator: str | None = None,
+) -> tuple[list[AttributePair], int]:
+    """Scan pairs in ``text[start:stop]``; stop early at ``terminator``."""
+    pairs: list[AttributePair] = []
+    i = start
+    while i < stop:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if terminator is not None and ch == terminator:
+            return pairs, i
+        if ch != "[":
+            if strict:
+                raise ParseError(base + i, "stray text outside [name]<value> pair")
+            _oracle_warn(warnings, base + i, "skipped stray text between pairs")
+            nxt = text.find("[", i + 1, stop)
+            term = text.find(terminator, i + 1, stop) if terminator else -1
+            if term != -1 and (nxt == -1 or term < nxt):
+                return pairs, term
+            if nxt == -1:
+                return pairs, stop
+            i = nxt
+            continue
+        pair, i = _oracle_scan_pair(text, i, strict=strict, warnings=warnings, base=base)
+        if pair is not None:
+            pairs.append(pair)
+    return pairs, stop
+
+
+def parse_annotation_oracle(
+    text: str,
+    *,
+    strict: bool = False,
+    warnings: list[str] | None = None,
+) -> Annotation:
+    """``parse_annotation`` as it was before strict mode raised the first
+    problem of the lenient scan: every rejection is written twice, as a
+    strict ``raise`` and as a lenient warning with its own wording."""
+    pairs, _ = _oracle_scan_pairs(text, 0, len(text), strict=strict, warnings=warnings)
+    return Annotation(pairs=tuple(pairs))
+
+
+def _oracle_parse_group(
+    text: str,
+    i: int,
+    *,
+    strict: bool,
+    warnings: list[str] | None,
+) -> tuple[TurnScopedAnnotation | None, int]:
+    """Parse one ``{speaker:[dialog_id]:pairs}`` group at ``text[i] == '{'``."""
+    n = len(text)
+    colon = text.find(":", i + 1)
+    brace = text.find("}", i + 1)
+    if colon == -1 or (brace != -1 and brace < colon):
+        if strict:
+            raise ParseError(i, "turn group is missing its speaker segment")
+        _oracle_warn(warnings, i, "skipped turn group without a speaker segment")
+        return None, (brace + 1 if brace != -1 else n)
+    speaker = text[i + 1 : colon].strip()
+    if not speaker:
+        if strict:
+            raise ParseError(i, "turn group has an empty speaker")
+        _oracle_warn(warnings, i, "skipped turn group with an empty speaker")
+        return None, colon + 1
+    j = colon + 1
+    while j < n and text[j].isspace():
+        j += 1
+    if j >= n or text[j] != "[":
+        if strict:
+            raise ParseError(j if j < n else n, "turn group is missing its dialog id segment")
+        _oracle_warn(warnings, i, "skipped turn group without a dialog id segment")
+        return None, j
+    id_close = text.find("]", j + 1)
+    if id_close == -1:
+        if strict:
+            raise ParseError(j, "unclosed dialog id bracket")
+        _oracle_warn(warnings, j, "skipped turn group with an unclosed dialog id")
+        return None, n
+    dialog_id = text[j + 1 : id_close].strip()
+    if not dialog_id:
+        if strict:
+            raise ParseError(j, "turn group has an empty dialog id")
+        _oracle_warn(warnings, j, "skipped turn group with an empty dialog id")
+        return None, id_close + 1
+    k = id_close + 1
+    while k < n and text[k].isspace():
+        k += 1
+    if k >= n or text[k] != ":":
+        if strict:
+            raise ParseError(k if k < n else n, "expected ':' after the dialog id")
+        _oracle_warn(warnings, i, "skipped turn group without ':' after the dialog id")
+        return None, k
+    pairs, end = _oracle_scan_pairs(
+        text, k + 1, n, strict=strict, warnings=warnings, terminator="}"
+    )
+    if end >= n or text[end] != "}":
+        if strict:
+            raise ParseError(i, "unclosed turn group")
+        _oracle_warn(warnings, i, "skipped unclosed turn group")
+        return None, n
+    annotation = Annotation(
+        pairs=tuple(pairs),
+        perspective=Perspective.CONVERSATION_CENTRIC,
+        granularity=Granularity.TURN_LEVEL,
+    )
+    return TurnScopedAnnotation(speaker, dialog_id, annotation), end + 1
+
+
+def parse_turn_annotations_oracle(
+    text: str,
+    *,
+    strict: bool = False,
+    warnings: list[str] | None = None,
+) -> list[TurnScopedAnnotation]:
+    """``parse_turn_annotations`` as it was before the one-scan parser.
+
+    Positions index the stripped, unwrapped copy of ``text``, not ``text``.
+    """
+    stripped = text.strip()
+    if (
+        stripped.startswith("[")
+        and stripped.endswith("]")
+        and stripped[1:].lstrip().startswith("{")
+    ):
+        stripped = stripped[1:-1]
+    out: list[TurnScopedAnnotation] = []
+    i, n = 0, len(stripped)
+    while i < n:
+        ch = stripped[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch != "{":
+            if strict:
+                raise ParseError(i, "stray text outside {...} turn group")
+            _oracle_warn(warnings, i, "skipped stray text between turn groups")
+            nxt = stripped.find("{", i + 1)
+            if nxt == -1:
+                break
+            i = nxt
+            continue
+        scoped, i = _oracle_parse_group(stripped, i, strict=strict, warnings=warnings)
+        if scoped is not None:
+            out.append(scoped)
+    return out

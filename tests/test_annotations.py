@@ -16,6 +16,7 @@ from memaug import (
     parse_turn_annotations,
     render_annotation,
 )
+from oracles import parse_annotation_oracle, parse_turn_annotations_oracle
 
 
 class TestAttributePair:
@@ -195,3 +196,65 @@ def test_round_trip_property(raw_pairs, prioritization):
     )
     parsed = parse_annotation(render_annotation(ann), strict=True)
     assert parsed.pairs == ann.pairs
+
+
+class TestTurnPositions:
+    """Turn-group positions index the caller's text, not a stripped copy."""
+
+    @pytest.mark.parametrize(
+        "text,position,reason",
+        [
+            ("  {:[D1]:[a]<1>}", 2, "turn group has an empty speaker"),
+            ("\n\n{Ana:[D1] [a]<1>}", 12, "expected ':' after the dialog id"),
+            (" [ {:[D1]:[a]<1>}]", 3, "turn group has an empty speaker"),
+        ],
+        ids=["leading-whitespace", "failing-character", "outer-wrapper"],
+    )
+    def test_strict_position(self, text, position, reason):
+        with pytest.raises(ParseError) as exc_info:
+            parse_turn_annotations(text, strict=True)
+        assert (exc_info.value.position, exc_info.value.reason) == (position, reason)
+
+    def test_lenient_warnings_use_the_same_positions(self):
+        warnings: list[str] = []
+        groups = parse_turn_annotations("  {:[D1]:[a]<1>} {Bob:[D2]:[b]<2>}", warnings=warnings)
+        assert [g.speaker for g in groups] == ["Bob"]
+        assert warnings[0] == "skipped turn group has an empty speaker (position 2)"
+
+
+# Characters and fragments that sit near the grammar, so every one of the
+# fifteen ways to reject a span comes up, followed by varied text.
+_PARSER_PIECES = st.sampled_from(
+    list("[]{}<>: \n\tx")
+    + ["none", "[x]<1>", "[ ]<1>", "[a[b]<1>", "<a<b>", "<v>", "[x] ", "[x]<"]
+    + ["{Ana:[D1]:", "{Ana:", "{ :", "{x}", "[D1]", "[ ]:", "[D1] :", "{Bo:[D2]:[y]<2>}"]
+)
+
+
+def _outcome(parse, text, shift=0):
+    """Lenient result, strict (reason, position) or None, and warning count."""
+    warnings: list[str] = []
+    lenient = parse(text, warnings=warnings)
+    try:
+        parse(text, strict=True)
+        strict = None
+    except ParseError as exc:
+        strict = (exc.reason, exc.position + shift)
+    return lenient, strict, len(warnings)
+
+
+def _turn_offset(text):
+    """Where the text the old turn parser indexed starts inside ``text``."""
+    stripped = text.strip()
+    wrapped = stripped.startswith("[") and stripped.endswith("]")
+    unwrap = wrapped and stripped[1:].lstrip().startswith("{")
+    return len(text) - len(text.lstrip()) + unwrap
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_PARSER_PIECES, max_size=16).map("".join))
+def test_parsers_match_the_two_path_oracle(text):
+    assert _outcome(parse_annotation, text) == _outcome(parse_annotation_oracle, text)
+    assert _outcome(parse_turn_annotations, text) == _outcome(
+        parse_turn_annotations_oracle, text, shift=_turn_offset(text)
+    )

@@ -472,3 +472,60 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config file {config}: ")
         assert "Traceback" not in err
+
+
+class TestMalformedInputFiles:
+    """Input files that are not JSON, or break their schema, exit 2 with a
+    one-line error instead of a traceback or a silent misreading."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            json.dumps({"rules": {"x": 5}}),
+            json.dumps({"rules": {"x": "ab"}}),
+            json.dumps({"rules": {"x": ["genre"]}}),
+            json.dumps({"rules": {}, "capture_persons": "no"}),
+            "{not json",
+        ],
+        ids=["top-level-list", "rule-not-a-pair", "rule-is-a-string", "rule-of-one", "capture-not-bool", "not-json"],
+    )
+    def test_malformed_mock_rules(self, tmp_path, capsys, text):
+        rules = tmp_path / "rules.json"
+        rules.write_text(text, encoding="utf-8")
+        source = write_items_jsonl(tmp_path / "items.jsonl", ["a great thriller"])
+        code = main([
+            "augment", "--input", str(source), "--store", str(tmp_path / "out.jsonl"),
+            "--perspective", "entity", "--granularity", "na", "--mock-rules", str(rules),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: mock rules file {rules}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "task,payload",
+        [
+            ("qa", []),
+            ("qa", {"sessions": ["s1"]}),
+            ("qa", {"sessions": [{"session_id": "s1", "turns": [{"turn_id": 1, "speaker": "a", "text": "x"}]}]}),
+            ("rec", {"items": [{"id": "m1", "title": "Heat"}],
+                     "dialogues": [{"dialogue_id": "d1", "turns": [{"speaker": "u", "text": "Heat"}],
+                                    "gold_labels": "Heat"}]}),
+            ("qa", "{not json"),
+        ],
+        ids=["top-level-list", "session-not-object", "integer-turn-id", "labels-not-a-list", "not-json"],
+    )
+    def test_malformed_dataset(self, tmp_path, capsys, task, payload):
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(payload if isinstance(payload, str) else json.dumps(payload), encoding="utf-8")
+        code = main([
+            "eval", "--task", task, "--dataset", str(dataset),
+            "--out-dir", str(tmp_path / "reports"), "--no-timestamp",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "reports").exists()

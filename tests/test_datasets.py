@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -189,3 +190,65 @@ class TestMaskDialogue:
             for _, text in masked.turns[:-1]:
                 assert MASK_TOKEN not in text
             assert len(masked.turns) == label_turn + 1
+
+
+class TestFieldTypes:
+    """Every record is an object; ids, speakers and texts are strings, and
+    label and gold-id fields are lists of strings."""
+
+    _SESSION = {"session_id": "s1", "turns": [{"turn_id": "t1", "speaker": "a", "text": "x"}]}
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ([_SESSION], "must hold a JSON object"),
+            ({"sessions": {"s1": _SESSION}}, "sessions must be a list"),
+            ({"sessions": [_SESSION, "s2"]}, "sessions[1] must be an object"),
+            ({"sessions": [{"session_id": "s1", "turns": [7]}]}, "sessions[0].turns[0] must be an object"),
+            ({"sessions": [{"session_id": 1, "turns": []}]}, "field 'session_id' must be a string"),
+            ({"sessions": [{"session_id": "s1", "turns": [{"turn_id": 1, "speaker": "a", "text": "x"}]}]},
+             "field 'turn_id' must be a string"),
+            ({"sessions": [{"session_id": "s1", "turns": [{"turn_id": "t1", "speaker": "a", "text": ["x"]}]}]},
+             "field 'text' must be a string"),
+            ({"sessions": [dict(_SESSION, timestamp=5)]}, "field 'timestamp' must be a string"),
+            ({"sessions": [_SESSION],
+              "qa": [{"question": "?", "category": "single_hop", "gold_turn_ids": "t1", "gold_answer": "x"}]},
+             "field 'gold_turn_ids' must be a list of strings"),
+            ({"sessions": [_SESSION], "events": [{"session_id": "s1", "speaker": "a", "summary": 3}]},
+             "field 'summary' must be a string"),
+        ],
+    )
+    def test_conversation_schema(self, tmp_path, payload, message):
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            load_conversation_dataset(write_json(tmp_path, "d.json", payload))
+
+    def test_missing_field_message_kept(self, tmp_path):
+        payload = {"sessions": [{"session_id": "s1", "turns": [{"turn_id": "t1", "text": "x"}]}]}
+        with pytest.raises(SchemaError, match="turn t1: missing required field 'speaker'"):
+            load_conversation_dataset(write_json(tmp_path, "d.json", payload))
+
+    def test_not_json(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text("{not json", encoding="utf-8")
+        with pytest.raises(SchemaError, match="is not valid JSON"):
+            load_conversation_dataset(path)
+        with pytest.raises(SchemaError, match="is not valid JSON"):
+            load_recommendation_dataset(path)
+
+    @pytest.mark.parametrize(
+        "items,dialogue,message",
+        [
+            ([{"id": "m1", "title": "Heat"}], {"gold_labels": "Heat"}, "field 'gold_labels' must be a list of strings"),
+            ([{"id": "m1", "title": "Heat"}], {"gold_labels": ["Heat", 2]}, "field 'gold_labels' must be a list of strings"),
+            ([{"id": 1, "title": "Heat"}], {"gold_labels": ["Heat"]}, "field 'id' must be a string"),
+            ([{"id": "m1", "title": "Heat", "content": 0}], {"gold_labels": ["Heat"]}, "field 'content' must be a string"),
+            ([{"id": "m1", "title": "Heat"}], {"gold_labels": ["Heat"], "turns": "Heat"}, "dialogues[0].turns must be a list"),
+        ],
+    )
+    def test_recommendation_schema(self, tmp_path, items, dialogue, message):
+        payload = {
+            "items": items,
+            "dialogues": [dict({"dialogue_id": "d1", "turns": [{"speaker": "u", "text": "Heat"}]}, **dialogue)],
+        }
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            load_recommendation_dataset(write_json(tmp_path, "r.json", payload))
