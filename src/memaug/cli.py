@@ -373,6 +373,9 @@ def _store(args, build, miner: AttributeMiner) -> MemoryStore:
 
 
 def _eval_qa(args, config: RunConfig, backend) -> tuple[dict, str]:
+    if config.granularity != "turn":
+        # QA retrieves dialogue turns, so their annotations must be turn level.
+        raise ValueError(f"--task qa needs --granularity turn, got {config.granularity}")
     dataset = load_conversation_dataset(args.dataset)
     miner = _miner(config, backend)
     store = _store(args, lambda: store_from_sessions(dataset), miner)

@@ -14,9 +14,7 @@ are immutable after build; searches are pure and can run concurrently.
 
 from __future__ import annotations
 
-import heapq
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -423,11 +421,6 @@ def _comprehensive(store: MemoryStore) -> RetrievalResult:
     return RetrievalResult(hits=hits, mode=RetrievalMode.COMPREHENSIVE)
 
 
-def _smallest(n: int | None, ids) -> list[str]:
-    """The ``n`` smallest ids in ascending order; every id when ``n`` is None."""
-    return sorted(ids) if n is None else heapq.nsmallest(n, ids)
-
-
 def _attribute_based(
     store: MemoryStore,
     query: QueryContext,
@@ -439,28 +432,9 @@ def _attribute_based(
     terms = query.attribute_queries()
     if not terms:
         raise EmptyQueryError("query has no attributes to match")
-    matches: list[set[str]] = [
-        store.lookup_by_attribute(name, value, policy) for name, value in terms
-    ]
-    # Ranked by matched-term count, then ascending id; only the top k are selected.
-    both = set.intersection(*matches) if policy is MatchPolicy.NAME_AND_VALUE else set()
-    if both:
-        # Every candidate matched every term, so ids alone order them.
-        ranked = [(item_id, len(matches)) for item_id in _smallest(k, both)]
-    else:
-        counts = Counter()
-        for match in matches:
-            counts.update(match)
-        ranked = []
-        for level in range(len(matches), 0, -1):
-            if k is not None and len(ranked) >= k:
-                break
-            bucket = [item_id for item_id, n in counts.items() if n == level]
-            room = None if k is None else k - len(ranked)
-            ranked += [(item_id, level) for item_id in _smallest(room, bucket)]
     hits = tuple(
         RankedHit(item_id=item_id, score=n / len(terms), rank=rank)
-        for rank, (item_id, n) in enumerate(ranked, start=1)
+        for rank, (item_id, n) in enumerate(store.rank_by_attributes(terms, policy, k), start=1)
     )
     return RetrievalResult(hits=hits, mode=RetrievalMode.ATTRIBUTE_BASED)
 

@@ -6,18 +6,25 @@ round-trips through JSONL with one item per line in a canonical field order,
 so saving the same store twice produces byte-identical files. Items are only
 ever appended; there is no deletion.
 
-Writes are not safe against concurrent writers. Lookup results are fresh
-sets/lists, so readers never observe a structure mutated underneath them.
+Writes are not safe against concurrent writers. ``lookup_by_attribute``
+returns a fresh set, so its callers never observe a structure mutated
+underneath them. Ranked queries (``rank_by_attributes``) read the postings
+in place and keep id-sorted copies of the ones they walk, so like writes they
+must not race a writer.
 """
 
 from __future__ import annotations
 
 import gc
+import heapq
 import json
+from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from itertools import islice
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .annotations import Annotation, Granularity, normalize_name
 from .errors import DuplicateIdError, GranularityMismatchError, SchemaError
@@ -111,14 +118,34 @@ class MatchPolicy(Enum):
     NAME_AND_VALUE = "name_and_value"
 
 
+# A posting key: a normalised attribute name, or (name, case-folded value).
+PostingKey = str | tuple[str, str]
+_NO_IDS: frozenset[str] = frozenset()
+
+
+def _posting_key(name: str, value: str | None, policy: MatchPolicy) -> PostingKey:
+    """The posting a query term reads.
+
+    ``NAME_AND_VALUE`` compares values case-folded; with no value to compare
+    (``value=None``) it degrades to a name match.
+    """
+    key = normalize_name(name)
+    if policy is MatchPolicy.NAME_AND_VALUE and value is not None:
+        return key, value.strip().casefold()
+    return key
+
+
 class MemoryStore:
     """Insertion-ordered item storage with an attribute inverted index."""
 
     def __init__(self):
         self._items: dict[str, MemoryItem] = {}
         self._annotations: dict[str, Annotation] = {}
-        self._by_name: dict[str, set[str]] = {}
-        self._by_name_value: dict[tuple[str, str], set[str]] = {}
+        # Name keys and (name, case-folded value) keys share one index.
+        self._postings: dict[PostingKey, set[str]] = {}
+        # Ascending-id copies of the non-empty postings that ranked queries
+        # have walked, kept in step with the sets by _add and _unindex.
+        self._sorted: dict[PostingKey, list[str]] = {}
         self.augmentation_report: "AugmentationReport | None" = None
 
     def __len__(self) -> int:
@@ -147,9 +174,15 @@ class MemoryStore:
         annotation = self._annotations.pop(item_id, None)
         if annotation is None:
             return
+        postings, views = self._postings, self._sorted
         for pair in annotation.pairs:
-            self._by_name.get(pair.name, set()).discard(item_id)
-            self._by_name_value.get((pair.name, pair.value.casefold()), set()).discard(item_id)
+            for key in (pair.name, (pair.name, pair.value.casefold())):
+                ids = postings[key]
+                if item_id in ids:
+                    ids.remove(item_id)
+                    view = views.get(key)
+                    if view is not None:
+                        del view[bisect_left(view, item_id)]
 
     def write(
         self,
@@ -174,9 +207,23 @@ class MemoryStore:
         if annotation is None:
             return
         self._annotations[item_id] = annotation
+        postings, views = self._postings, self._sorted
         for pair in annotation.pairs:
-            self._by_name.setdefault(pair.name, set()).add(item_id)
-            self._by_name_value.setdefault((pair.name, pair.value.casefold()), set()).add(item_id)
+            name_key, value_key = pair.name, (pair.name, pair.value.casefold())
+            if views:
+                for key in (name_key, value_key):
+                    view = views.get(key)
+                    # A name the annotation repeats is already in its posting.
+                    if view is None or item_id in postings[key]:
+                        continue
+                    # New ids usually sort last; one comparison then avoids
+                    # the binary search's scattered string reads.
+                    if view and item_id < view[-1]:
+                        insort(view, item_id)
+                    else:
+                        view.append(item_id)
+            postings.setdefault(name_key, set()).add(item_id)
+            postings.setdefault(value_key, set()).add(item_id)
 
     def attach_annotation(self, item_id: str, annotation: Annotation) -> None:
         """Replace the annotation of an existing item."""
@@ -189,16 +236,58 @@ class MemoryStore:
         value: str | None = None,
         policy: MatchPolicy = MatchPolicy.NAME_ONLY,
     ) -> set[str]:
-        """Ids of items whose annotation carries the attribute.
+        """Ids of items whose annotation carries the attribute, as a fresh set.
 
         ``NAME_AND_VALUE`` compares values case-folded; with no value to
         compare (``value=None``) it degrades to a name match. Unknown names
         yield an empty set.
         """
-        key = normalize_name(name)
-        if policy is MatchPolicy.NAME_AND_VALUE and value is not None:
-            return set(self._by_name_value.get((key, value.strip().casefold()), set()))
-        return set(self._by_name.get(key, set()))
+        return set(self._postings.get(_posting_key(name, value, policy), _NO_IDS))
+
+    def rank_by_attributes(
+        self,
+        terms: Sequence[tuple[str, str | None]],
+        policy: MatchPolicy,
+        k: int | None,
+    ) -> list[tuple[str, int]]:
+        """The top ``k`` (every match when None) ids for (name, value) terms.
+
+        Each id comes with the number of terms it matched, and ids are
+        ordered by that count, highest first, then by ascending id. Under
+        ``NAME_AND_VALUE``, when some item matches every term, only those
+        items rank; they are read in id order from the shortest posting
+        until ``k`` are found. Otherwise every item matching any term ranks.
+        """
+        keys = [_posting_key(name, value, policy) for name, value in terms]
+        postings = [self._postings.get(key, _NO_IDS) for key in keys]
+        if policy is MatchPolicy.NAME_AND_VALUE and terms:
+            shortest, *others = sorted(range(len(keys)), key=lambda i: len(postings[i]))
+            if postings[shortest]:
+                walk = iter(self._sorted_ids(keys[shortest]))
+                # The smallest sets filter first: they reject the most ids.
+                for i in others:
+                    walk = filter(postings[i].__contains__, walk)
+                top = list(walk if k is None else islice(walk, k))
+                if top:
+                    return [(item_id, len(terms)) for item_id in top]
+        counts = Counter()
+        for ids in postings:
+            counts.update(ids)
+        ranked: list[tuple[str, int]] = []
+        for level in range(len(terms), 0, -1):
+            if k is not None and len(ranked) >= k:
+                break
+            bucket = [item_id for item_id, n in counts.items() if n == level]
+            chosen = sorted(bucket) if k is None else heapq.nsmallest(k - len(ranked), bucket)
+            ranked += [(item_id, level) for item_id in chosen]
+        return ranked
+
+    def _sorted_ids(self, key: PostingKey) -> list[str]:
+        """The ids of a non-empty posting in ascending order, built on first use."""
+        view = self._sorted.get(key)
+        if view is None:
+            view = self._sorted[key] = sorted(self._postings[key])
+        return view
 
     def compute_stats(self) -> CorpusStats:
         """Pair counts and attribute frequencies over the annotated items.

@@ -8,6 +8,7 @@ import pytest
 from memaug import cli
 from memaug.cli import main
 
+from doubles import StaticChatBackend
 from synthetic import build_qa_fixture, build_rec_fixture
 
 
@@ -320,6 +321,23 @@ class TestEvalCommand:
         assert code == 1
         assert not (tmp_path / "reports").exists()
         assert augmented == []
+
+    @pytest.mark.parametrize("granularity", ["session", "na"])
+    def test_qa_refuses_non_turn_granularity_before_mining(
+        self, tmp_path, capsys, monkeypatch, granularity
+    ):
+        dataset, _ = self._qa_paths(tmp_path)
+        backend = StaticChatBackend(["{Ana:[D1]:[topic]<jazz>}"])
+        monkeypatch.setattr(cli, "_chat_backend", lambda config, args: backend)
+        code = main([
+            "eval", "--task", "qa", "--dataset", str(dataset),
+            "--mode", "attribute", "--granularity", granularity,
+            "--out-dir", str(tmp_path / "reports"), "--no-timestamp",
+        ])
+        assert code == 1
+        assert backend.calls == 0
+        assert "--granularity turn" in capsys.readouterr().err
+        assert not (tmp_path / "reports").exists()
 
     def test_events_without_event_annotations_warns_but_succeeds(self, tmp_path, capsys):
         payload = {

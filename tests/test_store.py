@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import load_store_oracle
+from oracles import attribute_ranking, load_store_oracle
 
 from memaug import (
     Annotation,
@@ -24,7 +24,10 @@ from memaug import (
     MemoryItem,
     MemoryStore,
     Perspective,
+    QueryContext,
+    RetrievalMode,
     SchemaError,
+    retrieve,
 )
 from memaug.mining import AugmentationReport
 
@@ -104,6 +107,17 @@ class TestLookup:
     def test_unnormalized_query_name_accepted(self, store):
         assert store.lookup_by_attribute("  GENRE ") == {"m1", "m2"}
 
+    def test_lookup_returns_a_fresh_set(self, store):
+        found = store.lookup_by_attribute("genre")
+        found.clear()
+        drama = store.lookup_by_attribute("genre", "drama", MatchPolicy.NAME_AND_VALUE)
+        drama.add("m9")
+        assert store.lookup_by_attribute("genre") == {"m1", "m2"}
+        assert store.lookup_by_attribute("genre", "Drama", MatchPolicy.NAME_AND_VALUE) == {"m1"}
+        query = QueryContext(attribute_names=("genre",))
+        hits = retrieve(store, query, RetrievalMode.ATTRIBUTE_BASED, k=None)
+        assert hits.ids() == ("m1", "m2")
+
 
 class TestStats:
     def test_avg_attributes(self):
@@ -172,6 +186,118 @@ class TestStats:
             assert stats.top_attributes == tuple(
                 sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
             )
+
+
+class TestRankedViews:
+    """Ranked queries keep id-sorted copies of the postings they walk."""
+
+    def _rank(self, store, names, policy=MatchPolicy.NAME_AND_VALUE, k=5):
+        query = QueryContext(attribute_names=tuple(names))
+        return retrieve(store, query, RetrievalMode.ATTRIBUTE_BASED, k=k, policy=policy)
+
+    def test_unknown_names_cache_no_view(self):
+        store = MemoryStore()
+        store.write(entity(1), entity_annotation(("genre", "Drama")))
+        for policy in MatchPolicy:
+            for i in range(50):
+                assert self._rank(store, [f"unknown {i}"], policy).hits == ()
+            assert self._rank(store, ["unknown", "genre"], policy).ids() == ("m1",)
+        assert store._sorted == {}
+
+    def test_emptied_posting_caches_no_view(self):
+        store = MemoryStore()
+        store.write(entity(1), entity_annotation(("genre", "Drama")))
+        store.attach_annotation("m1", entity_annotation(("mood", "calm")))
+        assert self._rank(store, ["genre"]).hits == ()
+        assert "genre" not in store._sorted
+
+    def test_view_follows_writes_after_it_is_built(self):
+        store = MemoryStore()
+        store.write(entity(2), entity_annotation(("genre", "Drama")))
+        assert self._rank(store, ["genre"]).ids() == ("m2",)
+        # A repeated name adds the id to the walked posting once.
+        store.write(entity(1), entity_annotation(("genre", "Drama"), ("genre", "drama")))
+        assert self._rank(store, ["genre"], k=None).ids() == ("m1", "m2")
+        store.attach_annotation("m2", entity_annotation(("mood", "calm")))
+        store.write(entity(3), None)
+        store.write(entity(3), entity_annotation(("genre", "noir")), overwrite=True)
+        assert self._rank(store, ["genre"], k=None).ids() == ("m1", "m3")
+        assert store._sorted["genre"] == ["m1", "m3"]
+
+
+_RANK_NAMES = ("genre", "mood", "era")
+_RANK_VALUES = ("noir", "Noir", "drama", "1990s")
+_RANK_QUERY_NAMES = _RANK_NAMES + (" GENRE", "unknown")
+_RANK_IDS = tuple(f"m{i}" for i in range(4))
+_rank_pairs = st.lists(
+    st.tuples(st.sampled_from(_RANK_NAMES), st.sampled_from(_RANK_VALUES)), max_size=4
+)
+_rank_queries = st.one_of(
+    st.lists(st.sampled_from(_RANK_QUERY_NAMES), min_size=1, max_size=3).map(
+        lambda names: QueryContext(attribute_names=tuple(names))
+    ),
+    st.lists(
+        st.tuples(st.sampled_from(_RANK_QUERY_NAMES), st.sampled_from(_RANK_VALUES + ("NOIR", "absent"))),
+        min_size=1,
+        max_size=3,
+    ).map(lambda pairs: QueryContext(annotation=entity_annotation(*pairs))),
+)
+_rank_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("query"), _rank_queries, st.sampled_from(MatchPolicy), st.none() | st.integers(1, 30)
+        ),
+        st.tuples(st.sampled_from(("write", "overwrite")), st.sampled_from(_RANK_IDS), st.none() | _rank_pairs),
+        st.tuples(st.just("attach"), st.sampled_from(_RANK_IDS), _rank_pairs),
+    ),
+    min_size=10,
+    max_size=40,
+)
+_GENRE = QueryContext(attribute_names=("genre",))
+_GENRE_MOOD = QueryContext(attribute_names=("genre", "mood"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=_rank_steps)
+# Views built before a write: an id added twice by a repeated name, then
+# removed by an overwrite and by attach_annotation.
+@example(steps=[
+    ("write", "m1", [("genre", "noir")]),
+    ("write", "m2", [("genre", "drama"), ("mood", "noir")]),
+    ("query", _GENRE, MatchPolicy.NAME_AND_VALUE, None),
+    ("query", _GENRE_MOOD, MatchPolicy.NAME_AND_VALUE, 1),
+    ("write", "m0", [("genre", "noir"), ("genre", "drama"), ("mood", "Noir"), ("mood", "noir")]),
+    ("overwrite", "m1", [("mood", "drama")]),
+    ("attach", "m2", [("era", "1990s")]),
+    ("attach", "m0", [("mood", "noir"), ("genre", "Noir"), ("genre", "noir")]),
+    ("overwrite", "m0", None),
+])
+def test_ranked_views_match_the_sorting_oracle_across_writes(steps):
+    """After every write or query, every query asked so far ranks as the oracle does."""
+    store = MemoryStore()
+    asked = []
+    for kind, *args in steps:
+        if kind == "query":
+            asked.append(tuple(args))
+        elif kind == "attach":
+            item_id, pairs = args
+            if item_id in store:
+                store.attach_annotation(item_id, entity_annotation(*pairs))
+            else:
+                with pytest.raises(KeyError):
+                    store.attach_annotation(item_id, entity_annotation(*pairs))
+        else:
+            item_id, pairs = args
+            item = MemoryItem(id=item_id, kind=ItemKind.ENTITY, content=item_id)
+            annotation = None if pairs is None else entity_annotation(*pairs)
+            if kind == "write" and item_id in store:
+                with pytest.raises(DuplicateIdError):
+                    store.write(item, annotation)
+            else:
+                store.write(item, annotation, overwrite=kind == "overwrite")
+        for query, policy, k in asked:
+            got = retrieve(store, query, RetrievalMode.ATTRIBUTE_BASED, k=k, policy=policy)
+            assert got == attribute_ranking(store, query, policy, k)
 
 
 class TestIndexSoundness:
