@@ -432,6 +432,9 @@ def _eval_rec(args, config: RunConfig, backend) -> tuple[dict, str]:
 
 
 def _eval_events(args, config: RunConfig, backend) -> tuple[dict, str]:
+    if config.granularity == "na" and not args.store:
+        # Events mine turns or sessions, and neither takes na annotations.
+        raise ValueError("--task events needs --granularity turn or session to mine a store")
     dataset = load_conversation_dataset(args.dataset)
     level_name = "turn" if config.granularity == "turn" else "session"
     store = _store(

@@ -53,6 +53,10 @@ class QAExample:
     gold_answer: str
 
     def __post_init__(self):
+        if not self.question:
+            raise ValueError("question must be non-empty")
+        if not self.gold_answer.split():
+            raise ValueError("gold_answer must contain at least one token")
         if not self.gold_turn_ids and self.category is not QACategory.ADVERSARIAL:
             raise ValueError("gold_turn_ids may be empty only for adversarial questions")
 

@@ -2,8 +2,9 @@
 
 ``AttributeMiner`` owns the mode triple (perspective, granularity,
 prioritization), takes the one prompt template of that triple, and retries
-failed calls. Corpus-level mining fans out over a thread pool and aggregates
-an :class:`AugmentationReport`; individual failures never abort the stream.
+failed calls. Corpus-level mining fans out over a thread pool (:func:`fan_out`,
+which the task runners share) and aggregates an :class:`AugmentationReport`;
+individual failures never abort the stream.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, Sequence, TypeVar
 
 from .annotations import (
     Annotation,
@@ -25,6 +27,21 @@ from .backends import ChatBackend
 from .errors import AugmentFailure, BackendRefusal, LengthBudgetExceeded, TransportError
 from .store import ItemKind, MemoryItem
 from .templates import QUESTION_AUGMENTATION, ResponseFormat, build_prompt, mining_template
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def fan_out(fn: Callable[[T], R], items: Sequence[T], parallelism: int) -> list[R]:
+    """``[fn(item) for item in items]``, run over up to ``parallelism`` threads.
+
+    Results keep input order. With ``parallelism`` 1 or a single item the
+    calls run one after another in the calling thread.
+    """
+    if parallelism > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=parallelism) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 @dataclass(frozen=True)
@@ -230,11 +247,7 @@ class AttributeMiner:
             except LengthBudgetExceeded as exc:
                 return AugmentFailure("too_long", str(exc))
 
-        if self.parallelism > 1 and len(items) > 1:
-            with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
-                outcomes = list(pool.map(run, items))
-        else:
-            outcomes = [run(item) for item in items]
+        outcomes = fan_out(run, items, self.parallelism)
 
         results: list[tuple[str, Annotation]] = []
         failures: list[tuple[str, str]] = []

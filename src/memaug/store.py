@@ -10,7 +10,8 @@ Writes are not safe against concurrent writers. ``lookup_by_attribute``
 returns a fresh set, so its callers never observe a structure mutated
 underneath them. Ranked queries (``rank_by_attributes``) read the postings
 in place and keep id-sorted copies of the ones they walk, so like writes they
-must not race a writer.
+must not race a writer. Concurrent ranked queries are safe with each other:
+two of them may each build the same sorted copy, and either one is kept.
 """
 
 from __future__ import annotations

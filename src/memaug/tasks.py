@@ -1,9 +1,12 @@
 """End-to-end task pipelines: question answering, recommendation, events.
 
-Each runner wires mining, retrieval, and a generation backend together and
-reduces per-example scores into :class:`~memaug.metrics.MetricReport`s.
-Per-example failures are logged into the result and scored zero; they never
-abort a run. Runs are deterministic given mock backends and a fixed seed.
+Each runner wires mining, retrieval, and a generation backend together. The
+QA and recommendation runners may run their examples concurrently, over the
+miner's ``parallelism`` threads (chat backends are safe for concurrent calls);
+their rows keep input order, and their :class:`~memaug.metrics.MetricReport`s
+are built from those rows. Per-example failures are logged into the result and
+scored zero; they never abort a run. Runs are deterministic given mock backends
+and a fixed seed, whatever the parallelism.
 """
 
 from __future__ import annotations
@@ -17,13 +20,15 @@ from .backends import ChatBackend, Embedder
 from .datasets import (
     ConversationDataset,
     EventLabel,
+    QAExample,
+    RecDialogue,
     RecommendationDataset,
     mask_dialogue,
     session_text,
 )
-from .errors import AugmentFailure, EmptyQueryError, LabelNotFoundError, MemaugError
+from .errors import EmptyQueryError, LabelNotFoundError, MemaugError
 from .metrics import MetricReport, ndcg_at_k, normalize_title, recall_at_k, token_f1
-from .mining import AttributeMiner
+from .mining import AttributeMiner, fan_out
 from .retrieval import (
     DEFAULT_QUERY_PARTS,
     QueryContext,
@@ -34,7 +39,8 @@ from .retrieval import (
     retrieve,
 )
 from .store import MatchPolicy, MemoryStore
-from .templates import ANSWER_GENERATION, EVENT_SUMMARY, RECOMMENDATION, SUMMARY_JUDGE, build_prompt
+from .templates import ANSWER_GENERATION, EVENT_SUMMARY, RECOMMENDATION, SUMMARY_JUDGE
+from .templates import PromptTemplate, build_prompt
 
 logger = logging.getLogger(__name__)
 
@@ -88,23 +94,34 @@ class QAResultRow:
     error: str | None = None
 
 
-@dataclass
-class QATaskResult:
-    recall_report: MetricReport
-    f1_report: MetricReport
-    rows: list[QAResultRow] = field(default_factory=list)
-    retrieved_counts: list[int] = field(default_factory=list)
+class _RetrievedCounts:
+    """``avg_items_retrieved`` over the examples whose retrieval ran."""
+
+    retrieved_counts: list[int]
 
     @property
     def avg_items_retrieved(self) -> float:
         counts = self.retrieved_counts
         return sum(counts) / len(counts) if counts else 0.0
 
+
+@dataclass
+class QATaskResult(_RetrievedCounts):
+    recall_report: MetricReport
+    f1_report: MetricReport
+    rows: list[QAResultRow] = field(default_factory=list)
+    retrieved_counts: list[int] = field(default_factory=list)
+
     @property
     def retrieval_misses(self) -> int:
         """Questions whose retrieval came back empty (answered from the
         question alone rather than through an invented fallback)."""
         return sum(1 for row in self.rows if not row.error and not row.retrieved_ids)
+
+
+def _ask(backend: ChatBackend, template: PromptTemplate, payload: str) -> str:
+    """One chat call with ``template`` filled in by ``payload``."""
+    return backend.complete(build_prompt(template, payload), template=template, payload=payload)
 
 
 def _answer_context(store: MemoryStore, result: RetrievalResult, question: str) -> str:
@@ -133,15 +150,12 @@ def run_qa_task(
     an empty gold set are skipped for recall (there is no turn to find) but
     still scored for answer F1.
     """
-    recall_scores: list[tuple[str, float]] = []
-    f1_scores: list[tuple[str, float]] = []
-    rows: list[QAResultRow] = []
-    counts: list[int] = []
-    for example in dataset.qa:
+
+    def answer(example: QAExample) -> tuple[QAResultRow, int | None]:
         category = example.category.value
         error = None
-        retrieved: tuple[str, ...] = ()
-        answer = ""
+        result: RetrievalResult | None = None
+        reply = ""
         try:
             mined = miner.mine_question(example.question)
             query = QueryContext(
@@ -152,43 +166,36 @@ def run_qa_task(
             try:
                 result = setup.run(store, query)
             except EmptyQueryError:
-                # nothing to match on: answer from the question alone rather
-                # than inventing a fallback retrieval
+                # nothing to match on: answer from the question alone
                 result = RetrievalResult(hits=(), mode=setup.mode)
-            retrieved = result.ids()
-            counts.append(len(retrieved))
-            prompt_payload = _answer_context(store, result, example.question)
-            prompt = build_prompt(ANSWER_GENERATION, prompt_payload)
-            answer = answer_backend.complete(
-                prompt, template=ANSWER_GENERATION, payload=prompt_payload
-            )
-        except (AugmentFailure, EmptyQueryError, MemaugError) as exc:
+            context = _answer_context(store, result, example.question)
+            reply = _ask(answer_backend, ANSWER_GENERATION, context)
+        except MemaugError as exc:
             error = str(exc)
             logger.warning("qa example failed (%s): %s", category, exc)
+        retrieved = () if result is None else result.ids()
         recall = None
         if example.gold_turn_ids:
-            recall = (
-                0.0 if error else recall_at_k(retrieved, example.gold_turn_ids, setup.k)
-            )
-            recall_scores.append((category, recall))
-        f1 = 0.0 if error else token_f1(answer, example.gold_answer)
-        f1_scores.append((category, f1))
-        rows.append(
-            QAResultRow(
-                question=example.question,
-                category=category,
-                retrieved_ids=retrieved,
-                recall=recall,
-                f1=f1,
-                answer=answer,
-                error=error,
-            )
+            recall = 0.0 if error else recall_at_k(retrieved, example.gold_turn_ids, setup.k)
+        row = QAResultRow(
+            question=example.question,
+            category=category,
+            retrieved_ids=retrieved,
+            recall=recall,
+            f1=0.0 if error else token_f1(reply, example.gold_answer),
+            answer=reply,
+            error=error,
         )
+        return row, None if result is None else len(retrieved)
+
+    outcomes = fan_out(answer, dataset.qa, miner.parallelism)
+    rows = [row for row, _ in outcomes]
+    recall_scores = [(row.category, row.recall) for row in rows if row.recall is not None]
     return QATaskResult(
         recall_report=MetricReport.from_scores("recall", recall_scores, k=setup.k),
-        f1_report=MetricReport.from_scores("token_f1", f1_scores),
+        f1_report=MetricReport.from_scores("token_f1", [(row.category, row.f1) for row in rows]),
         rows=rows,
-        retrieved_counts=counts,
+        retrieved_counts=[count for _, count in outcomes if count is not None],
     )
 
 
@@ -202,16 +209,11 @@ class RecResultRow:
 
 
 @dataclass
-class RecTaskResult:
+class RecTaskResult(_RetrievedCounts):
     reports: dict[str, MetricReport]
     rows: list[RecResultRow] = field(default_factory=list)
     skipped_masking: int = 0
     retrieved_counts: list[int] = field(default_factory=list)
-
-    @property
-    def avg_items_retrieved(self) -> float:
-        counts = self.retrieved_counts
-        return sum(counts) / len(counts) if counts else 0.0
 
 
 def _candidate_block(store: MemoryStore, result: RetrievalResult) -> str:
@@ -265,68 +267,56 @@ def run_rec_task(
         raise ValueError(
             f"cannot sample {n} dialogues from a dataset of {len(dataset.dialogues)}"
         )
-    rng = random.Random(seed)
-    sampled = rng.sample(list(dataset.dialogues), n)
-    score_rows: dict[tuple[str, int], list[tuple[str, float]]] = {
-        (metric, cutoff): [] for metric in ("recall", "ndcg") for cutoff in REC_CUTOFFS
-    }
-    rows: list[RecResultRow] = []
-    counts: list[int] = []
-    skipped = 0
-    for dialogue in sampled:
+    sampled = random.Random(seed).sample(list(dataset.dialogues), n)
+
+    def recommend(dialogue: RecDialogue) -> tuple[RecResultRow, int | None] | None:
         try:
-            masked = mask_dialogue(dialogue)
+            text = mask_dialogue(dialogue).text()
         except LabelNotFoundError as exc:
-            skipped += 1
             logger.warning("dialogue %s skipped: %s", dialogue.dialogue_id, exc)
-            continue
+            return None
         error = None
-        retrieved: tuple[str, ...] = ()
+        result: RetrievalResult | None = None
         recommendations: tuple[str, ...] = ()
         try:
-            annotation = miner.mine_text(masked.text())
-            query = QueryContext(text=masked.text(), annotation=annotation)
+            query = QueryContext(text=text, annotation=miner.mine_text(text))
             result = setup.run(store, query, k)
-            retrieved = result.ids()
-            counts.append(len(retrieved))
-            payload = (
-                f"Conversation:\n{masked.text()}\nCandidates:\n"
-                f"{_candidate_block(store, result)}"
-            )
-            prompt = build_prompt(RECOMMENDATION, payload)
-            response = rec_backend.complete(prompt, template=RECOMMENDATION, payload=payload)
-            recommendations = parse_ranked_titles(response)
-        except (AugmentFailure, EmptyQueryError, MemaugError) as exc:
+            payload = f"Conversation:\n{text}\nCandidates:\n{_candidate_block(store, result)}"
+            recommendations = parse_ranked_titles(_ask(rec_backend, RECOMMENDATION, payload))
+        except MemaugError as exc:
             error = str(exc)
             logger.warning("dialogue %s failed: %s", dialogue.dialogue_id, exc)
+        retrieved = () if result is None else result.ids()
         gold = {normalize_title(label) for label in dialogue.gold_labels}
         predicted = [normalize_title(title) for title in recommendations]
         scores: dict[str, float] = {}
         for cutoff in REC_CUTOFFS:
-            recall = 0.0 if error else recall_at_k(predicted, gold, cutoff)
-            ndcg = 0.0 if error else ndcg_at_k(predicted, gold, cutoff)
-            scores[f"recall@{cutoff}"] = recall
-            scores[f"ndcg@{cutoff}"] = ndcg
-            score_rows[("recall", cutoff)].append(("all", recall))
-            score_rows[("ndcg", cutoff)].append(("all", ndcg))
-        rows.append(
-            RecResultRow(
-                dialogue_id=dialogue.dialogue_id,
-                retrieved_ids=retrieved,
-                recommendations=recommendations,
-                scores=scores,
-                error=error,
-            )
+            scores[f"recall@{cutoff}"] = 0.0 if error else recall_at_k(predicted, gold, cutoff)
+            scores[f"ndcg@{cutoff}"] = 0.0 if error else ndcg_at_k(predicted, gold, cutoff)
+        row = RecResultRow(
+            dialogue_id=dialogue.dialogue_id,
+            retrieved_ids=retrieved,
+            recommendations=recommendations,
+            scores=scores,
+            error=error,
         )
+        return row, None if result is None else len(retrieved)
+
+    outcomes = fan_out(recommend, sampled, miner.parallelism)
+    kept = [outcome for outcome in outcomes if outcome is not None]
+    rows = [row for row, _ in kept]
     reports = {
-        f"{metric}@{cutoff}": MetricReport.from_scores(metric, scored, k=cutoff)
-        for (metric, cutoff), scored in score_rows.items()
+        f"{metric}@{cutoff}": MetricReport.from_scores(
+            metric, [("all", row.scores[f"{metric}@{cutoff}"]) for row in rows], k=cutoff
+        )
+        for metric in ("recall", "ndcg")
+        for cutoff in REC_CUTOFFS
     }
     return RecTaskResult(
         reports=reports,
         rows=rows,
-        skipped_masking=skipped,
-        retrieved_counts=counts,
+        skipped_masking=len(outcomes) - len(kept),
+        retrieved_counts=[count for _, count in kept if count is not None],
     )
 
 
@@ -360,13 +350,11 @@ def filter_event_pairs(annotation: Annotation) -> Annotation:
 
     def matches(name: str) -> bool:
         words = tuple(name.split())
-        for needle in term_words:
-            span = len(needle)
-            if span and any(
-                words[i : i + span] == needle for i in range(len(words) - span + 1)
-            ):
-                return True
-        return False
+        return any(
+            words[i : i + len(needle)] == needle
+            for needle in term_words
+            for i in range(len(words) - len(needle) + 1)
+        )
 
     return Annotation(
         pairs=tuple(p for p in annotation.pairs if matches(p.name)),
@@ -419,17 +407,13 @@ def run_event_summarization(
     result = EventTaskResult()
     for session in dataset.sessions:
         if level is Granularity.TURN_LEVEL:
-            annotations = [
-                store.annotation_for(turn.turn_id)
-                for turn in session.turns
-                if store.annotation_for(turn.turn_id) is not None
-            ]
+            ids = [turn.turn_id for turn in session.turns]
         else:
-            session_ann = store.annotation_for(session.session_id)
-            annotations = [session_ann] if session_ann is not None else []
+            ids = [session.session_id]
         event_pairs = []
-        for annotation in annotations:
-            event_pairs.extend(filter_event_pairs(annotation).pairs)
+        for annotation in map(store.annotation_for, ids):
+            if annotation is not None:
+                event_pairs.extend(filter_event_pairs(annotation).pairs)
         row = EventSummaryRow(
             session_id=session.session_id,
             level=level.value,
@@ -441,14 +425,11 @@ def run_event_summarization(
         if not event_pairs:
             row.skipped_reason = "no event attributes after filtering"
             continue
-        rendered = " ".join(pair.render() for pair in event_pairs)
+        payload = " ".join(pair.render() for pair in event_pairs)
         if input_mode == "annotations_plus_dialogues":
-            payload = f"{rendered}\nDialogue:\n{session_text(session)}"
-        else:
-            payload = rendered
+            payload += f"\nDialogue:\n{session_text(session)}"
         try:
-            prompt = build_prompt(EVENT_SUMMARY, payload)
-            row.summary = summarizer.complete(prompt, template=EVENT_SUMMARY, payload=payload)
+            row.summary = _ask(summarizer, EVENT_SUMMARY, payload)
         except MemaugError as exc:
             row.skipped_reason = f"summary failed: {exc}"
             logger.warning("session %s summary failed: %s", session.session_id, exc)
@@ -459,10 +440,7 @@ def run_event_summarization(
             )
             judge_payload = f"Reference:\n{references}\nCandidate:\n{row.summary}"
             try:
-                judge_prompt = build_prompt(SUMMARY_JUDGE, judge_payload)
-                judge_response = judge.complete(
-                    judge_prompt, template=SUMMARY_JUDGE, payload=judge_payload
-                )
+                judge_response = _ask(judge, SUMMARY_JUDGE, judge_payload)
             except MemaugError as exc:
                 logger.warning("session %s judge failed: %s", session.session_id, exc)
             else:

@@ -1,15 +1,18 @@
 """Independent brute-force oracles used to check the fast implementations.
 
-Everything here except :func:`single_pass_search`, :func:`load_store_oracle`
-and the two parser oracles is deliberately written in plain Python (explicit
-loops, ``math`` instead of numpy) so the oracle shares no code path with the
-implementation it checks.
+Everything here except :func:`single_pass_search`, :func:`load_store_oracle`,
+the two parser oracles and the two task-runner oracles is deliberately
+written in plain Python (explicit loops, ``math`` instead of numpy) so the
+oracle shares no code path with the implementation it checks. The task-runner
+oracles are the serial, hand-accumulated runners the fan-out replaced.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +36,24 @@ from memaug import (
     TurnScopedAnnotation,
     normalize_name,
 )
+from memaug.datasets import mask_dialogue
+from memaug.errors import AugmentFailure, LabelNotFoundError, MemaugError
+from memaug.metrics import MetricReport, ndcg_at_k, normalize_title, recall_at_k, token_f1
 from memaug.mining import AugmentationReport
-from memaug.retrieval import RankedHit, RetrievalResult
+from memaug.retrieval import QueryContext, RankedHit, RetrievalResult
+from memaug.tasks import (
+    REC_CUTOFFS,
+    QAResultRow,
+    QATaskResult,
+    RecResultRow,
+    RecTaskResult,
+    _answer_context,
+    _candidate_block,
+    parse_ranked_titles,
+)
+from memaug.templates import ANSWER_GENERATION, RECOMMENDATION, build_prompt
+
+logger = logging.getLogger("memaug.tasks")
 
 
 _MASK64 = (1 << 64) - 1
@@ -455,3 +474,135 @@ def parse_turn_annotations_oracle(
         if scoped is not None:
             out.append(scoped)
     return out
+
+
+def run_qa_task_oracle(dataset, store, *, miner, answer_backend, setup) -> QATaskResult:
+    """``run_qa_task`` as one serial loop with hand-kept accumulators."""
+    recall_scores: list[tuple[str, float]] = []
+    f1_scores: list[tuple[str, float]] = []
+    rows: list[QAResultRow] = []
+    counts: list[int] = []
+    for example in dataset.qa:
+        category = example.category.value
+        error = None
+        retrieved: tuple[str, ...] = ()
+        answer = ""
+        try:
+            mined = miner.mine_question(example.question)
+            query = QueryContext(
+                text=example.question,
+                attribute_names=mined.attributes,
+                persons=mined.persons,
+            )
+            try:
+                result = setup.run(store, query)
+            except EmptyQueryError:
+                result = RetrievalResult(hits=(), mode=setup.mode)
+            retrieved = result.ids()
+            counts.append(len(retrieved))
+            prompt_payload = _answer_context(store, result, example.question)
+            prompt = build_prompt(ANSWER_GENERATION, prompt_payload)
+            answer = answer_backend.complete(
+                prompt, template=ANSWER_GENERATION, payload=prompt_payload
+            )
+        except (AugmentFailure, EmptyQueryError, MemaugError) as exc:
+            error = str(exc)
+            logger.warning("qa example failed (%s): %s", category, exc)
+        recall = None
+        if example.gold_turn_ids:
+            recall = (
+                0.0 if error else recall_at_k(retrieved, example.gold_turn_ids, setup.k)
+            )
+            recall_scores.append((category, recall))
+        f1 = 0.0 if error else token_f1(answer, example.gold_answer)
+        f1_scores.append((category, f1))
+        rows.append(
+            QAResultRow(
+                question=example.question,
+                category=category,
+                retrieved_ids=retrieved,
+                recall=recall,
+                f1=f1,
+                answer=answer,
+                error=error,
+            )
+        )
+    return QATaskResult(
+        recall_report=MetricReport.from_scores("recall", recall_scores, k=setup.k),
+        f1_report=MetricReport.from_scores("token_f1", f1_scores),
+        rows=rows,
+        retrieved_counts=counts,
+    )
+
+
+def run_rec_task_oracle(
+    dataset, store, *, miner, rec_backend, setup, n=200, k=10, seed=0
+) -> RecTaskResult:
+    """``run_rec_task`` as one serial loop with hand-kept accumulators."""
+    if n > len(dataset.dialogues):
+        raise ValueError(
+            f"cannot sample {n} dialogues from a dataset of {len(dataset.dialogues)}"
+        )
+    rng = random.Random(seed)
+    sampled = rng.sample(list(dataset.dialogues), n)
+    score_rows: dict[tuple[str, int], list[tuple[str, float]]] = {
+        (metric, cutoff): [] for metric in ("recall", "ndcg") for cutoff in REC_CUTOFFS
+    }
+    rows: list[RecResultRow] = []
+    counts: list[int] = []
+    skipped = 0
+    for dialogue in sampled:
+        try:
+            masked = mask_dialogue(dialogue)
+        except LabelNotFoundError as exc:
+            skipped += 1
+            logger.warning("dialogue %s skipped: %s", dialogue.dialogue_id, exc)
+            continue
+        error = None
+        retrieved: tuple[str, ...] = ()
+        recommendations: tuple[str, ...] = ()
+        try:
+            annotation = miner.mine_text(masked.text())
+            query = QueryContext(text=masked.text(), annotation=annotation)
+            result = setup.run(store, query, k)
+            retrieved = result.ids()
+            counts.append(len(retrieved))
+            payload = (
+                f"Conversation:\n{masked.text()}\nCandidates:\n"
+                f"{_candidate_block(store, result)}"
+            )
+            prompt = build_prompt(RECOMMENDATION, payload)
+            response = rec_backend.complete(prompt, template=RECOMMENDATION, payload=payload)
+            recommendations = parse_ranked_titles(response)
+        except (AugmentFailure, EmptyQueryError, MemaugError) as exc:
+            error = str(exc)
+            logger.warning("dialogue %s failed: %s", dialogue.dialogue_id, exc)
+        gold = {normalize_title(label) for label in dialogue.gold_labels}
+        predicted = [normalize_title(title) for title in recommendations]
+        scores: dict[str, float] = {}
+        for cutoff in REC_CUTOFFS:
+            recall = 0.0 if error else recall_at_k(predicted, gold, cutoff)
+            ndcg = 0.0 if error else ndcg_at_k(predicted, gold, cutoff)
+            scores[f"recall@{cutoff}"] = recall
+            scores[f"ndcg@{cutoff}"] = ndcg
+            score_rows[("recall", cutoff)].append(("all", recall))
+            score_rows[("ndcg", cutoff)].append(("all", ndcg))
+        rows.append(
+            RecResultRow(
+                dialogue_id=dialogue.dialogue_id,
+                retrieved_ids=retrieved,
+                recommendations=recommendations,
+                scores=scores,
+                error=error,
+            )
+        )
+    reports = {
+        f"{metric}@{cutoff}": MetricReport.from_scores(metric, scored, k=cutoff)
+        for (metric, cutoff), scored in score_rows.items()
+    }
+    return RecTaskResult(
+        reports=reports,
+        rows=rows,
+        skipped_masking=skipped,
+        retrieved_counts=counts,
+    )

@@ -339,6 +339,44 @@ class TestEvalCommand:
         assert "--granularity turn" in capsys.readouterr().err
         assert not (tmp_path / "reports").exists()
 
+    @pytest.mark.parametrize("perspective", ["entity", "conversation"])
+    def test_events_refuse_na_granularity_before_mining(
+        self, tmp_path, capsys, monkeypatch, perspective
+    ):
+        dataset, _ = self._qa_paths(tmp_path)
+        backend = StaticChatBackend(["[event]<moved house>"])
+        monkeypatch.setattr(cli, "_chat_backend", lambda config, args: backend)
+        code = main([
+            "eval", "--task", "events", "--dataset", str(dataset),
+            "--perspective", perspective, "--granularity", "na",
+            "--out-dir", str(tmp_path / "reports"), "--no-timestamp",
+        ])
+        assert code == 1
+        assert backend.calls == 0
+        assert "--granularity" in capsys.readouterr().err
+        assert not (tmp_path / "reports").exists()
+
+    @pytest.mark.parametrize(
+        "field,value", [("question", ""), ("gold_answer", "  ")], ids=["question", "answer"]
+    )
+    def test_qa_refuses_unanswerable_record_before_mining(
+        self, tmp_path, capsys, monkeypatch, field, value
+    ):
+        data, _ = build_qa_fixture(n_turns=20, n_sessions=4)
+        data["qa"][5][field] = value
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps(data), encoding="utf-8")
+        backend = StaticChatBackend(["{Ana:[D1]:[topic]<jazz>}"])
+        monkeypatch.setattr(cli, "_chat_backend", lambda config, args: backend)
+        code = main([
+            "eval", "--task", "qa", "--dataset", str(dataset),
+            "--out-dir", str(tmp_path / "reports"), "--no-timestamp",
+        ])
+        assert code == 2
+        assert backend.calls == 0
+        assert capsys.readouterr().err.startswith("error: qa[5]: ")
+        assert not (tmp_path / "reports").exists()
+
     def test_events_without_event_annotations_warns_but_succeeds(self, tmp_path, capsys):
         payload = {
             "sessions": [

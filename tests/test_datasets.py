@@ -91,6 +91,21 @@ class TestConversationDataset:
         dataset = load_conversation_dataset(write_json(tmp_path, "d2.json", payload))
         assert dataset.qa[0].gold_turn_ids == frozenset()
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("question", "", "question must be non-empty"),
+            ("gold_answer", "", "gold_answer must contain at least one token"),
+            ("gold_answer", " \t\n", "gold_answer must contain at least one token"),
+        ],
+        ids=["empty-question", "empty-answer", "blank-answer"],
+    )
+    def test_unanswerable_qa_record_is_a_schema_error(self, tmp_path, field, value, message):
+        data, _ = build_qa_fixture(n_turns=10, n_sessions=2)
+        data["qa"][3][field] = value
+        with pytest.raises(SchemaError, match=re.escape(f"qa[3]: {message}")):
+            load_conversation_dataset(write_json(tmp_path, "d.json", data))
+
     def test_store_from_sessions_turn_level(self, tmp_path):
         data, _ = build_qa_fixture(n_turns=10, n_sessions=2)
         dataset = load_conversation_dataset(write_json(tmp_path, "d.json", data))

@@ -1,5 +1,7 @@
 """Attribute miner tests: modes, retries, corpus accounting."""
 
+import threading
+
 import pytest
 
 from memaug import (
@@ -14,7 +16,7 @@ from memaug import (
     TransportError,
 )
 from memaug.errors import BackendRefusal
-from memaug.mining import parse_person_attributes, turn_payload
+from memaug.mining import fan_out, parse_person_attributes, turn_payload
 from memaug.templates import LENGTH_BUDGET
 
 from doubles import StaticChatBackend
@@ -266,3 +268,35 @@ class TestMineCorpus:
             AugmentationReport(total=3, succeeded=1, failed=1)
         report = AugmentationReport(total=0, succeeded=0, failed=0)
         assert report.failure_rate == 0.0
+
+
+class TestFanOut:
+    def test_keeps_input_order_when_later_items_finish_first(self):
+        second_done = threading.Event()
+        finished = []
+
+        def work(i):
+            if i == 0:
+                assert second_done.wait(timeout=10), "item 1 never ran beside item 0"
+            finished.append(i)
+            if i == 1:
+                second_done.set()
+            return i * 10
+
+        assert fan_out(work, [0, 1, 2, 3], 2) == [0, 10, 20, 30]
+        assert finished[0] == 1
+        assert sorted(finished) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("parallelism,items", [(1, [1, 2, 3]), (4, [1])])
+    def test_serial_cases_run_in_the_calling_thread(self, parallelism, items):
+        caller = threading.get_ident()
+        assert fan_out(lambda _: threading.get_ident(), items, parallelism) == [caller] * len(items)
+
+    def test_error_propagates(self):
+        def work(i):
+            if i == 2:
+                raise KeyError(i)
+            return i
+
+        with pytest.raises(KeyError):
+            fan_out(work, [0, 1, 2, 3], 2)

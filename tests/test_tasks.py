@@ -1,8 +1,12 @@
 """Task pipeline tests: question answering, recommendation, event summaries."""
 
 import json
+import sys
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memaug import (
     Annotation,
@@ -11,6 +15,7 @@ from memaug import (
     Granularity,
     HashEmbedder,
     MatchPolicy,
+    MemoryStore,
     MockChatBackend,
     Prioritization,
     RetrievalMode,
@@ -18,6 +23,7 @@ from memaug import (
     build_index,
 )
 from memaug.datasets import load_conversation_dataset, load_recommendation_dataset, store_from_sessions
+from memaug.errors import BackendRefusal
 from memaug.retrieval import EmbeddingStrategy, QueryPart
 from memaug.tasks import (
     RetrievalSetup,
@@ -28,8 +34,10 @@ from memaug.tasks import (
     run_qa_task,
     run_rec_task,
 )
+from memaug.templates import ANSWER_GENERATION, QUESTION_AUGMENTATION, RECOMMENDATION, SESSION_BASIC
 
 from doubles import StaticChatBackend
+from oracles import run_qa_task_oracle, run_rec_task_oracle
 from synthetic import build_qa_fixture, build_rec_fixture
 
 
@@ -437,3 +445,235 @@ class TestFilterEventPairs:
         )
         out = filter_event_pairs(ann)
         assert out.names == ("major life event", "activity")
+
+
+# -- the fan-out runners against the serial oracles ------------------------------
+
+FAILABLE_TEMPLATES = (
+    QUESTION_AUGMENTATION.id,
+    ANSWER_GENERATION.id,
+    SESSION_BASIC.id,
+    RECOMMENDATION.id,
+)
+
+
+class FlakyChatBackend:
+    """A mock that fails some calls of the ``failing`` templates.
+
+    Whether a call fails, and how, is a pure function of (salt, template,
+    payload), so every call order, serial or threaded, sees the same
+    failures. One failure in three is a transport error with an empty
+    message, whose row error is the falsy string ``""``.
+    """
+
+    def __init__(self, inner, failing, salt, percent):
+        self.inner = inner
+        self.failing = failing
+        self.salt = salt
+        self.percent = percent
+
+    def complete(self, prompt, *, template=None, payload=None):
+        roll = zlib.crc32(f"{self.salt}|{template.id}|{payload}".encode()) % 100
+        if template.id in self.failing and roll < self.percent:
+            if roll % 3 == 0:
+                raise TransportError("")
+            if roll % 3 == 1:
+                raise BackendRefusal("refused")
+            raise TransportError("connection reset")
+        return self.inner.complete(prompt, template=template, payload=payload)
+
+
+@pytest.fixture(scope="module")
+def oracle_world(tmp_path_factory):
+    """QA and rec datasets with mined stores and indexes, shared by the oracle tests.
+
+    QA gets one keyword-free adversarial question (an attribute-mode
+    retrieval miss); rec gets three dialogues that never mention their label.
+    """
+    directory = tmp_path_factory.mktemp("oracle")
+    qa_data, qa_rules = build_qa_fixture(n_turns=30, n_sessions=3)
+    qa_data["qa"].append({
+        "question": "did anything else happen",
+        "category": "adversarial",
+        "gold_turn_ids": [],
+        "gold_answer": "nothing",
+    })
+    (directory / "qa.json").write_text(json.dumps(qa_data), encoding="utf-8")
+    qa_dataset = load_conversation_dataset(directory / "qa.json")
+    qa_store = store_from_sessions(qa_dataset)
+    qa_mock = MockChatBackend(qa_rules, capture_persons=False)
+    results, _ = AttributeMiner(qa_mock).mine_corpus(list(qa_store))
+    for item_id, annotation in results:
+        qa_store.attach_annotation(item_id, annotation)
+    rec_data, rec_store, rec_rules = build_rec_fixture(n_dialogues=16, n_items=10)
+    for dialogue in rec_data["dialogues"][3::5]:
+        dialogue["gold_labels"] = ["A Film Nobody Mentions"]
+    (directory / "rec.json").write_text(json.dumps(rec_data), encoding="utf-8")
+    rec_dataset = load_recommendation_dataset(directory / "rec.json")
+    rec_mock = MockChatBackend(rec_rules, capture_persons=False)
+    embedder = HashEmbedder(16)
+    qa_index, _ = build_index(qa_store, EmbeddingStrategy.AVERAGED_PAIRS, embedder)
+    rec_index, _ = build_index(rec_store, EmbeddingStrategy.AVERAGED_PAIRS, embedder)
+    return {
+        "qa": (qa_dataset, qa_store, qa_mock, qa_index),
+        "rec": (rec_dataset, rec_store, rec_mock, rec_index),
+        "embedder": embedder,
+    }
+
+
+def oracle_setup(world, task, mode, policy, k):
+    _, _, _, index = world[task]
+    if mode is RetrievalMode.EMBEDDING_BASED:
+        return RetrievalSetup(mode=mode, k=k, index=index, embedder=world["embedder"])
+    return RetrievalSetup(mode=mode, k=k, policy=policy)
+
+
+_oracle_modes = st.sampled_from([RetrievalMode.ATTRIBUTE_BASED, RetrievalMode.EMBEDDING_BASED])
+_oracle_failures = st.tuples(
+    st.frozensets(st.sampled_from(FAILABLE_TEMPLATES)),
+    st.integers(0, 2**16),
+    st.sampled_from([0, 25, 60, 100]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mode=_oracle_modes,
+    policy=st.sampled_from(list(MatchPolicy)),
+    k=st.integers(1, 8),
+    parallelism=st.sampled_from([1, 2]),
+    max_retries=st.integers(0, 1),
+    failures=_oracle_failures,
+)
+def test_qa_runner_matches_the_serial_oracle(
+    oracle_world, mode, policy, k, parallelism, max_retries, failures
+):
+    dataset, store, mock, _ = oracle_world["qa"]
+    backend = FlakyChatBackend(mock, *failures)
+    setup = oracle_setup(oracle_world, "qa", mode, policy, k)
+
+    def run(runner, threads):
+        miner = AttributeMiner(backend, max_retries=max_retries, parallelism=threads)
+        return runner(dataset, store, miner=miner, answer_backend=backend, setup=setup)
+
+    got = run(run_qa_task, parallelism)
+    want = run(run_qa_task_oracle, 1)
+    assert got.rows == want.rows
+    assert got.recall_report == want.recall_report
+    assert got.f1_report == want.f1_report
+    assert got.retrieved_counts == want.retrieved_counts
+    assert got.avg_items_retrieved == want.avg_items_retrieved
+    assert got.retrieval_misses == want.retrieval_misses
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mode=_oracle_modes,
+    policy=st.sampled_from(list(MatchPolicy)),
+    n=st.integers(1, 16),
+    k=st.integers(1, 10),
+    seed=st.integers(0, 2**16),
+    parallelism=st.sampled_from([1, 2]),
+    failures=_oracle_failures,
+)
+def test_rec_runner_matches_the_serial_oracle(
+    oracle_world, mode, policy, n, k, seed, parallelism, failures
+):
+    dataset, store, mock, _ = oracle_world["rec"]
+    backend = FlakyChatBackend(mock, *failures)
+    setup = oracle_setup(oracle_world, "rec", mode, policy, k)
+
+    def run(runner, threads):
+        miner = AttributeMiner(
+            backend, granularity=Granularity.SESSION_LEVEL, max_retries=0, parallelism=threads
+        )
+        return runner(
+            dataset, store, miner=miner, rec_backend=backend, setup=setup, n=n, k=k, seed=seed
+        )
+
+    got = run(run_rec_task, parallelism)
+    want = run(run_rec_task_oracle, 1)
+    assert got.rows == want.rows
+    assert got.reports == want.reports
+    assert list(got.reports) == list(want.reports)
+    assert got.skipped_masking == want.skipped_masking
+    assert got.retrieved_counts == want.retrieved_counts
+    assert got.avg_items_retrieved == want.avg_items_retrieved
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_answer_failure_after_retrieval_keeps_its_count(oracle_world, parallelism):
+    dataset, store, mock, _ = oracle_world["qa"]
+    backend = FlakyChatBackend(mock, {ANSWER_GENERATION.id}, 0, 100)
+    miner = AttributeMiner(backend, parallelism=parallelism)
+    setup = oracle_setup(oracle_world, "qa", RetrievalMode.ATTRIBUTE_BASED, None, 5)
+    out = run_qa_task(dataset, store, miner=miner, answer_backend=backend, setup=setup)
+    scored = [row for row in out.rows if row.recall is not None]
+    assert all(row.error is not None and row.f1 == 0.0 for row in out.rows)
+    assert all(row.retrieved_ids for row in scored)
+    # an error with an empty message is falsy, so only the others score zero
+    assert all(row.recall == 0.0 for row in scored if row.error)
+    assert any(row.error for row in scored)
+    assert len(out.retrieved_counts) == len(dataset.qa)
+    assert out.avg_items_retrieved > 0
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_rec_skips_and_fails_in_one_run(oracle_world, parallelism):
+    dataset, store, mock, _ = oracle_world["rec"]
+    backend = FlakyChatBackend(mock, {RECOMMENDATION.id}, 0, 100)
+    miner = AttributeMiner(backend, granularity=Granularity.SESSION_LEVEL, parallelism=parallelism)
+    setup = oracle_setup(oracle_world, "rec", RetrievalMode.COMPREHENSIVE, None, 10)
+    out = run_rec_task(
+        dataset, store, miner=miner, rec_backend=backend, setup=setup, n=16, k=10
+    )
+    assert out.skipped_masking == 3
+    assert len(out.rows) == 13
+    assert all(row.error is not None and row.retrieved_ids for row in out.rows)
+    assert out.retrieved_counts == [len(store)] * 13
+    assert all(report.overall == 0.0 for report in out.reports.values())
+
+
+def test_runners_match_the_oracle_under_thread_stress(oracle_world):
+    """Eight threads with a tiny switch interval, on cold shared caches.
+
+    The workers share the store's lazily built sorted posting views and the
+    embedder's token cache; both start empty here, so concurrent queries
+    build them at once.
+    """
+    qa_dataset, qa_store, qa_mock, qa_index = oracle_world["qa"]
+    rec_dataset, rec_store, rec_mock, rec_index = oracle_world["rec"]
+    cold_qa = store_from_sessions(qa_dataset)
+    for item in qa_store:
+        cold_qa.attach_annotation(item.id, qa_store.annotation_for(item.id))
+    cold_rec = MemoryStore()
+    for item in rec_store:
+        cold_rec.write(item, rec_store.annotation_for(item.id))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for mode in (RetrievalMode.ATTRIBUTE_BASED, RetrievalMode.EMBEDDING_BASED):
+            qa_setup = RetrievalSetup(mode=mode, index=qa_index, embedder=HashEmbedder(16))
+            rec_setup = RetrievalSetup(
+                mode=mode, policy=MatchPolicy.NAME_ONLY, index=rec_index, embedder=HashEmbedder(16)
+            )
+            miner = AttributeMiner(qa_mock, parallelism=8)
+            got = run_qa_task(
+                qa_dataset, cold_qa, miner=miner, answer_backend=qa_mock, setup=qa_setup
+            )
+            want = run_qa_task_oracle(
+                qa_dataset, qa_store, miner=miner, answer_backend=qa_mock, setup=qa_setup
+            )
+            assert (got.rows, got.recall_report, got.f1_report) == (
+                want.rows, want.recall_report, want.f1_report
+            )
+            miner = AttributeMiner(rec_mock, granularity=Granularity.SESSION_LEVEL, parallelism=8)
+            got = run_rec_task(
+                rec_dataset, cold_rec, miner=miner, rec_backend=rec_mock, setup=rec_setup, n=16
+            )
+            want = run_rec_task_oracle(
+                rec_dataset, rec_store, miner=miner, rec_backend=rec_mock, setup=rec_setup, n=16
+            )
+            assert (got.rows, got.reports) == (want.rows, want.reports)
+    finally:
+        sys.setswitchinterval(interval)
