@@ -16,7 +16,6 @@ and round-trip checks.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 
@@ -101,20 +100,6 @@ class Annotation:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.pairs)
-
-    def with_modes(
-        self,
-        perspective: Perspective | None = None,
-        granularity: Granularity | None = None,
-        prioritization: Prioritization | None = None,
-    ) -> "Annotation":
-        """Copy with some mode tags replaced; pairs are untouched."""
-        return dataclasses.replace(
-            self,
-            perspective=perspective or self.perspective,
-            granularity=granularity or self.granularity,
-            prioritization=prioritization or self.prioritization,
-        )
 
     def to_dict(self) -> dict:
         return {

@@ -326,27 +326,17 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
         query = QueryContext(
             text=args.query, attribute_names=mined.attributes, persons=mined.persons
         )
-    result = setup.run(store, query)
+    rows = []
+    for hit in setup.run(store, query).hits:
+        annotation = store.annotation_for(hit.item_id)
+        rendered = render_annotation(annotation) if annotation else None
+        rows.append({"rank": hit.rank, "id": hit.item_id, "score": hit.score, "annotation": rendered})
     if args.json:
-        payload = [
-            {
-                "rank": hit.rank,
-                "id": hit.item_id,
-                "score": hit.score,
-                "annotation": (
-                    render_annotation(store.annotation_for(hit.item_id))
-                    if store.annotation_for(hit.item_id)
-                    else None
-                ),
-            }
-            for hit in result.hits
-        ]
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(rows, indent=2, sort_keys=True))
     else:
-        for hit in result.hits:
-            annotation = store.annotation_for(hit.item_id)
-            rendered = f"  {render_annotation(annotation)}" if annotation else ""
-            print(f"{hit.rank:>3}. {hit.item_id}  score={hit.score:.4f}{rendered}")
+        for row in rows:
+            suffix = f"  {row['annotation']}" if row["annotation"] else ""
+            print(f"{row['rank']:>3}. {row['id']}  score={row['score']:.4f}{suffix}")
     return EXIT_OK
 
 
@@ -363,12 +353,12 @@ def _write_reports(out_dir: Path, name: str, payload: dict, text: str, config: R
     })
 
 
-def _store(args, build, miner: AttributeMiner) -> MemoryStore:
-    """The ``--store`` to evaluate; without one, ``build()`` augmented by ``miner``."""
+def _store(args, build, config: RunConfig, backend) -> MemoryStore:
+    """The ``--store`` to evaluate; without one, ``build()`` mined by ``config``'s miner."""
     if args.store:
         return MemoryStore.load(args.store)
     store = build()
-    _augment_store(store, miner)
+    _augment_store(store, _miner(config, backend))
     return store
 
 
@@ -378,7 +368,7 @@ def _eval_qa(args, config: RunConfig, backend) -> tuple[dict, str]:
         raise ValueError(f"--task qa needs --granularity turn, got {config.granularity}")
     dataset = load_conversation_dataset(args.dataset)
     miner = _miner(config, backend)
-    store = _store(args, lambda: store_from_sessions(dataset), miner)
+    store = _store(args, lambda: store_from_sessions(dataset), config, backend)
     result = run_qa_task(
         dataset,
         store,
@@ -405,8 +395,8 @@ def _eval_rec(args, config: RunConfig, backend) -> tuple[dict, str]:
         raise ValueError(
             f"--n {config.n} exceeds the {len(dataset.dialogues)} dialogues in the dataset"
         )
-    item_miner = _miner(replace(config, perspective="entity", granularity="na"), backend)
-    store = _store(args, lambda: store_from_items(dataset.items), item_miner)
+    item_config = replace(config, perspective="entity", granularity="na")
+    store = _store(args, lambda: store_from_items(dataset.items), item_config, backend)
     dialogue_config = replace(config, perspective="conversation", granularity="session")
     result = run_rec_task(
         dataset,
@@ -432,19 +422,18 @@ def _eval_rec(args, config: RunConfig, backend) -> tuple[dict, str]:
 
 
 def _eval_events(args, config: RunConfig, backend) -> tuple[dict, str]:
-    if config.granularity == "na" and not args.store:
-        # Events mine turns or sessions, and neither takes na annotations.
+    if config.granularity == "na":
+        # Events read turns or sessions, and neither takes na annotations;
+        # --granularity also picks which of the two a --store holds.
         raise ValueError("--task events needs --granularity turn or session to mine a store")
     dataset = load_conversation_dataset(args.dataset)
-    level_name = "turn" if config.granularity == "turn" else "session"
     store = _store(
-        args, lambda: store_from_sessions(dataset, level=level_name), _miner(config, backend)
+        args, lambda: store_from_sessions(dataset, level=config.granularity), config, backend
     )
-    level = Granularity.TURN_LEVEL if level_name == "turn" else Granularity.SESSION_LEVEL
     result = run_event_summarization(
         dataset,
         store,
-        level=level,
+        level=_GRANULARITIES[config.granularity],
         input_mode=args.input_mode,
         summarizer=backend,
         judge=backend if args.judge else None,

@@ -1,14 +1,14 @@
-"""Atomic file replacement for everything the package saves, and the JSON
-object reader its input loaders share."""
+"""Atomic file replacement for everything the package saves (stores with
+their report sidecars, vector indexes, eval reports), and the JSON object
+reader its input loaders share."""
 
 from __future__ import annotations
 
 import json
 import os
 import threading
-from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Callable, Iterator, Mapping
+from typing import IO, Callable, Mapping
 
 from .errors import SchemaError
 
@@ -28,53 +28,38 @@ def read_json_object(path: str | Path, what: str) -> dict:
     return data
 
 
-@contextmanager
-def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
-    """Write a temporary file beside ``path``; on success it replaces ``path``.
+def replace_together(contents: Mapping[Path, str | Callable[[IO[bytes]], object] | None]) -> None:
+    """Replace files as one set; readers see each file whole, old or new.
 
-    Readers see the old file or the whole new one, never a partial write.
-    If the body raises, the temporary file is removed and ``path`` is left
-    as it was. Text modes write UTF-8.
+    Each file's new content is a string (written as UTF-8), a writer called
+    with the open binary temporary file, or None to remove the file. All
+    temporaries are written first; if a write, replace or removal fails, the
+    files already changed get their earlier bytes back (or are removed if
+    new) before the error re-raises, and no temporary file is left. Only the
+    files a later failure could restore, all but the last, have their
+    earlier bytes read.
     """
-    target = Path(path)
-    tmp = _temp_path(target)
-    try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
-            yield fh
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def replace_together(contents: Mapping[Path, str | Callable[[IO[str]], object] | None]) -> None:
-    """Replace UTF-8 text files as one set.
-
-    Each file's new content is a string, a writer called with the open
-    temporary file, or None to remove the file. All temporaries are written
-    first; if a write, replace or removal fails, the files already changed
-    get their earlier bytes back (or are removed if new) before the error
-    re-raises, and no temporary file is left.
-    """
-    previous = {path: path.read_bytes() if path.exists() else None for path in contents}
+    paths = list(contents)
+    previous = {path: path.read_bytes() if path.exists() else None for path in paths[:-1]}
     temps = {path: _temp_path(path) for path, content in contents.items() if content is not None}
     changed: list[Path] = []
     try:
         for path, tmp in temps.items():
             content = contents[path]
-            with open(tmp, "w", encoding="utf-8") as fh:
+            with open(tmp, "wb") as fh:
                 if isinstance(content, str):
-                    fh.write(content)
+                    fh.write(content.encode("utf-8"))
                 else:
                     content(fh)
-        for path in contents:
+        for path in paths:
             if path in temps:
                 os.replace(temps[path], path)
             else:
                 path.unlink(missing_ok=True)
             changed.append(path)
     except BaseException:
-        for path in changed:
+        # Nothing fails once the last file is in place, so it is never restored.
+        for path in changed[: len(previous)]:
             if previous[path] is None:
                 path.unlink(missing_ok=True)
             else:

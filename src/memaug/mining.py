@@ -9,9 +9,10 @@ individual failures never abort the stream.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 from .annotations import (
@@ -25,7 +26,7 @@ from .annotations import (
 )
 from .backends import ChatBackend
 from .errors import AugmentFailure, BackendRefusal, LengthBudgetExceeded, TransportError
-from .store import ItemKind, MemoryItem
+from .store import AugmentationReport, ItemKind, MemoryItem
 from .templates import QUESTION_AUGMENTATION, ResponseFormat, build_prompt, mining_template
 
 T = TypeVar("T")
@@ -50,42 +51,6 @@ class QueryAnnotation:
 
     persons: tuple[str, ...] = ()
     attributes: tuple[str, ...] = ()
-
-
-@dataclass
-class AugmentationReport:
-    """Success/failure accounting for one corpus pass."""
-
-    total: int = 0
-    succeeded: int = 0
-    failed: int = 0
-    failures: list[tuple[str, str]] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.succeeded + self.failed != self.total:
-            raise ValueError("succeeded + failed must equal total")
-
-    @property
-    def failure_rate(self) -> float:
-        return self.failed / self.total if self.total else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "succeeded": self.succeeded,
-            "failed": self.failed,
-            "failure_rate": self.failure_rate,
-            "failures": [{"item_id": i, "reason": r} for i, r in self.failures],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AugmentationReport":
-        return cls(
-            total=data["total"],
-            succeeded=data["succeeded"],
-            failed=data["failed"],
-            failures=[(f["item_id"], f["reason"]) for f in data.get("failures", [])],
-        )
 
 
 _PERSON_SEGMENT = re.compile(r"person\s*:\s*\[([^\]]*)\]", re.IGNORECASE)
@@ -200,7 +165,8 @@ class AttributeMiner:
                 raise AugmentFailure("unparseable", "response contained no pairs")
             return annotation
 
-        return self._with_retries(self.template, text, parse).with_modes(
+        return dataclasses.replace(
+            self._with_retries(self.template, text, parse),
             perspective=self.perspective,
             granularity=self.granularity,
             prioritization=self.prioritization,

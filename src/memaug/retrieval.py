@@ -32,9 +32,8 @@ from .errors import (
     StrategyMismatchError,
     ZeroVectorError,
 )
-from .fileio import atomic_open
+from .fileio import replace_together
 from .store import MatchPolicy, MemoryStore
-from .validation import check_positive_int, check_vector
 
 
 class EmbeddingStrategy(Enum):
@@ -137,6 +136,12 @@ def embed_annotation(
     return _average(rows) if strategy is EmbeddingStrategy.AVERAGED_PAIRS else rows[0]
 
 
+def check_positive_int(value: int, name: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
 # Binary index file: one JSON header line, then the float64 matrix in .npy form.
 INDEX_FORMAT = "memaug-index"
 INDEX_VERSION = 2
@@ -216,7 +221,15 @@ class VectorIndex:
                     f"index built with {self.strategy.value}"
                 )
             query = query.values
-        vector = check_vector(query, self.dimension)
+        vector = np.asarray(query, dtype=np.float64)
+        if vector.ndim != 1:
+            raise ValueError(f"expected a 1-D vector, got shape {vector.shape}")
+        if not np.all(np.isfinite(vector)):
+            raise ValueError("vector contains non-finite entries")
+        if vector.shape[0] != self.dimension:
+            raise DimensionMismatchError(
+                f"vector has dimension {vector.shape[0]}, expected {self.dimension}"
+            )
         if not len(self.item_ids):
             return RetrievalResult(hits=(), mode=RetrievalMode.EMBEDDING_BASED)
         qnorm = float(np.linalg.norm(vector))
@@ -257,9 +270,12 @@ class VectorIndex:
             "embedder": {"kind": self.embedder_kind, "model": self.embedder_model},
             "ids": list(self.item_ids),
         }
-        with atomic_open(path, "wb") as fh:
+
+        def write(fh) -> None:
             fh.write(json.dumps(header).encode("utf-8") + b"\n")
             np.save(fh, self.vectors, allow_pickle=False)
+
+        replace_together({Path(path): write})
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":

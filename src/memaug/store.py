@@ -4,7 +4,9 @@ The store keeps items in insertion order, maintains an inverted index over
 annotation attribute names (and case-folded (name, value) keys), and
 round-trips through JSONL with one item per line in a canonical field order,
 so saving the same store twice produces byte-identical files. Items are only
-ever appended; there is no deletion.
+ever appended; there is no deletion. The :class:`AugmentationReport` of the
+pass that mined the store is saved beside it as ``<store>.report.json``, and
+:func:`~memaug.fileio.replace_together` replaces the pair as one set.
 
 Writes are not safe against concurrent writers. ``lookup_by_attribute``
 returns a fresh set, so its callers never observe a structure mutated
@@ -21,18 +23,15 @@ import heapq
 import json
 from bisect import bisect_left, insort
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from itertools import islice
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .annotations import Annotation, Granularity, normalize_name
 from .errors import DuplicateIdError, GranularityMismatchError, SchemaError
 from .fileio import replace_together
-
-if TYPE_CHECKING:
-    from .mining import AugmentationReport
 
 
 class ItemKind(Enum):
@@ -114,6 +113,42 @@ class CorpusStats:
         }
 
 
+@dataclass
+class AugmentationReport:
+    """Success/failure accounting for one corpus pass."""
+
+    total: int = 0
+    succeeded: int = 0
+    failed: int = 0
+    failures: list[tuple[str, str]] = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.succeeded + self.failed != self.total:
+            raise ValueError("succeeded + failed must equal total")
+
+    @property
+    def failure_rate(self) -> float:
+        return self.failed / self.total if self.total else 0.0
+
+    def to_dict(self) -> dict:
+        return {
+            "total": self.total,
+            "succeeded": self.succeeded,
+            "failed": self.failed,
+            "failure_rate": self.failure_rate,
+            "failures": [{"item_id": i, "reason": r} for i, r in self.failures],
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "AugmentationReport":
+        return cls(
+            total=data["total"],
+            succeeded=data["succeeded"],
+            failed=data["failed"],
+            failures=[(f["item_id"], f["reason"]) for f in data.get("failures", [])],
+        )
+
+
 class MatchPolicy(Enum):
     NAME_ONLY = "name_only"
     NAME_AND_VALUE = "name_and_value"
@@ -147,7 +182,7 @@ class MemoryStore:
         # Ascending-id copies of the non-empty postings that ranked queries
         # have walked, kept in step with the sets by _add and _unindex.
         self._sorted: dict[PostingKey, list[str]] = {}
-        self.augmentation_report: "AugmentationReport | None" = None
+        self.augmentation_report: AugmentationReport | None = None
 
     def __len__(self) -> int:
         return len(self._items)
@@ -383,7 +418,7 @@ class MemoryStore:
         def write_items(fh) -> None:
             for item_id, item in self._items.items():
                 record = self._record(item, self._annotations.get(item_id))
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+                fh.write((json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8"))
 
         report = None
         if self.augmentation_report is not None:
@@ -440,8 +475,6 @@ class MemoryStore:
                 gc.enable()
         report_path = _report_path(source)
         if report_path.exists():
-            from .mining import AugmentationReport
-
             try:
                 store.augmentation_report = AugmentationReport.from_dict(
                     json.loads(report_path.read_text(encoding="utf-8"))

@@ -171,7 +171,7 @@ def run_qa_task(
             context = _answer_context(store, result, example.question)
             reply = _ask(answer_backend, ANSWER_GENERATION, context)
         except MemaugError as exc:
-            error = str(exc)
+            error = str(exc) or type(exc).__name__
             logger.warning("qa example failed (%s): %s", category, exc)
         retrieved = () if result is None else result.ids()
         recall = None
@@ -284,7 +284,7 @@ def run_rec_task(
             payload = f"Conversation:\n{text}\nCandidates:\n{_candidate_block(store, result)}"
             recommendations = parse_ranked_titles(_ask(rec_backend, RECOMMENDATION, payload))
         except MemaugError as exc:
-            error = str(exc)
+            error = str(exc) or type(exc).__name__
             logger.warning("dialogue %s failed: %s", dialogue.dialogue_id, exc)
         retrieved = () if result is None else result.ids()
         gold = {normalize_title(label) for label in dialogue.gold_labels}

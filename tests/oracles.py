@@ -506,7 +506,7 @@ def run_qa_task_oracle(dataset, store, *, miner, answer_backend, setup) -> QATas
                 prompt, template=ANSWER_GENERATION, payload=prompt_payload
             )
         except (AugmentFailure, EmptyQueryError, MemaugError) as exc:
-            error = str(exc)
+            error = str(exc) or type(exc).__name__
             logger.warning("qa example failed (%s): %s", category, exc)
         recall = None
         if example.gold_turn_ids:
@@ -575,7 +575,7 @@ def run_rec_task_oracle(
             response = rec_backend.complete(prompt, template=RECOMMENDATION, payload=payload)
             recommendations = parse_ranked_titles(response)
         except (AugmentFailure, EmptyQueryError, MemaugError) as exc:
-            error = str(exc)
+            error = str(exc) or type(exc).__name__
             logger.warning("dialogue %s failed: %s", dialogue.dialogue_id, exc)
         gold = {normalize_title(label) for label in dialogue.gold_labels}
         predicted = [normalize_title(title) for title in recommendations]

@@ -7,6 +7,7 @@ import pytest
 
 from memaug import cli
 from memaug.cli import main
+from memaug.datasets import load_conversation_dataset, store_from_sessions
 
 from doubles import StaticChatBackend
 from synthetic import build_qa_fixture, build_rec_fixture
@@ -355,6 +356,50 @@ class TestEvalCommand:
         assert backend.calls == 0
         assert "--granularity" in capsys.readouterr().err
         assert not (tmp_path / "reports").exists()
+
+    def _session_store(self, tmp_path, dataset):
+        path = tmp_path / "sessions.jsonl"
+        store_from_sessions(load_conversation_dataset(dataset), level="session").save(path)
+        return path
+
+    @pytest.mark.parametrize("perspective", ["entity", "conversation"])
+    def test_events_refuse_na_granularity_with_a_store(
+        self, tmp_path, capsys, monkeypatch, perspective
+    ):
+        dataset, _ = self._qa_paths(tmp_path)
+        store = self._session_store(tmp_path, dataset)
+        backend = StaticChatBackend(["[event]<moved house>"])
+        monkeypatch.setattr(cli, "_chat_backend", lambda config, args: backend)
+        code = main([
+            "eval", "--task", "events", "--dataset", str(dataset), "--store", str(store),
+            "--perspective", perspective, "--granularity", "na",
+            "--out-dir", str(tmp_path / "reports"), "--no-timestamp",
+        ])
+        assert code == 1
+        assert backend.calls == 0
+        err = capsys.readouterr().err
+        assert "--granularity" in err
+        assert "mining template" not in err
+        assert not (tmp_path / "reports").exists()
+
+    def test_events_with_a_store_build_no_miner(self, tmp_path, capsys):
+        # Entity-centric session mining has no template, but a --store is
+        # evaluated as it is, so the run never needs one.
+        dataset, rules_path = self._qa_paths(tmp_path)
+        mined = tmp_path / "mined.jsonl"
+        assert main([
+            "augment", "--input", str(self._session_store(tmp_path, dataset)),
+            "--store", str(mined), "--granularity", "session", "--mock-rules", str(rules_path),
+        ]) == 0
+        out_dir = tmp_path / "reports"
+        code = main([
+            "eval", "--task", "events", "--dataset", str(dataset), "--store", str(mined),
+            "--perspective", "entity", "--granularity", "session",
+            "--mock-rules", str(rules_path), "--out-dir", str(out_dir), "--no-timestamp",
+        ])
+        assert code == 0, capsys.readouterr().err
+        report = json.loads((out_dir / "events.json").read_text())
+        assert [row["session_id"] for row in report["sessions"]] == ["s0", "s1", "s2", "s3"]
 
     @pytest.mark.parametrize(
         "field,value", [("question", ""), ("gold_answer", "  ")], ids=["question", "answer"]

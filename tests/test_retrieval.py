@@ -411,6 +411,32 @@ class TestSearch:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["index.bin"]
 
+    @pytest.mark.parametrize("failure", ["mid-write", "replace"])
+    def test_interrupted_save_leaves_the_old_index_alone(self, tmp_path, monkeypatch, failure):
+        path = tmp_path / "index.bin"
+        self.make_index(np.eye(3)).save(path)
+        before = path.read_bytes()
+        real_save = np.save
+
+        def save_half(fh, array, **kwargs):
+            buffer = io.BytesIO()
+            real_save(buffer, array, **kwargs)
+            fh.write(buffer.getvalue()[: len(buffer.getvalue()) // 2])
+            raise OSError("disk full")
+
+        def no_replace(src, dst):
+            raise OSError("rename failed")
+
+        if failure == "mid-write":
+            monkeypatch.setattr(np, "save", save_half)
+        else:
+            monkeypatch.setattr("memaug.fileio.os.replace", no_replace)
+        with pytest.raises(OSError):
+            self.make_index(np.eye(4)).save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["index.bin"]
+        assert np.array_equal(VectorIndex.load(path).vectors, np.eye(3))
+
 
 class TestEmbedQuery:
     def test_annotation_query_uses_index_strategy(self):

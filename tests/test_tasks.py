@@ -463,7 +463,7 @@ class FlakyChatBackend:
     Whether a call fails, and how, is a pure function of (salt, template,
     payload), so every call order, serial or threaded, sees the same
     failures. One failure in three is a transport error with an empty
-    message, whose row error is the falsy string ``""``.
+    message, whose row error is the exception's class name.
     """
 
     def __init__(self, inner, failing, salt, percent):
@@ -611,9 +611,9 @@ def test_answer_failure_after_retrieval_keeps_its_count(oracle_world, parallelis
     scored = [row for row in out.rows if row.recall is not None]
     assert all(row.error is not None and row.f1 == 0.0 for row in out.rows)
     assert all(row.retrieved_ids for row in scored)
-    # an error with an empty message is falsy, so only the others score zero
-    assert all(row.recall == 0.0 for row in scored if row.error)
-    assert any(row.error for row in scored)
+    # an error with an empty message is recorded by its class name and scores zero too
+    assert all(row.error and row.recall == 0.0 for row in scored)
+    assert any(row.error == "TransportError" for row in out.rows)
     assert len(out.retrieved_counts) == len(dataset.qa)
     assert out.avg_items_retrieved > 0
 
@@ -629,7 +629,8 @@ def test_rec_skips_and_fails_in_one_run(oracle_world, parallelism):
     )
     assert out.skipped_masking == 3
     assert len(out.rows) == 13
-    assert all(row.error is not None and row.retrieved_ids for row in out.rows)
+    assert all(row.error and row.retrieved_ids for row in out.rows)
+    assert any(row.error == "TransportError" for row in out.rows)
     assert out.retrieved_counts == [len(store)] * 13
     assert all(report.overall == 0.0 for report in out.reports.values())
 
