@@ -4,9 +4,10 @@ Subcommands: ``augment`` (mine attributes for a corpus), ``index`` (build
 and save a vector index), ``retrieve`` (query a store), ``eval`` (run the
 qa/rec/events pipelines and write reports), ``stats`` (corpus statistics).
 
-Defaults come from an optional INI config file (section ``[memaug]``, keys
-named like the long flags), which explicit flags override. Secrets are only
-ever read from environment variables.
+Each setting's default sits on its flag. An optional INI config file
+(section ``[memaug]``, keys named like the long flags) overrides those
+defaults, and explicit flags override the file. Secrets are only ever read
+from environment variables.
 
 Exit codes: 0 success, 1 usage or query error, 2 IO/schema error, 3 backend
 failure, 4 augmentation failure rate above threshold.
@@ -18,7 +19,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass, asdict, replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -47,6 +48,7 @@ from .retrieval import (
     RetrievalMode,
     VectorIndex,
     build_index,
+    check_positive_int,
 )
 from .store import MatchPolicy, MemoryStore
 from .tasks import RetrievalSetup, run_event_summarization, run_qa_task, run_rec_task
@@ -139,66 +141,43 @@ def _with_config(argv: list[str], path: str, command: argparse.ArgumentParser) -
     return argv[: at + 1] + _config_tokens(path, command) + argv[at + 1 :]
 
 
-@dataclass
-class RunConfig:
-    """Resolved settings for a run; snapshotted next to eval reports."""
-
-    command: str
-    backend: str = "mock"
-    model: str = "mock"
-    embed_model: str | None = None
-    endpoint: str | None = None
-    api_key_env: str = "MEMAUG_API_KEY"
-    mode: str = "embedding"
-    strategy: str = "averaged"
-    perspective: str = "conversation"
-    granularity: str = "turn"
-    prioritization: str = "basic"
-    policy: str = "name"
-    query_parts: str = "text,attributes"
-    k: int = 5
-    n: int = 10
-    seed: int = 0
-    dim: int = 8
-    parallelism: int = 1
-    max_retries: int = 2
-    timeout: float = 30.0
-
-    def profile(self) -> BackendProfile:
-        kind = BackendKind.MOCK if self.backend == "mock" else BackendKind.REMOTE_CHAT
-        return BackendProfile(
-            kind=kind,
-            model_id=self.model,
-            endpoint=self.endpoint if kind is BackendKind.REMOTE_CHAT else None,
-            timeout=self.timeout,
-            api_key_env=self.api_key_env,
-        )
-
-    def embedder(self, dimension: int):
-        """The embedder for this run: the hash embedder under the mock backend,
-        else the remote ``embed_model``, which is never the chat ``model``."""
-        profile = self.profile()
-        if profile.kind is BackendKind.REMOTE_CHAT:
-            if not self.embed_model:
-                raise ValueError("remote embeddings need --embed-model")
-            profile = replace(profile, model_id=self.embed_model)
-        return make_embedder(profile, dimension=dimension)
-
-    def parts(self) -> tuple[QueryPart, ...]:
-        mapping = {"text": QueryPart.TEXT, "attributes": QueryPart.ATTRIBUTES}
-        names = [p.strip() for p in self.query_parts.split(",") if p.strip()]
-        try:
-            return tuple(mapping[name] for name in names)
-        except KeyError as exc:
-            raise ValueError(f"unknown query part {exc.args[0]!r}") from exc
+# The settings an eval run records in config.json.
+_SNAPSHOT = (
+    "command", "backend", "model", "embed_model", "endpoint", "api_key_env",
+    "mode", "strategy", "perspective", "granularity", "prioritization", "policy",
+    "query_parts", "k", "n", "seed", "dim", "parallelism", "max_retries", "timeout",
+)
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    for key in vars(config):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            setattr(config, key, getattr(args, key))
-    return config
+def _profile(args) -> BackendProfile:
+    kind = BackendKind.MOCK if args.backend == "mock" else BackendKind.REMOTE_CHAT
+    return BackendProfile(
+        kind=kind,
+        model_id=args.model,
+        endpoint=args.endpoint if kind is BackendKind.REMOTE_CHAT else None,
+        timeout=args.timeout,
+        api_key_env=args.api_key_env,
+    )
+
+
+def _embedder(args, dimension: int):
+    """The embedder of a run: the hash embedder under the mock backend,
+    else the remote ``--embed-model``, which is never the chat ``--model``."""
+    profile = _profile(args)
+    if profile.kind is BackendKind.REMOTE_CHAT:
+        if not args.embed_model:
+            raise ValueError("remote embeddings need --embed-model")
+        profile = replace(profile, model_id=args.embed_model)
+    return make_embedder(profile, dimension=dimension)
+
+
+def _query_parts(args) -> tuple[QueryPart, ...]:
+    mapping = {"text": QueryPart.TEXT, "attributes": QueryPart.ATTRIBUTES}
+    names = [p.strip() for p in args.query_parts.split(",") if p.strip()]
+    try:
+        return tuple(mapping[name] for name in names)
+    except KeyError as exc:
+        raise ValueError(f"unknown query part {exc.args[0]!r}") from exc
 
 
 def _load_mock_rules(path: str | None) -> tuple[dict | None, bool]:
@@ -222,25 +201,26 @@ def _load_mock_rules(path: str | None) -> tuple[dict | None, bool]:
     return {token: (pair[0], pair[1]) for token, pair in rules.items()}, capture
 
 
-def _chat_backend(config: RunConfig, args: argparse.Namespace):
-    rules, capture = _load_mock_rules(getattr(args, "mock_rules", None))
-    return make_chat_backend(config.profile(), rules=rules, capture_persons=capture)
+def _chat_backend(args):
+    rules, capture = _load_mock_rules(args.mock_rules)
+    return make_chat_backend(_profile(args), rules=rules, capture_persons=capture)
 
 
-def _miner(config: RunConfig, backend) -> AttributeMiner:
+def _miner(args, backend, *, perspective=None, granularity=None) -> AttributeMiner:
+    """The run's miner; ``perspective`` and ``granularity`` replace the
+    flags for a task that fixes what it mines."""
     return AttributeMiner(
         backend,
-        perspective=_PERSPECTIVES[config.perspective],
-        granularity=_GRANULARITIES[config.granularity],
-        prioritization=_PRIORITIZATIONS[config.prioritization],
-        max_retries=config.max_retries,
-        parallelism=config.parallelism,
+        perspective=_PERSPECTIVES[perspective or args.perspective],
+        granularity=_GRANULARITIES[granularity or args.granularity],
+        prioritization=_PRIORITIZATIONS[args.prioritization],
+        max_retries=args.max_retries,
+        parallelism=args.parallelism,
     )
 
 
 def _augment_store(store: MemoryStore, miner: AttributeMiner):
-    items = list(store)
-    results, report = miner.mine_corpus(items)
+    results, report = miner.mine_corpus(list(store))
     for item_id, annotation in results:
         store.attach_annotation(item_id, annotation)
     store.augmentation_report = report
@@ -248,12 +228,11 @@ def _augment_store(store: MemoryStore, miner: AttributeMiner):
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
     warnings: list[str] = []
     store = MemoryStore.load(args.input, strict=args.strict, warnings=warnings)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    report = _augment_store(store, _miner(config, _chat_backend(config, args)))
+    report = _augment_store(store, _miner(args, _chat_backend(args)))
     store.save(args.store)
     print(
         f"augmented {report.succeeded}/{report.total} items "
@@ -272,10 +251,8 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
     store = MemoryStore.load(args.store)
-    embedder = config.embedder(config.dim)
-    index, skipped = build_index(store, _STRATEGIES[config.strategy], embedder)
+    index, skipped = build_index(store, _STRATEGIES[args.strategy], _embedder(args, args.dim))
     index.save(args.out)
     print(f"indexed {len(index)} items ({len(skipped)} skipped) -> {args.out}")
     for item_id, reason in skipped:
@@ -283,46 +260,57 @@ def cmd_index(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _retrieval_setup(
-    config: RunConfig, store: MemoryStore, index_path: str | None = None
-) -> RetrievalSetup:
-    """Retrieval settings of a run. Embedding mode loads the index at
-    ``index_path`` and checks that the run's embedder built it, or else
-    builds an index of ``store``."""
-    mode = _MODES[config.mode]
+def _retrieval_setup(args, index_path: str | None = None) -> RetrievalSetup:
+    """Retrieval settings of a run, checked before anything is mined.
+    Embedding mode loads the index at ``index_path`` and checks that the
+    run's embedder built it; without a path the setup carries an embedder
+    of ``--dim`` and no index, which :func:`_indexed` adds."""
+    mode = _MODES[args.mode]
     index = None
     embedder = None
     if mode is RetrievalMode.EMBEDDING_BASED and index_path:
         index = VectorIndex.load(index_path)
         built_by = (index.embedder_kind, index.embedder_model)
-        config.embed_model = config.embed_model or index.embedder_model
-        embedder = config.embedder(index.dimension)
+        args.embed_model = args.embed_model or index.embedder_model
+        embedder = _embedder(args, index.dimension)
         if index.embedder_kind is not None and (embedder.kind, embedder.model) != built_by:
             raise ValueError(
                 f"index was built by embedder {built_by}, not {(embedder.kind, embedder.model)}"
             )
     elif mode is RetrievalMode.EMBEDDING_BASED:
-        embedder = config.embedder(config.dim)
-        index, _ = build_index(store, _STRATEGIES[config.strategy], embedder)
+        embedder = _embedder(args, args.dim)
+    query_parts = _query_parts(args)
+    if mode is not RetrievalMode.COMPREHENSIVE:  # comprehensive retrieval ignores k
+        check_positive_int(args.k, "k")
     return RetrievalSetup(
         mode=mode,
-        k=config.k,
-        policy=_POLICIES[config.policy],
+        k=args.k,
+        policy=_POLICIES[args.policy],
         index=index,
         embedder=embedder,
-        query_parts=config.parts(),
+        query_parts=query_parts,
     )
 
 
+def _indexed(args, setup: RetrievalSetup, store: MemoryStore) -> RetrievalSetup:
+    """``setup`` with an index of ``store`` by its embedder, if it has one."""
+    if setup.embedder is None:
+        return setup
+    index, _ = build_index(store, _STRATEGIES[args.strategy], setup.embedder)
+    return replace(setup, index=index)
+
+
 def cmd_retrieve(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
     store = MemoryStore.load(args.store)
-    if _MODES[config.mode] is RetrievalMode.EMBEDDING_BASED and not args.index:
+    if _MODES[args.mode] is RetrievalMode.EMBEDDING_BASED and not args.index:
         raise ValueError("embedding retrieval requires --index")
-    setup = _retrieval_setup(config, store, args.index)
+    setup = _retrieval_setup(args, args.index)
     query = QueryContext(text=args.query)
     if setup.mode is not RetrievalMode.COMPREHENSIVE:
-        mined = _miner(config, _chat_backend(config, args)).mine_question(args.query)
+        # The question template ignores the mining modes, so the miner
+        # keeps its default triple.
+        miner = AttributeMiner(_chat_backend(args), max_retries=args.max_retries)
+        mined = miner.mine_question(args.query)
         query = QueryContext(
             text=args.query, attribute_names=mined.attributes, persons=mined.persons
         )
@@ -340,41 +328,44 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_reports(out_dir: Path, name: str, payload: dict, text: str, config: RunConfig, *, timestamp: bool) -> None:
+def _write_reports(args, payload: dict, text: str) -> None:
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    snapshot = asdict(config)
-    if timestamp:
+    snapshot = {name: getattr(args, name) for name in _SNAPSHOT}
+    if not args.no_timestamp:
         payload = dict(payload, timestamp=datetime.now(timezone.utc).isoformat())
     payload = dict(payload, config=snapshot)
     replace_together({
-        out_dir / f"{name}.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        out_dir / f"{name}_report.txt": text + "\n",
+        out_dir / f"{args.task}.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        out_dir / f"{args.task}_report.txt": text + "\n",
         out_dir / "config.json": json.dumps(snapshot, indent=2, sort_keys=True) + "\n",
     })
 
 
-def _store(args, build, config: RunConfig, backend) -> MemoryStore:
-    """The ``--store`` to evaluate; without one, ``build()`` mined by ``config``'s miner."""
+def _store(args, build, backend, **modes) -> MemoryStore:
+    """The ``--store`` to evaluate; without one, ``build()`` mined by
+    ``_miner(args, backend, **modes)``."""
     if args.store:
         return MemoryStore.load(args.store)
     store = build()
-    _augment_store(store, _miner(config, backend))
+    _augment_store(store, _miner(args, backend, **modes))
     return store
 
 
-def _eval_qa(args, config: RunConfig, backend) -> tuple[dict, str]:
-    if config.granularity != "turn":
+def _eval_qa(args, backend) -> tuple[dict, str]:
+    if args.granularity != "turn":
         # QA retrieves dialogue turns, so their annotations must be turn level.
-        raise ValueError(f"--task qa needs --granularity turn, got {config.granularity}")
+        raise ValueError(f"--task qa needs --granularity turn, got {args.granularity}")
     dataset = load_conversation_dataset(args.dataset)
-    miner = _miner(config, backend)
-    store = _store(args, lambda: store_from_sessions(dataset), config, backend)
+    setup = _retrieval_setup(args)
+    store = _store(args, lambda: store_from_sessions(dataset), backend)
     result = run_qa_task(
         dataset,
         store,
-        miner=miner,
+        # It mines questions only, and their template ignores the mining modes.
+        miner=AttributeMiner(backend, max_retries=args.max_retries, parallelism=args.parallelism),
         answer_backend=backend,
-        setup=_retrieval_setup(config, store),
+        setup=_indexed(args, setup, store),
     )
     payload = {
         "task": "qa",
@@ -389,24 +380,26 @@ def _eval_qa(args, config: RunConfig, backend) -> tuple[dict, str]:
     return payload, text
 
 
-def _eval_rec(args, config: RunConfig, backend) -> tuple[dict, str]:
+def _eval_rec(args, backend) -> tuple[dict, str]:
     dataset = load_recommendation_dataset(args.dataset)
-    if config.n > len(dataset.dialogues):
+    if args.n > len(dataset.dialogues):
         raise ValueError(
-            f"--n {config.n} exceeds the {len(dataset.dialogues)} dialogues in the dataset"
+            f"--n {args.n} exceeds the {len(dataset.dialogues)} dialogues in the dataset"
         )
-    item_config = replace(config, perspective="entity", granularity="na")
-    store = _store(args, lambda: store_from_items(dataset.items), item_config, backend)
-    dialogue_config = replace(config, perspective="conversation", granularity="session")
+    setup = _retrieval_setup(args)
+    store = _store(
+        args, lambda: store_from_items(dataset.items), backend,
+        perspective="entity", granularity="na",
+    )
     result = run_rec_task(
         dataset,
         store,
-        miner=_miner(dialogue_config, backend),
+        miner=_miner(args, backend, perspective="conversation", granularity="session"),
         rec_backend=backend,
-        setup=_retrieval_setup(config, store),
-        n=config.n,
-        k=config.k,
-        seed=config.seed,
+        setup=_indexed(args, setup, store),
+        n=args.n,
+        k=args.k,
+        seed=args.seed,
     )
     payload = {
         "task": "rec",
@@ -415,25 +408,21 @@ def _eval_rec(args, config: RunConfig, backend) -> tuple[dict, str]:
         "dialogues": len(result.rows),
         "skipped_masking": result.skipped_masking,
     }
-    text = "\n\n".join(
-        result.reports[name].as_table() for name in sorted(result.reports)
-    )
+    text = "\n\n".join(result.reports[name].as_table() for name in sorted(result.reports))
     return payload, text
 
 
-def _eval_events(args, config: RunConfig, backend) -> tuple[dict, str]:
-    if config.granularity == "na":
+def _eval_events(args, backend) -> tuple[dict, str]:
+    if args.granularity == "na":
         # Events read turns or sessions, and neither takes na annotations;
         # --granularity also picks which of the two a --store holds.
         raise ValueError("--task events needs --granularity turn or session to mine a store")
     dataset = load_conversation_dataset(args.dataset)
-    store = _store(
-        args, lambda: store_from_sessions(dataset, level=config.granularity), config, backend
-    )
+    store = _store(args, lambda: store_from_sessions(dataset, level=args.granularity), backend)
     result = run_event_summarization(
         dataset,
         store,
-        level=_GRANULARITIES[config.granularity],
+        level=_GRANULARITIES[args.granularity],
         input_mode=args.input_mode,
         summarizer=backend,
         judge=backend if args.judge else None,
@@ -458,19 +447,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # attribute name and retrieves 10 items.
     if args.policy is None:
         args.policy = "name-value" if args.task == "qa" else "name"
-    if args.k is None and args.task == "rec":
-        args.k = 10
-    config = _config_from_args(args)
+    if args.k is None:
+        args.k = 10 if args.task == "rec" else 5
     run = {"qa": _eval_qa, "rec": _eval_rec, "events": _eval_events}[args.task]
-    payload, text = run(args, config, _chat_backend(config, args))
-    out_dir = Path(args.out_dir)
-    _write_reports(
-        out_dir, args.task, payload, text, config, timestamp=not args.no_timestamp
-    )
+    payload, text = run(args, _chat_backend(args))
+    _write_reports(args, payload, text)
     print(text)
     if payload.get("skipped") or payload.get("skipped_masking"):
         print("warning: some inputs were skipped; see the JSON report", file=sys.stderr)
-    print(f"reports written to {out_dir}")
+    print(f"reports written to {Path(args.out_dir)}")
     return EXIT_OK
 
 
@@ -497,15 +482,14 @@ def build_parser() -> _Parser:
     parser.commands = sub.choices
 
     def common(p: _Parser) -> None:
-        p.add_argument("--backend", choices=["mock", "remote"], default=None)
-        p.add_argument("--model", default=None)
-        p.add_argument("--endpoint", default=None)
-        p.add_argument("--api-key-env", dest="api_key_env", default=None)
-        p.add_argument("--max-retries", dest="max_retries", type=int, default=None)
-        p.add_argument("--timeout", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--mock-rules", dest="mock_rules", default=None,
-                       help="JSON rule table for the mock backend")
+        p.add_argument("--backend", choices=["mock", "remote"], default="mock")
+        p.add_argument("--model", default="mock")
+        p.add_argument("--endpoint")
+        p.add_argument("--api-key-env", dest="api_key_env", default="MEMAUG_API_KEY")
+        p.add_argument("--max-retries", dest="max_retries", type=int, default=2)
+        p.add_argument("--timeout", type=float, default=30.0)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--mock-rules", help="JSON rule table for the mock backend")
 
     embed_help = "embedding model of the remote backend, separate from the chat --model"
 
@@ -513,11 +497,11 @@ def build_parser() -> _Parser:
     common(p_augment)
     p_augment.add_argument("--input", required=True, help="input items JSONL")
     p_augment.add_argument("--store", required=True, help="output store JSONL")
-    p_augment.add_argument("--perspective", choices=list(_PERSPECTIVES), default=None)
-    p_augment.add_argument("--granularity", choices=list(_GRANULARITIES), default=None)
-    p_augment.add_argument("--prioritization", choices=list(_PRIORITIZATIONS), default=None)
-    p_augment.add_argument("--parallelism", type=int, default=None)
-    p_augment.add_argument("--max-failure-rate", dest="max_failure_rate", type=float, default=None)
+    p_augment.add_argument("--perspective", choices=list(_PERSPECTIVES), default="conversation")
+    p_augment.add_argument("--granularity", choices=list(_GRANULARITIES), default="turn")
+    p_augment.add_argument("--prioritization", choices=list(_PRIORITIZATIONS), default="basic")
+    p_augment.add_argument("--parallelism", type=int, default=1)
+    p_augment.add_argument("--max-failure-rate", dest="max_failure_rate", type=float)
     p_augment.add_argument("--strict", action="store_true", help="abort on malformed input lines")
     p_augment.set_defaults(func=cmd_augment)
 
@@ -525,22 +509,22 @@ def build_parser() -> _Parser:
     common(p_index)
     p_index.add_argument("--store", required=True)
     p_index.add_argument("--out", required=True)
-    p_index.add_argument("--strategy", choices=list(_STRATEGIES), default=None)
-    p_index.add_argument("--dim", type=int, default=None)
-    p_index.add_argument("--embed-model", dest="embed_model", default=None, help=embed_help)
+    p_index.add_argument("--strategy", choices=list(_STRATEGIES), default="averaged")
+    p_index.add_argument("--dim", type=int, default=8)
+    p_index.add_argument("--embed-model", dest="embed_model", help=embed_help)
     p_index.set_defaults(func=cmd_index)
 
     p_retrieve = sub.add_parser("retrieve", help="query a store")
     common(p_retrieve)
     p_retrieve.add_argument("query", help="query text")
     p_retrieve.add_argument("--store", required=True)
-    p_retrieve.add_argument("--mode", choices=list(_MODES), default=None)
-    p_retrieve.add_argument("--index", default=None)
-    p_retrieve.add_argument("--k", type=int, default=None)
-    p_retrieve.add_argument("--policy", choices=list(_POLICIES), default=None)
-    p_retrieve.add_argument("--query-parts", dest="query_parts", default=None)
+    p_retrieve.add_argument("--mode", choices=list(_MODES), default="embedding")
+    p_retrieve.add_argument("--index")
+    p_retrieve.add_argument("--k", type=int, default=5)
+    p_retrieve.add_argument("--policy", choices=list(_POLICIES), default="name")
+    p_retrieve.add_argument("--query-parts", dest="query_parts", default="text,attributes")
     p_retrieve.add_argument("--json", action="store_true")
-    p_retrieve.add_argument("--embed-model", dest="embed_model", default=None,
+    p_retrieve.add_argument("--embed-model", dest="embed_model",
                             help=embed_help + " (default: the one the index records)")
     p_retrieve.set_defaults(func=cmd_retrieve)
 
@@ -548,19 +532,19 @@ def build_parser() -> _Parser:
     common(p_eval)
     p_eval.add_argument("--task", choices=["qa", "rec", "events"], required=True)
     p_eval.add_argument("--dataset", required=True)
-    p_eval.add_argument("--store", default=None, help="pre-augmented store (else built from the dataset)")
-    p_eval.add_argument("--mode", choices=list(_MODES), default=None)
-    p_eval.add_argument("--strategy", choices=list(_STRATEGIES), default=None)
-    p_eval.add_argument("--policy", choices=list(_POLICIES), default=None)
-    p_eval.add_argument("--query-parts", dest="query_parts", default=None)
-    p_eval.add_argument("--perspective", choices=list(_PERSPECTIVES), default=None)
-    p_eval.add_argument("--granularity", choices=list(_GRANULARITIES), default=None)
-    p_eval.add_argument("--prioritization", choices=list(_PRIORITIZATIONS), default=None)
-    p_eval.add_argument("--k", type=int, default=None)
-    p_eval.add_argument("--n", type=int, default=None)
-    p_eval.add_argument("--dim", type=int, default=None)
-    p_eval.add_argument("--embed-model", dest="embed_model", default=None, help=embed_help)
-    p_eval.add_argument("--parallelism", type=int, default=None)
+    p_eval.add_argument("--store", help="pre-augmented store (else built from the dataset)")
+    p_eval.add_argument("--mode", choices=list(_MODES), default="embedding")
+    p_eval.add_argument("--strategy", choices=list(_STRATEGIES), default="averaged")
+    p_eval.add_argument("--policy", choices=list(_POLICIES))  # per task: cmd_eval
+    p_eval.add_argument("--query-parts", dest="query_parts", default="text,attributes")
+    p_eval.add_argument("--perspective", choices=list(_PERSPECTIVES), default="conversation")
+    p_eval.add_argument("--granularity", choices=list(_GRANULARITIES), default="turn")
+    p_eval.add_argument("--prioritization", choices=list(_PRIORITIZATIONS), default="basic")
+    p_eval.add_argument("--k", type=int)  # per task: cmd_eval
+    p_eval.add_argument("--n", type=int, default=10)
+    p_eval.add_argument("--dim", type=int, default=8)
+    p_eval.add_argument("--embed-model", dest="embed_model", help=embed_help)
+    p_eval.add_argument("--parallelism", type=int, default=1)
     p_eval.add_argument("--input-mode", dest="input_mode",
                         choices=["annotations_only", "annotations_plus_dialogues"],
                         default="annotations_only")

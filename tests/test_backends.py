@@ -385,7 +385,7 @@ class TestRemoteEmbeddingBatches:
 
     def test_cli_embed_model_separate_from_chat_model(self, stub_server, tmp_path, capsys):
         from memaug import ItemKind, MemoryItem, MemoryStore, VectorIndex
-        from memaug.cli import RunConfig, _config_from_args, build_parser, main
+        from memaug.cli import build_parser, main
 
         store = MemoryStore()
         for i, content in enumerate(["x", "yy", "zzz"]):
@@ -402,9 +402,9 @@ class TestRemoteEmbeddingBatches:
         assert {r["model"] for r in _StubHandler.requests} == {"emb-len"}
         index = VectorIndex.load(index_path)
         assert (index.embedder_kind, index.embedder_model) == ("remote", "emb-len")
-        config = _config_from_args(build_parser().parse_args(argv))
-        assert (config.model, config.embed_model) == ("chat-m", "emb-len")
-        assert RunConfig(command="index").embed_model is None
+        args = build_parser().parse_args(argv)
+        assert (args.model, args.embed_model) == ("chat-m", "emb-len")
+        assert build_parser().parse_args(argv[:5]).embed_model is None
         without = [arg for arg in argv if arg not in ("--embed-model", "emb-len")]
         assert main(without) == 1
         assert "--embed-model" in capsys.readouterr().err

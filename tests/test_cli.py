@@ -329,7 +329,7 @@ class TestEvalCommand:
     ):
         dataset, _ = self._qa_paths(tmp_path)
         backend = StaticChatBackend(["{Ana:[D1]:[topic]<jazz>}"])
-        monkeypatch.setattr(cli, "_chat_backend", lambda config, args: backend)
+        monkeypatch.setattr(cli, "_chat_backend", lambda args: backend)
         code = main([
             "eval", "--task", "qa", "--dataset", str(dataset),
             "--mode", "attribute", "--granularity", granularity,
@@ -346,7 +346,7 @@ class TestEvalCommand:
     ):
         dataset, _ = self._qa_paths(tmp_path)
         backend = StaticChatBackend(["[event]<moved house>"])
-        monkeypatch.setattr(cli, "_chat_backend", lambda config, args: backend)
+        monkeypatch.setattr(cli, "_chat_backend", lambda args: backend)
         code = main([
             "eval", "--task", "events", "--dataset", str(dataset),
             "--perspective", perspective, "--granularity", "na",
@@ -369,7 +369,7 @@ class TestEvalCommand:
         dataset, _ = self._qa_paths(tmp_path)
         store = self._session_store(tmp_path, dataset)
         backend = StaticChatBackend(["[event]<moved house>"])
-        monkeypatch.setattr(cli, "_chat_backend", lambda config, args: backend)
+        monkeypatch.setattr(cli, "_chat_backend", lambda args: backend)
         code = main([
             "eval", "--task", "events", "--dataset", str(dataset), "--store", str(store),
             "--perspective", perspective, "--granularity", "na",
@@ -401,6 +401,88 @@ class TestEvalCommand:
         report = json.loads((out_dir / "events.json").read_text())
         assert [row["session_id"] for row in report["sessions"]] == ["s0", "s1", "s2", "s3"]
 
+    def _turn_store(self, tmp_path, dataset, rules_path):
+        raw, mined = tmp_path / "turns_raw.jsonl", tmp_path / "turns.jsonl"
+        store_from_sessions(load_conversation_dataset(dataset)).save(raw)
+        assert main([
+            "augment", "--input", str(raw), "--store", str(mined), "--mock-rules", str(rules_path),
+        ]) == 0
+        return mined
+
+    def test_qa_with_a_store_takes_any_perspective(self, tmp_path, capsys):
+        # With a --store, QA mines questions only, and the question template
+        # ignores the mining modes: entity-centric turn mining, which has no
+        # template, is never needed.
+        dataset, rules_path = self._qa_paths(tmp_path)
+        run = [
+            "eval", "--task", "qa", "--dataset", str(dataset),
+            "--store", str(self._turn_store(tmp_path, dataset, rules_path)),
+            "--mock-rules", str(rules_path), "--no-timestamp",
+        ]
+        assert main(run + ["--out-dir", str(tmp_path / "plain")]) == 0
+        code = main(run + ["--perspective", "entity", "--out-dir", str(tmp_path / "entity")])
+        assert code == 0, capsys.readouterr().err
+        names = ("qa.json", "qa_report.txt", "config.json")
+        plain, entity = (
+            {name: (tmp_path / out / name).read_text() for name in names}
+            for out in ("plain", "entity")
+        )
+        assert json.loads(plain["qa.json"])["recall"]["overall"] > 0
+        for name in names:
+            assert entity[name] == plain[name].replace(
+                '"perspective": "conversation"', '"perspective": "entity"'
+            )
+
+    def test_qa_without_a_store_refuses_entity_turn_mining(self, tmp_path, capsys, monkeypatch):
+        dataset, _ = self._qa_paths(tmp_path)
+        backend = StaticChatBackend(["{Ana:[D1]:[topic]<jazz>}"])
+        monkeypatch.setattr(cli, "_chat_backend", lambda args: backend)
+        code = main([
+            "eval", "--task", "qa", "--dataset", str(dataset), "--perspective", "entity",
+            "--out-dir", str(tmp_path / "reports"), "--no-timestamp",
+        ])
+        assert code == 1
+        assert backend.calls == 0
+        assert capsys.readouterr().err == (
+            "error: no mining template for (entity_centric, turn_level, basic)\n"
+        )
+        assert not (tmp_path / "reports").exists()
+
+    @pytest.mark.parametrize("task", ["qa", "rec"])
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--query-parts", "bogus"], "unknown query part 'bogus'"),
+            (["--k", "0"], "k must be a positive integer, got 0"),
+            (["--mode", "attribute", "--k", "-1"], "k must be a positive integer, got -1"),
+            (["--dim", "0"], "dimension must be >= 1"),
+            (
+                ["--backend", "remote", "--endpoint", "http://127.0.0.1:9/"],
+                "remote embeddings need --embed-model",
+            ),
+        ],
+        ids=["query-parts", "k", "attribute-k", "dim", "embed-model"],
+    )
+    def test_bad_retrieval_flags_refused_before_mining(
+        self, tmp_path, capsys, monkeypatch, task, flags, message
+    ):
+        if task == "qa":
+            dataset, _ = self._qa_paths(tmp_path)
+        else:
+            data, _, _ = build_rec_fixture(n_dialogues=12, n_items=10)
+            dataset = tmp_path / "rec.json"
+            dataset.write_text(json.dumps(data), encoding="utf-8")
+        backend = StaticChatBackend(["[genre]<noir>"])
+        monkeypatch.setattr(cli, "_chat_backend", lambda args: backend)
+        code = main([
+            "eval", "--task", task, "--dataset", str(dataset), *flags,
+            "--out-dir", str(tmp_path / "reports"), "--no-timestamp",
+        ])
+        assert code == 1
+        assert backend.calls == 0
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "reports").exists()
+
     @pytest.mark.parametrize(
         "field,value", [("question", ""), ("gold_answer", "  ")], ids=["question", "answer"]
     )
@@ -412,7 +494,7 @@ class TestEvalCommand:
         dataset = tmp_path / "dataset.json"
         dataset.write_text(json.dumps(data), encoding="utf-8")
         backend = StaticChatBackend(["{Ana:[D1]:[topic]<jazz>}"])
-        monkeypatch.setattr(cli, "_chat_backend", lambda config, args: backend)
+        monkeypatch.setattr(cli, "_chat_backend", lambda args: backend)
         code = main([
             "eval", "--task", "qa", "--dataset", str(dataset),
             "--out-dir", str(tmp_path / "reports"), "--no-timestamp",
@@ -445,6 +527,57 @@ class TestEvalCommand:
         report = json.loads((out_dir / "events.json").read_text())
         assert report["skipped"] == 1
         assert "skipped" in capsys.readouterr().err
+
+
+class TestConfigSnapshot:
+    """``config.json`` records the same 20 settings for every eval task,
+    defaults included, as exact JSON."""
+
+    DEFAULTS = {
+        "command": "eval", "backend": "mock", "model": "mock", "embed_model": None,
+        "endpoint": None, "api_key_env": "MEMAUG_API_KEY", "mode": "embedding",
+        "strategy": "averaged", "perspective": "conversation", "granularity": "turn",
+        "prioritization": "basic", "policy": "name", "query_parts": "text,attributes",
+        "k": 5, "n": 10, "seed": 0, "dim": 8, "parallelism": 1, "max_retries": 2,
+        "timeout": 30.0,
+    }
+
+    def _run(self, tmp_path, task, *extra):
+        if task == "rec":
+            data, _, rules = build_rec_fixture(n_dialogues=12, n_items=10)
+        else:
+            data, rules = build_qa_fixture(n_turns=20, n_sessions=4)
+        dataset = tmp_path / f"{task}.json"
+        dataset.write_text(json.dumps(data), encoding="utf-8")
+        rules_path = write_mock_rules(tmp_path / "rules.json", rules)
+        out_dir = tmp_path / "reports"
+        code = main([
+            *extra[:2], "eval", "--task", task, "--dataset", str(dataset),
+            "--mock-rules", str(rules_path), "--out-dir", str(out_dir), "--no-timestamp",
+            *extra[2:],
+        ])
+        assert code == 0
+        return (out_dir / "config.json").read_text()
+
+    @staticmethod
+    def _expected(**changes):
+        settings = dict(TestConfigSnapshot.DEFAULTS, **changes)
+        return json.dumps(settings, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "task,changes",
+        [("qa", {"policy": "name-value"}), ("rec", {"k": 10}), ("events", {})],
+    )
+    def test_default_run(self, tmp_path, task, changes):
+        assert self._run(tmp_path, task) == self._expected(**changes)
+
+    def test_config_file_sets_k_and_a_flag_overrides_it(self, tmp_path):
+        config = tmp_path / "memaug.ini"
+        config.write_text("[memaug]\nk = 3\nmode = attribute\ntimeout = 5\n")
+        file_only = self._run(tmp_path, "qa", "--config", str(config))
+        assert file_only == self._expected(policy="name-value", k=3, mode="attribute", timeout=5.0)
+        flag = self._run(tmp_path, "qa", "--config", str(config), "--k", "4")
+        assert flag == self._expected(policy="name-value", k=4, mode="attribute", timeout=5.0)
 
 
 class TestConfigFile:
