@@ -18,7 +18,7 @@ import os
 import string
 from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 import requests
@@ -264,7 +264,6 @@ class RemoteChatBackend:
 
 # 64-bit mixing chain used by the hash embedder. Fixed forever: golden test
 # vectors are frozen against it.
-_MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _SM_GAMMA = 0x9E3779B97F4A7C15
@@ -272,60 +271,82 @@ _SM_MULT1 = 0xBF58476D1CE4E5B9
 _SM_MULT2 = 0x94D049BB133111EB
 
 
-def _fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for b in data:
-        h ^= b
-        h = (h * _FNV_PRIME) & _MASK64
-    return h
-
-
-# Elements per numpy pass of the hash embedder: 256 tokens or texts at
-# dimension 256, so each temporary (512 KB) stays in CPU cache. Passes of
+# Elements per numpy pass of the hash embedder: 256 texts at dimension 256,
+# so each temporary (512 KB a token position) stays in CPU cache. Passes of
 # 4,096 tokens (8 MB temporaries) made embed_many 1.4x slower.
 _CHUNK_ELEMENTS = 1 << 16
 
 
-def _token_components(tokens: Sequence[str], dimension: int) -> np.ndarray:
-    """Expand tokens into a ``(len(tokens), dimension)`` array of reals in [-1, 1).
+def _fnv1a_seeds(tokens: Sequence[str]) -> dict[str, int]:
+    """Each of ``tokens`` (at least one) with the 64-bit FNV-1a hash of its
+    UTF-8 bytes. Tokens are hashed longest first, so byte position ``j``
+    updates the prefix of the hashes whose tokens have more than ``j`` bytes."""
+    data = [token.encode("utf-8") for token in tokens]
+    order = sorted(range(len(data)), key=lambda i: -len(data[i]))
+    lengths = np.array([len(data[i]) for i in order], dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    flat = np.frombuffer(b"".join(data[i] for i in order), dtype=np.uint8)
+    hashes = np.full(len(data), _FNV_OFFSET, dtype=np.uint64)
+    longer = np.searchsorted(-lengths, -np.arange(lengths[0]))  # tokens longer than j
+    for j, m in enumerate(longer.tolist()):
+        hashes[:m] ^= flat[starts[:m] + j]
+        hashes[:m] *= np.uint64(_FNV_PRIME)
+    return dict(zip((tokens[i] for i in order), hashes.tolist()))
 
-    Each token's UTF-8 bytes are hashed with 64-bit FNV-1a to seed a
-    SplitMix64 stream; each 64-bit draw keeps its top 53 bits and is scaled
-    into [-1, 1). The streams of all tokens advance together in wrapping
-    ``uint64`` arithmetic, so results are exact and identical on every
-    platform.
+
+def _components(seeds: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Expand ``uint64`` seeds into a ``(len(seeds), len(steps))`` array in [-1, 1).
+
+    Each seed starts a SplitMix64 stream advanced by ``steps``; each 64-bit
+    draw keeps its top 53 bits, scaled into [-1, 1). The streams advance
+    together in wrapping ``uint64`` arithmetic: exact on every platform.
     """
-    seeds = np.array([_fnv1a64(token.encode("utf-8")) for token in tokens], dtype=np.uint64)
-    steps = np.arange(1, dimension + 1, dtype=np.uint64) * np.uint64(_SM_GAMMA)
     z = seeds[:, None] + steps
     z ^= z >> np.uint64(30)
     z *= np.uint64(_SM_MULT1)
     z ^= z >> np.uint64(27)
     z *= np.uint64(_SM_MULT2)
     z ^= z >> np.uint64(31)
-    out = (z >> np.uint64(11)).astype(np.float64)
-    out /= float(1 << 53)
-    out *= 2.0
+    # x / 2**53 * 2 == x * 2**-52 exactly: each step scales by a power of two.
+    out = (z >> np.uint64(11)) * 2.0**-52
     out -= 1.0
     return out
+
+
+_ZERO_NORM = "cannot normalize a zero vector"
 
 
 def l2_normalize(vector: np.ndarray) -> np.ndarray:
     """Scale to unit L2 norm; raises instead of ever producing NaN."""
     norm = float(np.linalg.norm(vector))
     if norm < 1e-12:
-        raise ZeroVectorError("cannot normalize a zero vector")
+        raise ZeroVectorError(_ZERO_NORM)
     return vector / norm
 
 
 def _l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
     """Scale each row of ``matrix`` in place; row ``i`` ends bitwise equal to
-    ``l2_normalize(matrix[i])``, whose norm is the same per-row dot product."""
-    norms = np.sqrt(np.array([row.dot(row) for row in matrix], dtype=np.float64))
-    if np.any(norms < 1e-12):
-        raise ZeroVectorError("cannot normalize a zero vector")
-    matrix /= norms[:, None]
-    return matrix
+    ``l2_normalize(matrix[i])``, whose norm is the same dot product (numpy
+    computes a (1, d) @ (d, 1) matmul with the kernel of ``row.dot(row)``).
+    Rows ``l2_normalize`` would refuse stay as they are, marked in the mask
+    returned."""
+    norms = np.sqrt(np.matmul(matrix[:, None, :], matrix[:, :, None]).ravel())
+    zero = norms < 1e-12
+    matrix /= np.where(zero, 1.0, norms)[:, None]
+    return zero
+
+
+def _mean_rows(out: np.ndarray, keys: Sequence[Sequence], gather: Callable) -> None:
+    """Set ``out[i]`` to the mean of the rows ``gather`` returns for ``keys[i]``,
+    summed key by key in key order as ``np.mean`` over one item's rows sums."""
+    by_length: dict[int, list[int]] = {}
+    for i, item in enumerate(keys):
+        by_length.setdefault(len(item), []).append(i)
+    for length, members in by_length.items():
+        total = np.zeros((len(members), out.shape[1]), dtype=np.float64)
+        for j in range(length):
+            total += gather([keys[i][j] for i in members])
+        out[members] = total / length
 
 
 class Embedder(Protocol):
@@ -352,7 +373,8 @@ class HashEmbedder:
     the fixed hash/mix chain into a vector, token vectors are summed in token
     order and averaged, and the mean is L2-normalized. There is no semantic
     signal: two texts are similar exactly to the extent that they share
-    tokens. Unseen tokens of a batch are expanded together and cached.
+    tokens. The cache holds each token's 64-bit hash seed, not its vector:
+    components are recomputed from the seed for each block of texts.
     """
 
     kind = "hash"
@@ -362,23 +384,24 @@ class HashEmbedder:
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self._dimension = dimension
-        self._cache: dict[str, np.ndarray] = {}
+        self._steps = np.arange(1, dimension + 1, dtype=np.uint64) * np.uint64(_SM_GAMMA)
+        self._cache: dict[str, int] = {}
 
     @property
     def dimension(self) -> int:
         return self._dimension
 
-    def _fill(self, tokens: Sequence[str]) -> None:
-        unseen = list(dict.fromkeys(t for t in tokens if t not in self._cache))
-        chunk = max(1, _CHUNK_ELEMENTS // self._dimension)
-        for start in range(0, len(unseen), chunk):
-            batch = unseen[start : start + chunk]
-            self._cache.update(zip(batch, _token_components(batch, self._dimension)))
+    def _expand(self, tokens: Sequence[str]) -> np.ndarray:
+        """Components of distinct ``tokens``, one row each, hashing unseen ones."""
+        unseen = [token for token in tokens if token not in self._cache]
+        if unseen:
+            self._cache.update(_fnv1a_seeds(unseen))
+        seeds = np.array([self._cache[token] for token in tokens], dtype=np.uint64)
+        return _components(seeds, self._steps)
 
     def token_vector(self, token: str) -> np.ndarray:
         """Raw (pre-normalization) vector for one case-folded token."""
-        self._fill([token])
-        return self._cache[token]
+        return self._expand([token])[0]
 
     def embed(self, text: str) -> np.ndarray:
         return self.embed_many([text])[0]
@@ -387,21 +410,17 @@ class HashEmbedder:
         token_lists = [text.casefold().split() for text in texts]
         if not all(token_lists):
             raise ZeroVectorError("no tokens to embed")
-        self._fill([token for tokens in token_lists for token in tokens])
         out = np.empty((len(texts), self._dimension), dtype=np.float64)
         block = max(1, _CHUNK_ELEMENTS // self._dimension)
         for start in range(0, len(texts), block):
+            lists = token_lists[start : start + block]
+            distinct = list(dict.fromkeys(token for tokens in lists for token in tokens))
+            row_of = {token: row for row, token in enumerate(distinct)}
             rows = out[start : start + block]
-            by_length: dict[int, list[int]] = {}
-            for i, tokens in enumerate(token_lists[start : start + block]):
-                by_length.setdefault(len(tokens), []).append(i)
-            for length, members in by_length.items():
-                # Summed token by token in text order, as a one-text loop would.
-                total = np.zeros((len(members), self._dimension), dtype=np.float64)
-                for j in range(length):
-                    total += np.array([self._cache[token_lists[start + i][j]] for i in members])
-                rows[members] = total / length
-            _l2_normalize_rows(rows)
+            indexes = [[row_of[token] for token in tokens] for tokens in lists]
+            _mean_rows(rows, indexes, self._expand(distinct).__getitem__)
+            if _l2_normalize_rows(rows).any():
+                raise ZeroVectorError(_ZERO_NORM)
         return out
 
 

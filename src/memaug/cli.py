@@ -356,6 +356,7 @@ def _eval_qa(args, backend) -> tuple[dict, str]:
     if args.granularity != "turn":
         # QA retrieves dialogue turns, so their annotations must be turn level.
         raise ValueError(f"--task qa needs --granularity turn, got {args.granularity}")
+    check_positive_int(args.k, "k")  # recall@k is scored in every retrieval mode
     dataset = load_conversation_dataset(args.dataset)
     setup = _retrieval_setup(args)
     store = _store(args, lambda: store_from_sessions(dataset), backend)

@@ -15,6 +15,7 @@ are immutable after build; searches are pure and can run concurrently.
 from __future__ import annotations
 
 import json
+from collections import ChainMap, Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -23,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .annotations import Annotation, render_annotation
-from .backends import Embedder, l2_normalize
+from .backends import _ZERO_NORM, Embedder, _l2_normalize_rows, _mean_rows, l2_normalize
 from .errors import (
     DimensionMismatchError,
     EmptyAnnotationError,
@@ -323,6 +324,26 @@ class VectorIndex:
         )
 
 
+# Items per block of an index build. A block's single-use texts are embedded
+# together, so a build holds their rows for one block at a time.
+_BUILD_BLOCK = 1024
+
+
+def _embed_rows(embedder: Embedder, texts: list[str], errors: dict) -> dict[str, np.ndarray]:
+    """Each text's row from one ``embed_many`` call; a text whose embedding
+    fails gets no row, and its reason goes into ``errors``."""
+    try:
+        return dict(zip(texts, embedder.embed_many(texts)))
+    except ZeroVectorError:
+        rows = {}  # Embed one text at a time to learn which ones fail.
+        for text in texts:
+            try:
+                rows[text] = embedder.embed_many([text])[0]
+            except ZeroVectorError as exc:
+                errors[text] = str(exc)
+        return rows
+
+
 def build_index(
     store: MemoryStore,
     strategy: EmbeddingStrategy,
@@ -333,7 +354,9 @@ def build_index(
     Annotation strategies skip items without annotations; the raw-content
     strategy embeds item text regardless. Items whose embedding fails are
     skipped and reported as (item id, reason), in store order. Every distinct
-    text of the corpus is embedded once, in one ``embed_many`` call.
+    text of the corpus is embedded once: the texts several items share in
+    one ``embed_many`` call, every other text with its block of
+    ``_BUILD_BLOCK`` items. Vectors go straight into one preallocated matrix.
     """
     units: list[tuple[str, list[str] | str]] = []  # (item id, texts or skip reason)
     for entry in store.entries():
@@ -346,51 +369,50 @@ def build_index(
                 units.append((entry.item.id, _annotation_texts(entry.annotation, strategy)))
             except EmptyAnnotationError as exc:
                 units.append((entry.item.id, str(exc)))
-    distinct = list(
-        dict.fromkeys(t for _, texts in units if isinstance(texts, list) for t in texts)
-    )
+    uses = Counter(t for _, texts in units if isinstance(texts, list) for t in texts)
     errors: dict[str, str] = {}
-    try:
-        rows = embedder.embed_many(distinct)
-    except ZeroVectorError:
-        # Embed one text at a time to learn which ones fail, then batch the rest.
-        for text in distinct:
-            try:
-                embedder.embed_many([text])
-            except ZeroVectorError as exc:
-                errors[text] = str(exc)
-        distinct = [text for text in distinct if text not in errors]
-        rows = embedder.embed_many(distinct)
-    position = {text: i for i, text in enumerate(distinct)}
-
+    shared = _embed_rows(embedder, [text for text, n in uses.items() if n > 1], errors)
     ids: list[str] = []
-    vectors: list[np.ndarray] = []
     skipped: list[tuple[str, str]] = []
-    for item_id, texts in units:
-        if isinstance(texts, str):
-            skipped.append((item_id, texts))
-            continue
-        failed = [errors[text] for text in texts if text in errors]
-        if failed:
-            skipped.append((item_id, failed[0]))
-            continue
-        item_rows = rows[[position[text] for text in texts]]
-        if strategy is EmbeddingStrategy.AVERAGED_PAIRS:
-            try:
-                vector = _average(item_rows)
-            except ZeroVectorError as exc:
-                skipped.append((item_id, str(exc)))
-                continue
-        else:
-            vector = item_rows[0]
-        ids.append(item_id)
-        vectors.append(vector)
-    dimension = rows.shape[1] if len(rows) else getattr(embedder, "dimension", 0) or 0
+    matrix: np.ndarray | None = None
+    for start in range(0, len(units), _BUILD_BLOCK):
+        block = units[start : start + _BUILD_BLOCK]
+        own = [t for _, texts in block if isinstance(texts, list) for t in texts if uses[t] == 1]
+        rows = ChainMap(_embed_rows(embedder, own, errors), shared)
+        reasons = [
+            texts if isinstance(texts, str)
+            else next((errors[text] for text in texts if text in errors), None)
+            for _, texts in block
+        ]
+        items = [texts for (_, texts), reason in zip(block, reasons) if reason is None]
+        if items and matrix is None:
+            eligible = sum(isinstance(texts, list) for _, texts in units)
+            matrix = np.empty((eligible, len(rows[items[0][0]])), dtype=np.float64)
+        out = matrix[len(ids) : len(ids) + len(items)] if items else None
+        zero = np.zeros(len(items), dtype=bool)
+        if items and strategy is EmbeddingStrategy.AVERAGED_PAIRS:
+            _mean_rows(out, items, lambda texts: np.array([rows[text] for text in texts]))
+            zero = _l2_normalize_rows(out)
+            if zero.any():
+                out[: len(items) - int(zero.sum())] = out[~zero]
+        elif items:
+            out[:] = [rows[texts[0]] for texts in items]
+        flags = iter(zero)
+        for (item_id, _), reason in zip(block, reasons):
+            if reason is None and next(flags):
+                reason = _ZERO_NORM
+            if reason is None:
+                ids.append(item_id)
+            else:
+                skipped.append((item_id, reason))
+    shared.clear()  # Frees the shared rows before the index derives its own matrices.
+    if matrix is None:
+        matrix = np.zeros((0, getattr(embedder, "dimension", 0) or 0))
     index = VectorIndex(
         item_ids=tuple(ids),
-        vectors=np.array(vectors) if vectors else np.zeros((0, dimension)),
+        vectors=matrix[: len(ids)],
         strategy=strategy,
-        dimension=dimension,
+        dimension=matrix.shape[1],
         embedder_kind=getattr(embedder, "kind", None),
         embedder_model=getattr(embedder, "model", None),
     )

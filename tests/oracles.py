@@ -1,10 +1,12 @@
 """Independent brute-force oracles used to check the fast implementations.
 
 Everything here except :func:`single_pass_search`, :func:`load_store_oracle`,
-the two parser oracles and the two task-runner oracles is deliberately
-written in plain Python (explicit loops, ``math`` instead of numpy) so the
-oracle shares no code path with the implementation it checks. The task-runner
-oracles are the serial, hand-accumulated runners the fan-out replaced.
+:func:`build_index_oracle`, the two parser oracles and the two task-runner
+oracles is deliberately written in plain Python (explicit loops, ``math``
+instead of numpy) so the oracle shares no code path with the implementation
+it checks. The task-runner oracles are the serial, hand-accumulated runners
+the fan-out replaced; the index-build oracle is the one-batch build that
+block-wise building replaced.
 """
 
 from __future__ import annotations
@@ -37,10 +39,24 @@ from memaug import (
     normalize_name,
 )
 from memaug.datasets import mask_dialogue
-from memaug.errors import AugmentFailure, LabelNotFoundError, MemaugError
+from memaug.errors import (
+    AugmentFailure,
+    EmptyAnnotationError,
+    LabelNotFoundError,
+    MemaugError,
+    ZeroVectorError,
+)
 from memaug.metrics import MetricReport, ndcg_at_k, normalize_title, recall_at_k, token_f1
 from memaug.mining import AugmentationReport
-from memaug.retrieval import QueryContext, RankedHit, RetrievalResult
+from memaug.retrieval import (
+    EmbeddingStrategy,
+    QueryContext,
+    RankedHit,
+    RetrievalResult,
+    VectorIndex,
+    _annotation_texts,
+    _average,
+)
 from memaug.tasks import (
     REC_CUTOFFS,
     QAResultRow,
@@ -116,6 +132,72 @@ def single_pass_search(index, query, k):
         for rank, j in enumerate(order, start=1)
     )
     return RetrievalResult(hits=hits, mode=RetrievalMode.EMBEDDING_BASED)
+
+
+def build_index_oracle(store, strategy, embedder):
+    """The index build that embedded every distinct text in one batch.
+
+    Each item's rows are looked up in that batch and averaged one item at a
+    time through ``_average``; ``build_index`` must return the same ids,
+    bitwise-equal vectors and the same skip report.
+    """
+    units = []  # (item id, texts or skip reason)
+    for entry in store.entries():
+        if strategy is EmbeddingStrategy.RAW_CONTENT:
+            units.append((entry.item.id, [entry.item.content]))
+        elif entry.annotation is None:
+            units.append((entry.item.id, "no annotation"))
+        else:
+            try:
+                units.append((entry.item.id, _annotation_texts(entry.annotation, strategy)))
+            except EmptyAnnotationError as exc:
+                units.append((entry.item.id, str(exc)))
+    distinct = list(
+        dict.fromkeys(t for _, texts in units if isinstance(texts, list) for t in texts)
+    )
+    errors = {}
+    try:
+        rows = embedder.embed_many(distinct)
+    except ZeroVectorError:
+        for text in distinct:
+            try:
+                embedder.embed_many([text])
+            except ZeroVectorError as exc:
+                errors[text] = str(exc)
+        distinct = [text for text in distinct if text not in errors]
+        rows = embedder.embed_many(distinct)
+    position = {text: i for i, text in enumerate(distinct)}
+
+    ids, vectors, skipped = [], [], []
+    for item_id, texts in units:
+        if isinstance(texts, str):
+            skipped.append((item_id, texts))
+            continue
+        failed = [errors[text] for text in texts if text in errors]
+        if failed:
+            skipped.append((item_id, failed[0]))
+            continue
+        item_rows = rows[[position[text] for text in texts]]
+        if strategy is EmbeddingStrategy.AVERAGED_PAIRS:
+            try:
+                vector = _average(item_rows)
+            except ZeroVectorError as exc:
+                skipped.append((item_id, str(exc)))
+                continue
+        else:
+            vector = item_rows[0]
+        ids.append(item_id)
+        vectors.append(vector)
+    dimension = rows.shape[1] if len(rows) else getattr(embedder, "dimension", 0) or 0
+    index = VectorIndex(
+        item_ids=tuple(ids),
+        vectors=np.array(vectors) if vectors else np.zeros((0, dimension)),
+        strategy=strategy,
+        dimension=dimension,
+        embedder_kind=getattr(embedder, "kind", None),
+        embedder_model=getattr(embedder, "model", None),
+    )
+    return index, skipped
 
 
 def attribute_ranking(store, query, policy, k):

@@ -156,6 +156,54 @@ def test_embed_many_matches_scalar_oracle(texts, dimension):
         assert row.tobytes() == (mean / np.linalg.norm(mean)).tobytes()
 
 
+def _fit_200_bytes(token: str) -> str:
+    while len(token.encode("utf-8")) > 200:
+        token = token[:-1]
+    return token
+
+
+# Case-folded whitespace-free tokens of 50 to 200 UTF-8 bytes, up to four
+# bytes per code point; _TOKENS supplies the short ones.
+_LONG_TOKENS = (
+    st.text(
+        st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")),
+        min_size=50,
+        max_size=200,
+    )
+    .map(str.casefold)
+    .map(_fit_200_bytes)
+    .filter(lambda token: token.split() == [token] and token.casefold() == token)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    short=st.lists(_TOKENS, min_size=1, max_size=60),
+    long=st.lists(_LONG_TOKENS, min_size=1, max_size=60),
+    seed=st.randoms(use_true_random=False),
+)
+def test_numpy_fnv_matches_scalar_oracle(short, long, seed):
+    # At dimension 1024 a block holds 64 texts, so batches of more than 64
+    # tokens cross a block boundary.
+    dimension = 1024
+    tokens = short + long
+    seed.shuffle(tokens)
+    embedder = HashEmbedder(dimension)
+    rows = embedder.embed_many(tokens + [" ".join(tokens)])
+    expected = {token: np.array(splitmix_components(token, dimension)) for token in tokens}
+    fresh = HashEmbedder(dimension)
+    for token, row in zip(tokens, rows):
+        component = expected[token]
+        assert embedder.token_vector(token).tobytes() == component.tobytes()
+        assert fresh.token_vector(token).tobytes() == component.tobytes()
+        assert row.tobytes() == (component / np.linalg.norm(component)).tobytes()
+    total = np.zeros(dimension)
+    for token in tokens:
+        total += expected[token]
+    mean = total / len(tokens)
+    assert rows[-1].tobytes() == (mean / np.linalg.norm(mean)).tobytes()
+
+
 class TestMockChatBackend:
     def test_rule_table_over_token_order(self):
         # hand-run of the default rules over "I loved the thriller Heat":

@@ -483,6 +483,35 @@ class TestEvalCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "reports").exists()
 
+    def test_qa_comprehensive_refuses_k_below_one_before_mining(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Comprehensive retrieval ignores k, but QA scores recall@k in every mode.
+        dataset, _ = self._qa_paths(tmp_path)
+        backend = StaticChatBackend(["{Ana:[D1]:[topic]<jazz>}"])
+        monkeypatch.setattr(cli, "_chat_backend", lambda args: backend)
+        code = main([
+            "eval", "--task", "qa", "--dataset", str(dataset), "--mode", "comprehensive",
+            "--k", "0", "--out-dir", str(tmp_path / "reports"), "--no-timestamp",
+        ])
+        assert code == 1
+        assert backend.calls == 0
+        assert capsys.readouterr().err == "error: k must be a positive integer, got 0\n"
+        assert not (tmp_path / "reports").exists()
+
+    def test_rec_comprehensive_takes_k_zero(self, tmp_path, capsys):
+        data, _, rules = build_rec_fixture(n_dialogues=12, n_items=10)
+        dataset = tmp_path / "rec.json"
+        dataset.write_text(json.dumps(data), encoding="utf-8")
+        code = main([
+            "eval", "--task", "rec", "--dataset", str(dataset), "--mode", "comprehensive",
+            "--k", "0", "--n", "4", "--mock-rules",
+            str(write_mock_rules(tmp_path / "rules.json", rules)),
+            "--out-dir", str(tmp_path / "reports"), "--no-timestamp",
+        ])
+        assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "reports" / "rec.json").exists()
+
     @pytest.mark.parametrize(
         "field,value", [("question", ""), ("gold_answer", "  ")], ids=["question", "answer"]
     )

@@ -2,14 +2,18 @@
 
 import io
 import json
+import tracemalloc
+from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import attribute_ranking, brute_force_topk, single_pass_search
+from oracles import attribute_ranking, brute_force_topk, build_index_oracle, single_pass_search
 
+from memaug import retrieval
 from memaug import (
     Annotation,
     AttributePair,
@@ -177,6 +181,171 @@ class TestBatchedBuildIndex:
     def test_records_embedder(self, store):
         index, _ = build_index(store, EmbeddingStrategy.AVERAGED_PAIRS, HashEmbedder(16))
         assert (index.embedder_kind, index.embedder_model) == ("hash", None)
+
+
+class SwitchEmbedder:
+    """A hash embedder with two switches, counting the texts it is sent.
+
+    A batch holding a text with "fail" in it raises ``ZeroVectorError``
+    naming that text, and a ``<-x>`` value embeds opposite to ``<x>``, so an
+    item holding both pairs averages to the zero vector.
+    """
+
+    kind = "switch"
+    model = None
+
+    def __init__(self, dimension):
+        self.inner = HashEmbedder(dimension)
+        self.dimension = dimension
+        self.sent = Counter()
+
+    def embed(self, text):
+        return self.embed_many([text])[0]
+
+    def embed_many(self, texts):
+        self.sent.update(texts)
+        failing = [text for text in texts if "fail" in text]
+        if failing:
+            raise ZeroVectorError(f"cannot embed {failing[0]!r}")
+        rows = self.inner.embed_many([text.replace("<-", "<") for text in texts])
+        rows[[i for i, text in enumerate(texts) if "<-" in text]] *= -1
+        return rows
+
+
+_VALUES = ["noir", "-noir", "heist", "-heist", "fail", "fails too", "café", "映画", "a b"]
+_CONTENTS = ["", "   ", "plain text", "a fail", "noir heist", "Noir  heist"]
+
+
+@st.composite
+def switch_stores(draw, max_items=24):
+    store = MemoryStore()
+    for i in range(draw(st.integers(0, max_items))):
+        annotation = None
+        if draw(st.booleans()):
+            pairs = draw(st.lists(
+                st.tuples(st.sampled_from(["k0", "k1"]), st.sampled_from(_VALUES)), max_size=4
+            ))
+            annotation = Annotation(
+                pairs=tuple(AttributePair(name, value) for name, value in pairs),
+                perspective=Perspective.ENTITY_CENTRIC,
+                granularity=Granularity.NOT_APPLICABLE,
+            )
+        content = draw(st.sampled_from(_CONTENTS + [f"text {i}"]))
+        store.write(MemoryItem(id=f"m{i:02d}", kind=ItemKind.ENTITY, content=content), annotation)
+    return store
+
+
+def assert_same_index(built, expected):
+    (index, skipped), (oracle, oracle_skipped) = built, expected
+    assert index.item_ids == oracle.item_ids
+    assert (index.dimension, index.vectors.shape) == (oracle.dimension, oracle.vectors.shape)
+    assert index.vectors.tobytes() == oracle.vectors.tobytes()
+    assert skipped == oracle_skipped
+
+
+class TestBlockBuild:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        store=switch_stores(),
+        strategy=st.sampled_from(list(EmbeddingStrategy)),
+        block=st.sampled_from([1, 2, 3, 7, 1024]),
+    )
+    def test_matches_the_one_batch_oracle(self, store, strategy, block):
+        with patch.object(retrieval, "_BUILD_BLOCK", block):
+            built = build_index(store, strategy, SwitchEmbedder(8))
+        assert_same_index(built, build_index_oracle(store, strategy, SwitchEmbedder(8)))
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 1024])
+    def test_every_skip_reason_in_one_block_and_across_blocks(self, block):
+        def annotated(*values):
+            return Annotation(
+                pairs=tuple(AttributePair("k", value) for value in values),
+                perspective=Perspective.ENTITY_CENTRIC,
+                granularity=Granularity.NOT_APPLICABLE,
+            )
+
+        store = MemoryStore()
+        rows = [
+            ("noir", annotated("noir", "heist")),
+            ("", None),
+            ("fail", annotated("fails too", "fail")),
+            ("   ", annotated()),
+            ("noir", annotated("noir", "-noir")),
+            ("heist", annotated("heist")),
+        ]
+        for i, (content, annotation) in enumerate(rows):
+            store.write(MemoryItem(id=f"m{i}", kind=ItemKind.ENTITY, content=content), annotation)
+        expected_reasons = {
+            EmbeddingStrategy.AVERAGED_PAIRS: [
+                ("m1", "no annotation"),
+                ("m2", "cannot embed '[k]<fails too>'"),
+                ("m3", "cannot average over zero pairs"),
+                ("m4", "cannot normalize a zero vector"),
+            ],
+            EmbeddingStrategy.WHOLE_ANNOTATION: [
+                ("m1", "no annotation"),
+                ("m2", "cannot embed '[k]<fails too> [k]<fail>'"),
+                ("m3", "no tokens to embed"),
+            ],
+            EmbeddingStrategy.RAW_CONTENT: [
+                ("m1", "no tokens to embed"),
+                ("m2", "cannot embed 'fail'"),
+                ("m3", "no tokens to embed"),
+            ],
+        }
+        for strategy, reasons in expected_reasons.items():
+            with patch.object(retrieval, "_BUILD_BLOCK", block):
+                built = build_index(store, strategy, SwitchEmbedder(8))
+            assert_same_index(built, build_index_oracle(store, strategy, SwitchEmbedder(8)))
+            assert built[1] == reasons
+
+    @pytest.mark.parametrize("strategy", list(EmbeddingStrategy))
+    def test_each_distinct_text_embedded_once(self, strategy):
+        store = entity_store(
+            {
+                f"m{i:02d}": Annotation(
+                    pairs=(AttributePair("k", f"v{i % 5}"), AttributePair("j", f"w{i}")),
+                    perspective=Perspective.ENTITY_CENTRIC,
+                    granularity=Granularity.NOT_APPLICABLE,
+                )
+                for i in range(30)
+            },
+            {f"m{i:02d}": f"content {i % 7}" for i in range(30)},
+        )
+        embedder = SwitchEmbedder(8)
+        with patch.object(retrieval, "_BUILD_BLOCK", 4):
+            index, skipped = build_index(store, strategy, embedder)
+        assert (len(index), skipped) == (30, [])
+        texts = {
+            text
+            for entry in store.entries()
+            for text in (
+                [entry.item.content] if strategy is EmbeddingStrategy.RAW_CONTENT
+                else retrieval._annotation_texts(entry.annotation, strategy)
+            )
+        }
+        assert embedder.sent == Counter(texts)
+
+    def test_peak_memory_stays_near_the_index(self):
+        # 4,096 items of three distinct pairs: the build may hold, at its
+        # peak, three times the index's own matrices and no more.
+        store = entity_store({
+            f"m{i:04d}": Annotation(
+                pairs=tuple(AttributePair(f"k{j}", f"v{i}_{j}") for j in range(3)),
+                perspective=Perspective.ENTITY_CENTRIC,
+                granularity=Granularity.NOT_APPLICABLE,
+            )
+            for i in range(4096)
+        })
+        embedder = HashEmbedder(256)
+        tracemalloc.start()
+        try:
+            index, _ = build_index(store, EmbeddingStrategy.AVERAGED_PAIRS, embedder)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(index) == 4096
+        assert peak <= 3 * (index.vectors.nbytes + index.unit32.nbytes)
 
 
 class TestSearch:
