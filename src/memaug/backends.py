@@ -316,29 +316,13 @@ def _components(seeds: np.ndarray, steps: np.ndarray) -> np.ndarray:
 _ZERO_NORM = "cannot normalize a zero vector"
 
 
-def l2_normalize(vector: np.ndarray) -> np.ndarray:
-    """Scale to unit L2 norm; raises instead of ever producing NaN."""
-    norm = float(np.linalg.norm(vector))
-    if norm < 1e-12:
-        raise ZeroVectorError(_ZERO_NORM)
-    return vector / norm
-
-
-def _l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
-    """Scale each row of ``matrix`` in place; row ``i`` ends bitwise equal to
-    ``l2_normalize(matrix[i])``, whose norm is the same dot product (numpy
-    computes a (1, d) @ (d, 1) matmul with the kernel of ``row.dot(row)``).
-    Rows ``l2_normalize`` would refuse stay as they are, marked in the mask
-    returned."""
-    norms = np.sqrt(np.matmul(matrix[:, None, :], matrix[:, :, None]).ravel())
-    zero = norms < 1e-12
-    matrix /= np.where(zero, 1.0, norms)[:, None]
-    return zero
-
-
-def _mean_rows(out: np.ndarray, keys: Sequence[Sequence], gather: Callable) -> None:
+def _unit_means(out: np.ndarray, keys: Sequence[Sequence], gather: Callable) -> np.ndarray:
     """Set ``out[i]`` to the mean of the rows ``gather`` returns for ``keys[i]``,
-    summed key by key in key order as ``np.mean`` over one item's rows sums."""
+    summed key by key in key order, then scaled to unit L2 norm.
+
+    A mean whose norm is below 1e-12 cannot be normalized: its row is left
+    unscaled and marked in the mask returned.
+    """
     by_length: dict[int, list[int]] = {}
     for i, item in enumerate(keys):
         by_length.setdefault(len(item), []).append(i)
@@ -347,6 +331,10 @@ def _mean_rows(out: np.ndarray, keys: Sequence[Sequence], gather: Callable) -> N
         for j in range(length):
             total += gather([keys[i][j] for i in members])
         out[members] = total / length
+    norms = np.sqrt(np.matmul(out[:, None, :], out[:, :, None]).ravel())
+    zero = norms < 1e-12
+    out /= np.where(zero, 1.0, norms)[:, None]
+    return zero
 
 
 class Embedder(Protocol):
@@ -418,8 +406,7 @@ class HashEmbedder:
             row_of = {token: row for row, token in enumerate(distinct)}
             rows = out[start : start + block]
             indexes = [[row_of[token] for token in tokens] for tokens in lists]
-            _mean_rows(rows, indexes, self._expand(distinct).__getitem__)
-            if _l2_normalize_rows(rows).any():
+            if _unit_means(rows, indexes, self._expand(distinct).__getitem__).any():
                 raise ZeroVectorError(_ZERO_NORM)
         return out
 

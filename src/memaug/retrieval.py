@@ -24,13 +24,14 @@ from typing import Sequence
 import numpy as np
 
 from .annotations import Annotation, render_annotation
-from .backends import _ZERO_NORM, Embedder, _l2_normalize_rows, _mean_rows, l2_normalize
+from .backends import _ZERO_NORM, Embedder, _unit_means
 from .errors import (
     DimensionMismatchError,
     EmptyAnnotationError,
     EmptyQueryError,
     SchemaError,
     StrategyMismatchError,
+    TransportError,
     ZeroVectorError,
 )
 from .fileio import replace_together
@@ -108,8 +109,12 @@ class QueryVector:
 
 
 def _average(rows: np.ndarray) -> np.ndarray:
-    """The averaged-pairs vector: the mean of the rows, L2-normalized."""
-    return l2_normalize(np.mean(rows, axis=0))
+    """The averaged-pairs vector: the mean of the rows, L2-normalized, as
+    :func:`build_index` computes it."""
+    out = np.empty((1, rows.shape[1]))
+    if _unit_means(out, [range(len(rows))], rows.__getitem__)[0]:
+        raise ZeroVectorError(_ZERO_NORM)
+    return out[0]
 
 
 def _annotation_texts(ann: Annotation, strategy: EmbeddingStrategy) -> list[str]:
@@ -158,6 +163,9 @@ INDEX_VERSION = 2
 # has a >= t - E >= T - E: the rows within 2E of the k-th float32 score
 # hold the exact top k, ties included.
 _BAND = 1e-9
+# Rows per block of the row norms: each block squares only its own rows, so
+# no temporary of the matrix's size is made.
+_NORM_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -189,8 +197,11 @@ class VectorIndex:
             )
         if not np.all(np.isfinite(vectors)):
             raise ValueError("index vectors contain non-finite entries")
+        norms = np.zeros(len(vectors) if vectors.size else 0)
         with np.errstate(over="ignore"):
-            norms = np.linalg.norm(vectors, axis=1) if vectors.size else np.zeros(0)
+            for start in range(0, len(norms), _NORM_BLOCK):
+                block = vectors[start : start + _NORM_BLOCK]
+                norms[start : start + _NORM_BLOCK] = np.linalg.norm(block, axis=1)
         if not np.all(np.isfinite(norms)):
             raise ValueError("index vectors have a norm that overflows float64")
         if vectors.size and not np.all(norms > 0):
@@ -391,8 +402,7 @@ def build_index(
         out = matrix[len(ids) : len(ids) + len(items)] if items else None
         zero = np.zeros(len(items), dtype=bool)
         if items and strategy is EmbeddingStrategy.AVERAGED_PAIRS:
-            _mean_rows(out, items, lambda texts: np.array([rows[text] for text in texts]))
-            zero = _l2_normalize_rows(out)
+            zero = _unit_means(out, items, lambda texts: np.array([rows[text] for text in texts]))
             if zero.any():
                 out[: len(items) - int(zero.sum())] = out[~zero]
         elif items:
@@ -407,7 +417,11 @@ def build_index(
                 skipped.append((item_id, reason))
     shared.clear()  # Frees the shared rows before the index derives its own matrices.
     if matrix is None:
-        matrix = np.zeros((0, getattr(embedder, "dimension", 0) or 0))
+        try:
+            dimension = getattr(embedder, "dimension", 0) or 0
+        except TransportError:  # A remote embedder learns it from its first reply.
+            dimension = 0
+        matrix = np.zeros((0, dimension))
     index = VectorIndex(
         item_ids=tuple(ids),
         vectors=matrix[: len(ids)],

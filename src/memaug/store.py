@@ -8,12 +8,12 @@ ever appended; there is no deletion. The :class:`AugmentationReport` of the
 pass that mined the store is saved beside it as ``<store>.report.json``, and
 :func:`~memaug.fileio.replace_together` replaces the pair as one set.
 
-Writes are not safe against concurrent writers. ``lookup_by_attribute``
-returns a fresh set, so its callers never observe a structure mutated
-underneath them. Ranked queries (``rank_by_attributes``) read the postings
-in place and keep id-sorted copies of the ones they walk, so like writes they
-must not race a writer. Concurrent ranked queries are safe with each other:
-two of them may each build the same sorted copy, and either one is kept.
+Each posting is one list of item ids in ascending order, with no repeats,
+and every write keeps it so. Writes are not safe against concurrent writers.
+``lookup_by_attribute`` returns a fresh set, so its callers never observe a
+structure mutated underneath them. Ranked queries (``rank_by_attributes``)
+only read the postings in place, so they may run together, but like writes
+they must not race a writer.
 """
 
 from __future__ import annotations
@@ -156,7 +156,6 @@ class MatchPolicy(Enum):
 
 # A posting key: a normalised attribute name, or (name, case-folded value).
 PostingKey = str | tuple[str, str]
-_NO_IDS: frozenset[str] = frozenset()
 
 
 def _posting_key(name: str, value: str | None, policy: MatchPolicy) -> PostingKey:
@@ -177,11 +176,9 @@ class MemoryStore:
     def __init__(self):
         self._items: dict[str, MemoryItem] = {}
         self._annotations: dict[str, Annotation] = {}
-        # Name keys and (name, case-folded value) keys share one index.
-        self._postings: dict[PostingKey, set[str]] = {}
-        # Ascending-id copies of the non-empty postings that ranked queries
-        # have walked, kept in step with the sets by _add and _unindex.
-        self._sorted: dict[PostingKey, list[str]] = {}
+        # Name keys and (name, case-folded value) keys share one index; each
+        # posting lists its ids in ascending order.
+        self._postings: dict[PostingKey, list[str]] = {}
         self.augmentation_report: AugmentationReport | None = None
 
     def __len__(self) -> int:
@@ -210,15 +207,14 @@ class MemoryStore:
         annotation = self._annotations.pop(item_id, None)
         if annotation is None:
             return
-        postings, views = self._postings, self._sorted
+        postings = self._postings
         for pair in annotation.pairs:
             for key in (pair.name, (pair.name, pair.value.casefold())):
                 ids = postings[key]
-                if item_id in ids:
-                    ids.remove(item_id)
-                    view = views.get(key)
-                    if view is not None:
-                        del view[bisect_left(view, item_id)]
+                i = bisect_left(ids, item_id)
+                # A name the annotation repeats was removed on its first pair.
+                if i < len(ids) and ids[i] == item_id:
+                    del ids[i]
 
     def write(
         self,
@@ -233,33 +229,26 @@ class MemoryStore:
             if not overwrite:
                 raise DuplicateIdError(f"item id {item.id!r} already present")
             self._unindex(item.id)
-        self._add(item, annotation)
+        self._items[item.id] = item
+        if annotation is not None:
+            self._annotations[item.id] = annotation
+            self._index(item.id, annotation)
         return item.id
 
-    def _add(self, item: MemoryItem, annotation: Annotation | None) -> None:
-        """Store a checked item and index its pairs; an existing id keeps its slot."""
-        item_id = item.id
-        self._items[item_id] = item
-        if annotation is None:
-            return
-        self._annotations[item_id] = annotation
-        postings, views = self._postings, self._sorted
+    def _index(self, item_id: str, annotation: Annotation) -> None:
+        """Insert ``item_id``, which no posting held, into the postings of the
+        annotation's pairs."""
+        postings = self._postings
         for pair in annotation.pairs:
-            name_key, value_key = pair.name, (pair.name, pair.value.casefold())
-            if views:
-                for key in (name_key, value_key):
-                    view = views.get(key)
-                    # A name the annotation repeats is already in its posting.
-                    if view is None or item_id in postings[key]:
-                        continue
-                    # New ids usually sort last; one comparison then avoids
-                    # the binary search's scattered string reads.
-                    if view and item_id < view[-1]:
-                        insort(view, item_id)
-                    else:
-                        view.append(item_id)
-            postings.setdefault(name_key, set()).add(item_id)
-            postings.setdefault(value_key, set()).add(item_id)
+            for key in (pair.name, (pair.name, pair.value.casefold())):
+                ids = postings.setdefault(key, [])
+                # New ids usually sort last; one comparison then avoids the
+                # binary search's scattered string reads.
+                if not ids or ids[-1] < item_id:
+                    ids.append(item_id)
+                # A name the annotation repeats is already in its posting.
+                elif ids[bisect_left(ids, item_id)] != item_id:
+                    insort(ids, item_id)
 
     def attach_annotation(self, item_id: str, annotation: Annotation) -> None:
         """Replace the annotation of an existing item."""
@@ -278,7 +267,7 @@ class MemoryStore:
         compare (``value=None``) it degrades to a name match. Unknown names
         yield an empty set.
         """
-        return set(self._postings.get(_posting_key(name, value, policy), _NO_IDS))
+        return set(self._postings.get(_posting_key(name, value, policy), ()))
 
     def rank_by_attributes(
         self,
@@ -294,18 +283,18 @@ class MemoryStore:
         items rank; they are read in id order from the shortest posting
         until ``k`` are found. Otherwise every item matching any term ranks.
         """
-        keys = [_posting_key(name, value, policy) for name, value in terms]
-        postings = [self._postings.get(key, _NO_IDS) for key in keys]
+        postings = [
+            self._postings.get(_posting_key(name, value, policy), ()) for name, value in terms
+        ]
         if policy is MatchPolicy.NAME_AND_VALUE and terms:
-            shortest, *others = sorted(range(len(keys)), key=lambda i: len(postings[i]))
-            if postings[shortest]:
-                walk = iter(self._sorted_ids(keys[shortest]))
-                # The smallest sets filter first: they reject the most ids.
-                for i in others:
-                    walk = filter(postings[i].__contains__, walk)
-                top = list(walk if k is None else islice(walk, k))
-                if top:
-                    return [(item_id, len(terms)) for item_id in top]
+            shortest, *others = sorted(postings, key=len)
+            walk = iter(shortest)
+            # The shortest postings filter first: they reject the most ids.
+            for ids in others:
+                walk = _held_by(ids, walk)
+            top = list(walk if k is None else islice(walk, k))
+            if top:
+                return [(item_id, len(terms)) for item_id in top]
         counts = Counter()
         for ids in postings:
             counts.update(ids)
@@ -317,13 +306,6 @@ class MemoryStore:
             chosen = sorted(bucket) if k is None else heapq.nsmallest(k - len(ranked), bucket)
             ranked += [(item_id, level) for item_id in chosen]
         return ranked
-
-    def _sorted_ids(self, key: PostingKey) -> list[str]:
-        """The ids of a non-empty posting in ascending order, built on first use."""
-        view = self._sorted.get(key)
-        if view is None:
-            view = self._sorted[key] = sorted(self._postings[key])
-        return view
 
     def compute_stats(self) -> CorpusStats:
         """Pair counts and attribute frequencies over the annotated items.
@@ -444,7 +426,7 @@ class MemoryStore:
         if not source.exists():
             raise FileNotFoundError(f"store file not found: {source}")
         store = cls()
-        items, add, from_line = store._items, store._add, cls._from_line
+        items, annotations, from_line = store._items, store._annotations, cls._from_line
         # The cyclic collector is paused for this one file read. Each line's
         # objects are freed by reference counting (only the exception chain
         # of a skipped line can form a cycle, and the collector takes it once
@@ -469,7 +451,13 @@ class MemoryStore:
                         if warnings is not None:
                             warnings.append(f"line {line_no}: skipped ({exc})")
                         continue
-                    add(item, annotation)
+                    items[item.id] = item
+                    if annotation is not None:
+                        annotations[item.id] = annotation
+            # Indexed in ascending id order, each id appends to its postings:
+            # a file whose ids are out of order pays no insertions.
+            for item_id in sorted(annotations):
+                store._index(item_id, annotations[item_id])
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -482,6 +470,15 @@ class MemoryStore:
             except (ValueError, KeyError, TypeError) as exc:
                 raise SchemaError(f"store report {report_path}: {exc!r}") from exc
         return store
+
+
+def _held_by(ids: list[str], walk: Iterator[str]) -> Iterator[str]:
+    """The ids of the ascending ``walk`` that the ascending ``ids`` hold."""
+    lo = 0
+    for item_id in walk:
+        lo = bisect_left(ids, item_id, lo)
+        if lo < len(ids) and ids[lo] == item_id:
+            yield item_id
 
 
 def _report_path(store_path: Path) -> Path:

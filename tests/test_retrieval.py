@@ -17,6 +17,8 @@ from memaug import retrieval
 from memaug import (
     Annotation,
     AttributePair,
+    BackendKind,
+    BackendProfile,
     DimensionMismatchError,
     EmbeddingStrategy,
     EmptyAnnotationError,
@@ -30,6 +32,7 @@ from memaug import (
     Perspective,
     QueryContext,
     QueryPart,
+    RemoteEmbedder,
     RetrievalMode,
     SchemaError,
     StrategyMismatchError,
@@ -181,6 +184,86 @@ class TestBatchedBuildIndex:
     def test_records_embedder(self, store):
         index, _ = build_index(store, EmbeddingStrategy.AVERAGED_PAIRS, HashEmbedder(16))
         assert (index.embedder_kind, index.embedder_model) == ("hash", None)
+
+
+class TableEmbedder:
+    """Embeds each text as its row in a fixed table."""
+
+    kind = "table"
+    model = None
+
+    def __init__(self, rows: dict[str, list[float]]):
+        self.rows = rows
+        self.dimension = len(next(iter(rows.values())))
+
+    def embed(self, text):
+        return self.embed_many([text])[0]
+
+    def embed_many(self, texts):
+        return np.array([self.rows[text] for text in texts], dtype=np.float64).reshape(
+            len(texts), self.dimension
+        )
+
+
+def table_store(items: list[list[list[float]]]):
+    """A store of one item per entry of ``items``, one pair per row, and the
+    embedder that embeds each pair as its row."""
+    rows, annotations = {}, {}
+    for i, item_rows in enumerate(items):
+        pairs = tuple(AttributePair("k", f"v{i}_{j}") for j in range(len(item_rows)))
+        rows.update((pair.render(), row) for pair, row in zip(pairs, item_rows))
+        annotations[f"m{i}"] = Annotation(
+            pairs=pairs,
+            perspective=Perspective.ENTITY_CENTRIC,
+            granularity=Granularity.NOT_APPLICABLE,
+        )
+    return entity_store(annotations), TableEmbedder(rows)
+
+
+class TestOneAveragingPath:
+    """Queries and index builds average an item's pair rows the same way."""
+
+    def test_rows_that_cancel_only_in_order_are_skipped_by_both(self):
+        # Summed in order the rows cancel to 0; a pairwise sum leaves 6.
+        store, embedder = table_store([[[1e16]] + [[1.0]] * 7 + [[-1e16]]])
+        index, skipped = build_index(store, EmbeddingStrategy.AVERAGED_PAIRS, embedder)
+        assert (len(index), skipped) == (0, [("m0", "cannot normalize a zero vector")])
+        with pytest.raises(ZeroVectorError, match="cannot normalize a zero vector"):
+            embed_annotation(store.annotation_for("m0"), EmbeddingStrategy.AVERAGED_PAIRS, embedder)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), dimension=st.sampled_from([1, 2, 8]))
+    def test_build_index_rows_equal_embed_annotation(self, data, dimension):
+        value = st.sampled_from([1e16, -1e16, 1.0, -1.0, 0.0]) | st.floats(-1e3, 1e3)
+        row = st.lists(value, min_size=dimension, max_size=dimension)
+        items = [
+            data.draw(st.lists(row, min_size=n_pairs, max_size=n_pairs))
+            for n_pairs in data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+        ]
+        store, embedder = table_store(items)
+        index, skipped = build_index(store, EmbeddingStrategy.AVERAGED_PAIRS, embedder)
+        ids, rows, expected_skipped = per_item_index(store, EmbeddingStrategy.AVERAGED_PAIRS, embedder)
+        assert index.item_ids == ids
+        assert index.vectors.tobytes() == rows.tobytes()
+        assert skipped == expected_skipped
+
+
+class _UncalledSession:
+    def post(self, *args, **kwargs):
+        pytest.fail("the embedder sent a request")
+
+
+def test_nothing_to_embed_with_a_remote_embedder(tmp_path):
+    store = MemoryStore()
+    store.write(MemoryItem(id="m0", kind=ItemKind.ENTITY, content="no annotation"))
+    profile = BackendProfile(kind=BackendKind.REMOTE_CHAT, model_id="emb", endpoint="http://127.0.0.1:9")
+    embedder = RemoteEmbedder(profile, session=_UncalledSession())
+    index, skipped = build_index(store, EmbeddingStrategy.AVERAGED_PAIRS, embedder)
+    assert (len(index), index.dimension, skipped) == (0, 0, [("m0", "no annotation")])
+    index.save(tmp_path / "index.bin")
+    loaded = VectorIndex.load(tmp_path / "index.bin")
+    assert (loaded.item_ids, loaded.dimension, loaded.vectors.shape) == ((), 0, (0, 0))
+    assert (loaded.embedder_kind, loaded.embedder_model) == ("remote", "emb")
 
 
 class SwitchEmbedder:
@@ -435,6 +518,15 @@ class TestSearch:
         # the norm inf and never rank, though "big" has cosine 1.0 here.
         with pytest.raises(ValueError, match="norm"):
             self.make_index([[1e200, 1.0], [1.0, 0.0], [1.0, 1.0]], ids=("big", "small", "mid"))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_norms_equal_the_whole_matrix_norms(self, offset):
+        rng = np.random.default_rng(offset + 2)
+        vectors = rng.normal(size=(retrieval._NORM_BLOCK + offset, 5)) * 10.0 ** rng.integers(
+            -150, 150, size=(retrieval._NORM_BLOCK + offset, 1)
+        )
+        index = self.make_index(vectors)
+        assert index.norms.tobytes() == np.linalg.norm(vectors, axis=1).tobytes()
 
     def test_empty_index(self):
         index = VectorIndex(

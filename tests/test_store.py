@@ -188,8 +188,22 @@ class TestStats:
             )
 
 
+def assert_postings_rebuilt(store):
+    """Each posting is strictly ascending and equals a rebuild from the entries."""
+    expected: dict = {}
+    for entry in store.entries():
+        for pair in entry.annotation.pairs if entry.annotation else ():
+            for key in (pair.name, (pair.name, pair.value.casefold())):
+                expected.setdefault(key, set()).add(entry.item.id)
+    for ids in store._postings.values():
+        assert all(a < b for a, b in zip(ids, ids[1:]))
+    assert {key: ids for key, ids in store._postings.items() if ids} == {
+        key: sorted(ids) for key, ids in expected.items()
+    }
+
+
 class TestRankedViews:
-    """Ranked queries keep id-sorted copies of the postings they walk."""
+    """Ranked queries read the id-sorted postings in place."""
 
     def _rank(self, store, names, policy=MatchPolicy.NAME_AND_VALUE, k=5):
         query = QueryContext(attribute_names=tuple(names))
@@ -202,27 +216,30 @@ class TestRankedViews:
             for i in range(50):
                 assert self._rank(store, [f"unknown {i}"], policy).hits == ()
             assert self._rank(store, ["unknown", "genre"], policy).ids() == ("m1",)
-        assert store._sorted == {}
+        assert store._postings == {"genre": ["m1"], ("genre", "drama"): ["m1"]}
 
     def test_emptied_posting_caches_no_view(self):
         store = MemoryStore()
         store.write(entity(1), entity_annotation(("genre", "Drama")))
         store.attach_annotation("m1", entity_annotation(("mood", "calm")))
         assert self._rank(store, ["genre"]).hits == ()
-        assert "genre" not in store._sorted
+        assert store._postings["genre"] == []
+        assert_postings_rebuilt(store)
 
     def test_view_follows_writes_after_it_is_built(self):
         store = MemoryStore()
         store.write(entity(2), entity_annotation(("genre", "Drama")))
         assert self._rank(store, ["genre"]).ids() == ("m2",)
-        # A repeated name adds the id to the walked posting once.
+        # A repeated name adds the id to its posting once.
         store.write(entity(1), entity_annotation(("genre", "Drama"), ("genre", "drama")))
         assert self._rank(store, ["genre"], k=None).ids() == ("m1", "m2")
+        assert store._postings["genre"] == ["m1", "m2"]
         store.attach_annotation("m2", entity_annotation(("mood", "calm")))
         store.write(entity(3), None)
         store.write(entity(3), entity_annotation(("genre", "noir")), overwrite=True)
         assert self._rank(store, ["genre"], k=None).ids() == ("m1", "m3")
-        assert store._sorted["genre"] == ["m1", "m3"]
+        assert store._postings["genre"] == ["m1", "m3"]
+        assert_postings_rebuilt(store)
 
 
 _RANK_NAMES = ("genre", "mood", "era")
@@ -249,6 +266,7 @@ _rank_steps = st.lists(
         ),
         st.tuples(st.sampled_from(("write", "overwrite")), st.sampled_from(_RANK_IDS), st.none() | _rank_pairs),
         st.tuples(st.just("attach"), st.sampled_from(_RANK_IDS), _rank_pairs),
+        st.tuples(st.just("reload")),
     ),
     min_size=10,
     max_size=40,
@@ -272,13 +290,31 @@ _GENRE_MOOD = QueryContext(attribute_names=("genre", "mood"))
     ("attach", "m0", [("mood", "noir"), ("genre", "Noir"), ("genre", "noir")]),
     ("overwrite", "m0", None),
 ])
+# A file whose ids are out of order, reloaded and then written to.
+@example(steps=[
+    ("write", "m3", [("genre", "noir")]),
+    ("write", "m1", [("genre", "Noir"), ("mood", "drama")]),
+    ("write", "m2", [("genre", "drama"), ("genre", "noir")]),
+    ("query", _GENRE, MatchPolicy.NAME_AND_VALUE, None),
+    ("reload",),
+    ("write", "m0", [("genre", "noir"), ("mood", "drama")]),
+    ("query", _GENRE_MOOD, MatchPolicy.NAME_AND_VALUE, 1),
+    ("overwrite", "m1", None),
+    ("reload",),
+])
 def test_ranked_views_match_the_sorting_oracle_across_writes(steps):
-    """After every write or query, every query asked so far ranks as the oracle does."""
+    """After every step, every query asked so far ranks as the oracle does,
+    and each posting is the id-sorted rebuild from the store's entries."""
     store = MemoryStore()
     asked = []
     for kind, *args in steps:
         if kind == "query":
             asked.append(tuple(args))
+        elif kind == "reload":
+            with tempfile.TemporaryDirectory() as directory:
+                path = Path(directory) / "store.jsonl"
+                store.save(path)
+                store = MemoryStore.load(path)
         elif kind == "attach":
             item_id, pairs = args
             if item_id in store:
@@ -298,6 +334,7 @@ def test_ranked_views_match_the_sorting_oracle_across_writes(steps):
         for query, policy, k in asked:
             got = retrieve(store, query, RetrievalMode.ATTRIBUTE_BASED, k=k, policy=policy)
             assert got == attribute_ranking(store, query, policy, k)
+        assert_postings_rebuilt(store)
 
 
 class TestIndexSoundness:
