@@ -69,7 +69,6 @@ from .retrieval import (
     retrieve,
 )
 from .store import (
-    AugmentedMemory,
     CorpusStats,
     ItemKind,
     MatchPolicy,

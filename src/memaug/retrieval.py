@@ -29,6 +29,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyAnnotationError,
     EmptyQueryError,
+    MemaugError,
     SchemaError,
     StrategyMismatchError,
     TransportError,
@@ -168,7 +169,7 @@ _BAND = 1e-9
 _NORM_BLOCK = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorIndex:
     """Flat exact-scan cosine index; immutable after build.
 
@@ -184,33 +185,32 @@ class VectorIndex:
     embedder_kind: str | None = None
     embedder_model: str | None = None
     norms: np.ndarray = field(init=False, repr=False)
-    unit32: np.ndarray = field(init=False, repr=False, compare=False)
+    unit32: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(set(self.item_ids)) != len(self.item_ids):
             raise ValueError("index item ids must be unique")
         vectors = np.asarray(self.vectors, dtype=np.float64)
-        if vectors.size and vectors.shape != (len(self.item_ids), self.dimension):
+        if vectors.shape != (len(self.item_ids), self.dimension):
             raise DimensionMismatchError(
                 f"expected vectors of shape {(len(self.item_ids), self.dimension)}, "
                 f"got {vectors.shape}"
             )
         if not np.all(np.isfinite(vectors)):
             raise ValueError("index vectors contain non-finite entries")
-        norms = np.zeros(len(vectors) if vectors.size else 0)
+        norms = np.zeros(len(vectors))
         with np.errstate(over="ignore"):
             for start in range(0, len(norms), _NORM_BLOCK):
                 block = vectors[start : start + _NORM_BLOCK]
                 norms[start : start + _NORM_BLOCK] = np.linalg.norm(block, axis=1)
         if not np.all(np.isfinite(norms)):
             raise ValueError("index vectors have a norm that overflows float64")
-        if vectors.size and not np.all(norms > 0):
+        if not np.all(norms > 0):
             raise ZeroVectorError("index contains a zero vector")
         # One rounding of each float64 quotient to float32, in place: no
         # float64 temporary of the matrix's size.
         unit32 = np.empty(vectors.shape, np.float32)
-        if vectors.size:
-            np.divide(vectors, norms[:, None], out=unit32, casting="same_kind")
+        np.divide(vectors, norms[:, None], out=unit32, casting="same_kind")
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "norms", norms)
         object.__setattr__(self, "unit32", unit32)
@@ -238,25 +238,23 @@ class VectorIndex:
             raise ValueError(f"expected a 1-D vector, got shape {vector.shape}")
         if not np.all(np.isfinite(vector)):
             raise ValueError("vector contains non-finite entries")
+        n = len(self.item_ids)
+        if not n:
+            return RetrievalResult(hits=(), mode=RetrievalMode.EMBEDDING_BASED)
         if vector.shape[0] != self.dimension:
             raise DimensionMismatchError(
                 f"vector has dimension {vector.shape[0]}, expected {self.dimension}"
             )
-        if not len(self.item_ids):
-            return RetrievalResult(hits=(), mode=RetrievalMode.EMBEDDING_BASED)
         qnorm = float(np.linalg.norm(vector))
         if qnorm < 1e-12:
             raise ZeroVectorError("query vector has zero norm")
-        n = len(self.item_ids)
-        if k >= n:
-            band = np.arange(n)
-        else:
-            # One float32 gemv ranks every row; the rows within 2E of its
-            # k-th score hold the exact top-k (see _BAND).
-            approx = self.unit32 @ (vector / qnorm).astype(np.float32)
-            kth = np.partition(approx, n - k)[n - k]
-            rounding = (self.dimension + 2) * 2.0**-24
-            band = np.flatnonzero(approx >= float(kth) - 2 * (rounding / (1 - rounding) + _BAND))
+        # One float32 gemv ranks every row; the rows within 2E of its k-th
+        # score hold the exact top-k (see _BAND), and every row when k >= n.
+        approx = self.unit32 @ (vector / qnorm).astype(np.float32)
+        at = max(n - k, 0)
+        kth = np.partition(approx, at)[at]
+        rounding = (self.dimension + 2) * 2.0**-24
+        band = np.flatnonzero(approx >= float(kth) - 2 * (rounding / (1 - rounding) + _BAND))
         # Row-wise reduction over the band: duplicate entries must produce
         # bitwise-equal scores so that exact ties fall through to the id
         # tie-break regardless of row position.
@@ -320,19 +318,19 @@ class VectorIndex:
                 raise SchemaError(f"{source}: malformed index: {exc}") from exc
         if not all(isinstance(item_id, str) for item_id in ids):
             raise SchemaError(f"{source}: index ids must be strings")
-        if vectors.dtype != np.float64 or vectors.shape != (len(ids), dimension):
-            raise SchemaError(
-                f"{source}: expected a float64 matrix of shape {(len(ids), dimension)}, "
-                f"got {vectors.dtype} {vectors.shape}"
+        if vectors.dtype != np.float64:
+            raise SchemaError(f"{source}: expected a float64 matrix, got {vectors.dtype}")
+        try:
+            return cls(
+                item_ids=ids,
+                vectors=vectors,
+                strategy=strategy,
+                dimension=dimension,
+                embedder_kind=kind,
+                embedder_model=model,
             )
-        return cls(
-            item_ids=ids,
-            vectors=vectors,
-            strategy=strategy,
-            dimension=dimension,
-            embedder_kind=kind,
-            embedder_model=model,
-        )
+        except (ValueError, MemaugError) as exc:
+            raise SchemaError(f"{source}: malformed index: {exc}") from exc
 
 
 # Items per block of an index build. A block's single-use texts are embedded
@@ -370,16 +368,16 @@ def build_index(
     ``_BUILD_BLOCK`` items. Vectors go straight into one preallocated matrix.
     """
     units: list[tuple[str, list[str] | str]] = []  # (item id, texts or skip reason)
-    for entry in store.entries():
+    for item, annotation in store.entries():
         if strategy is EmbeddingStrategy.RAW_CONTENT:
-            units.append((entry.item.id, [entry.item.content]))
-        elif entry.annotation is None:
-            units.append((entry.item.id, "no annotation"))
+            units.append((item.id, [item.content]))
+        elif annotation is None:
+            units.append((item.id, "no annotation"))
         else:
             try:
-                units.append((entry.item.id, _annotation_texts(entry.annotation, strategy)))
+                units.append((item.id, _annotation_texts(annotation, strategy)))
             except EmptyAnnotationError as exc:
-                units.append((entry.item.id, str(exc)))
+                units.append((item.id, str(exc)))
     uses = Counter(t for _, texts in units if isinstance(texts, list) for t in texts)
     errors: dict[str, str] = {}
     shared = _embed_rows(embedder, [text for text, n in uses.items() if n > 1], errors)
@@ -418,7 +416,7 @@ def build_index(
     shared.clear()  # Frees the shared rows before the index derives its own matrices.
     if matrix is None:
         try:
-            dimension = getattr(embedder, "dimension", 0) or 0
+            dimension = embedder.dimension
         except TransportError:  # A remote embedder learns it from its first reply.
             dimension = 0
         matrix = np.zeros((0, dimension))
@@ -427,8 +425,8 @@ def build_index(
         vectors=matrix[: len(ids)],
         strategy=strategy,
         dimension=matrix.shape[1],
-        embedder_kind=getattr(embedder, "kind", None),
-        embedder_model=getattr(embedder, "model", None),
+        embedder_kind=embedder.kind,
+        embedder_model=embedder.model,
     )
     return index, skipped
 

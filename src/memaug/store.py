@@ -85,15 +85,6 @@ def _check_granularity(item: MemoryItem, annotation: Annotation | None) -> None:
 
 
 @dataclass(frozen=True, slots=True)
-class AugmentedMemory:
-    item: MemoryItem
-    annotation: Annotation | None = None
-
-    def __post_init__(self):
-        _check_granularity(self.item, self.annotation)
-
-
-@dataclass(frozen=True, slots=True)
 class CorpusStats:
     total_items: int
     annotated_items: int
@@ -199,9 +190,9 @@ class MemoryStore:
     def annotation_for(self, item_id: str) -> Annotation | None:
         return self._annotations.get(item_id)
 
-    def entries(self) -> Iterator[AugmentedMemory]:
-        for item_id, item in self._items.items():
-            yield AugmentedMemory(item, self._annotations.get(item_id))
+    def entries(self) -> Iterator[tuple[MemoryItem, Annotation | None]]:
+        """Each item with its annotation (None if it has none), in store order."""
+        return zip(self._items.values(), map(self._annotations.get, self._items))
 
     def _unindex(self, item_id: str) -> None:
         annotation = self._annotations.pop(item_id, None)

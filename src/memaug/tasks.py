@@ -12,6 +12,7 @@ and a fixed seed, whatever the parallelism.
 from __future__ import annotations
 
 import logging
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -365,16 +366,18 @@ def filter_event_pairs(annotation: Annotation) -> Annotation:
 
 
 def parse_judge_scores(response: str) -> dict[str, float] | None:
-    """Pull Relevance/Coherence/Consistency scores out of a judge reply."""
+    """Pull finite Relevance/Coherence/Consistency scores out of a judge reply."""
     scores: dict[str, float] = {}
     for line in response.splitlines():
         name, sep, value = line.partition(":")
         key = name.strip().casefold()
         if sep and key in ("relevance", "coherence", "consistency"):
             try:
-                scores[key] = float(value.strip())
+                score = float(value.strip())
             except ValueError:
                 continue
+            if math.isfinite(score):  # nan and inf are not JSON
+                scores[key] = score
     return scores if len(scores) == 3 else None
 
 

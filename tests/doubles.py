@@ -1,6 +1,10 @@
 """Test doubles for the chat backend protocol."""
 
+import hashlib
+import threading
 from typing import Sequence
+
+from memaug.errors import BackendRefusal, TransportError
 
 
 class StaticChatBackend:
@@ -19,3 +23,39 @@ class StaticChatBackend:
         index = min(self.calls, len(self.responses) - 1)
         self.calls += 1
         return self.responses[index]
+
+
+class FlakyChatBackend:
+    """Wraps a backend and fails some calls, chosen by :func:`flaky_outcome`.
+
+    The attempt number counts earlier calls with the same payload, so the
+    outcome of a call never depends on the order in which threads make them.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.attempts: dict[str, int] = {}
+        self._lock = threading.Lock()
+
+    def complete(self, prompt, *, template=None, payload=None) -> str:
+        key = prompt if payload is None else payload
+        with self._lock:
+            attempt = self.attempts.get(key, 0)
+            self.attempts[key] = attempt + 1
+        outcome = flaky_outcome(key, attempt)
+        if outcome == "transport":
+            raise TransportError(f"injected transport error (attempt {attempt})")
+        if outcome == "refusal":
+            raise BackendRefusal("injected refusal")
+        if outcome == "unparseable":
+            return "no pairs in this reply"
+        return self.inner.complete(prompt, template=template, payload=payload)
+
+
+FLAKY_OUTCOMES = ("ok", "transport", "refusal", "unparseable")
+
+
+def flaky_outcome(payload: str, attempt: int) -> str:
+    """What :class:`FlakyChatBackend` does on call ``attempt`` for ``payload``."""
+    digest = hashlib.sha256(f"{attempt}\n{payload}".encode("utf-8")).digest()
+    return FLAKY_OUTCOMES[digest[0] % len(FLAKY_OUTCOMES)]

@@ -142,16 +142,16 @@ def build_index_oracle(store, strategy, embedder):
     bitwise-equal vectors and the same skip report.
     """
     units = []  # (item id, texts or skip reason)
-    for entry in store.entries():
+    for item, annotation in store.entries():
         if strategy is EmbeddingStrategy.RAW_CONTENT:
-            units.append((entry.item.id, [entry.item.content]))
-        elif entry.annotation is None:
-            units.append((entry.item.id, "no annotation"))
+            units.append((item.id, [item.content]))
+        elif annotation is None:
+            units.append((item.id, "no annotation"))
         else:
             try:
-                units.append((entry.item.id, _annotation_texts(entry.annotation, strategy)))
+                units.append((item.id, _annotation_texts(annotation, strategy)))
             except EmptyAnnotationError as exc:
-                units.append((entry.item.id, str(exc)))
+                units.append((item.id, str(exc)))
     distinct = list(
         dict.fromkeys(t for _, texts in units if isinstance(texts, list) for t in texts)
     )

@@ -1,8 +1,10 @@
 """CLI tests: exit codes, outputs, and report determinism."""
 
+import io
 import json
 import os
 
+import numpy as np
 import pytest
 
 from memaug import cli
@@ -533,6 +535,40 @@ class TestEvalCommand:
         assert capsys.readouterr().err.startswith("error: qa[5]: ")
         assert not (tmp_path / "reports").exists()
 
+    def test_events_judge_reply_with_nan_keeps_the_report_valid_json(self, tmp_path):
+        # The mock judge echoes its payload, which holds the reference summary.
+        payload = {
+            "sessions": [
+                {
+                    "session_id": "s1",
+                    "turns": [{"turn_id": "t1", "speaker": "a", "text": "we moved house"}],
+                }
+            ],
+            "events": [
+                {
+                    "session_id": "s1",
+                    "speaker": "a",
+                    "summary": "Relevance: nan\nCoherence: 4\nConsistency: inf",
+                }
+            ],
+        }
+        dataset = tmp_path / "d.json"
+        dataset.write_text(json.dumps(payload), encoding="utf-8")
+        rules_path = write_mock_rules(tmp_path / "rules.json", {"moved": ["life event", "move"]})
+        out_dir = tmp_path / "reports"
+        code = main([
+            "eval", "--task", "events", "--dataset", str(dataset), "--granularity", "session",
+            "--judge", "--mock-rules", str(rules_path), "--out-dir", str(out_dir), "--no-timestamp",
+        ])
+        assert code == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads((out_dir / "events.json").read_text(), parse_constant=refuse)
+        assert report["sessions"][0]["skipped_reason"] is None
+        assert report["sessions"][0]["judge_scores"] is None
+
     def test_events_without_event_annotations_warns_but_succeeds(self, tmp_path, capsys):
         payload = {
             "sessions": [
@@ -740,6 +776,29 @@ class TestConfigFile:
 class TestMalformedInputFiles:
     """Input files that are not JSON, or break their schema, exit 2 with a
     one-line error instead of a traceback or a silent misreading."""
+
+    @pytest.mark.parametrize(
+        "ids,rows",
+        [
+            (["m0", "m0"], [[1.0, 0.0], [0.0, 1.0]]),
+            (["m0", "m1"], [[1.0, 0.0], [0.0, 0.0]]),
+            (["m0", "m1"], [[1.0, 0.0], [float("nan"), 1.0]]),
+        ],
+        ids=["duplicate-ids", "zero-row", "nan"],
+    )
+    def test_corrupt_index_exits_2_naming_the_file(self, tmp_path, capsys, ids, rows):
+        store = write_items_jsonl(tmp_path / "store.jsonl", ["a great thriller"])
+        matrix = io.BytesIO()
+        np.save(matrix, np.array(rows), allow_pickle=False)
+        header = {
+            "format": "memaug-index", "version": 2, "strategy": "averaged_pairs",
+            "dimension": 2, "embedder": {"kind": "hash", "model": None}, "ids": ids,
+        }
+        index = tmp_path / "index.bin"
+        index.write_bytes(json.dumps(header).encode() + b"\n" + matrix.getvalue())
+        code = main(["retrieve", "a thriller", "--store", str(store), "--index", str(index)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {index}: malformed index: ")
 
     @pytest.mark.parametrize(
         "text",

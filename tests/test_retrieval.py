@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import tracemalloc
 from collections import Counter
 from unittest.mock import patch
@@ -131,19 +132,19 @@ class TestBuildIndex:
 def per_item_index(store, strategy, embedder):
     """The index as built one item at a time through ``embed``/``embed_annotation``."""
     ids, rows, skipped = [], [], []
-    for entry in store.entries():
+    for item, annotation in store.entries():
         try:
             if strategy is EmbeddingStrategy.RAW_CONTENT:
-                vector = embedder.embed(entry.item.content)
-            elif entry.annotation is None:
-                skipped.append((entry.item.id, "no annotation"))
+                vector = embedder.embed(item.content)
+            elif annotation is None:
+                skipped.append((item.id, "no annotation"))
                 continue
             else:
-                vector = embed_annotation(entry.annotation, strategy, embedder)
+                vector = embed_annotation(annotation, strategy, embedder)
         except (ZeroVectorError, EmptyAnnotationError) as exc:
-            skipped.append((entry.item.id, str(exc)))
+            skipped.append((item.id, str(exc)))
             continue
-        ids.append(entry.item.id)
+        ids.append(item.id)
         rows.append(vector)
     return tuple(ids), np.array(rows), skipped
 
@@ -401,10 +402,10 @@ class TestBlockBuild:
         assert (len(index), skipped) == (30, [])
         texts = {
             text
-            for entry in store.entries()
+            for item, annotation in store.entries()
             for text in (
-                [entry.item.content] if strategy is EmbeddingStrategy.RAW_CONTENT
-                else retrieval._annotation_texts(entry.annotation, strategy)
+                [item.content] if strategy is EmbeddingStrategy.RAW_CONTENT
+                else retrieval._annotation_texts(annotation, strategy)
             )
         }
         assert embedder.sent == Counter(texts)
@@ -535,6 +536,22 @@ class TestSearch:
         )
         assert len(index.search(np.ones(4), k=5)) == 0
 
+    def test_zero_dimension_rows_refused(self):
+        with pytest.raises(ZeroVectorError):
+            VectorIndex(("p", "q"), np.zeros((2, 0)), EmbeddingStrategy.RAW_CONTENT, 0)
+
+    @pytest.mark.parametrize("dimension", [0, 4])
+    def test_empty_index_has_no_hits_for_any_query(self, dimension):
+        index = VectorIndex((), np.zeros((0, dimension)), EmbeddingStrategy.AVERAGED_PAIRS, dimension)
+        for query in (np.ones(1), np.ones(3), np.ones(4), np.zeros(5)):
+            assert index.search(query, 5).hits == ()
+
+    def test_equal_only_to_itself(self):
+        a, b = self.make_index(np.eye(2)), self.make_index(np.eye(2))
+        assert a == a
+        assert (a == b) is False
+        assert len({a, b, a}) == 2
+
     def test_strategy_mismatch_checked(self):
         from memaug.retrieval import QueryVector
 
@@ -643,6 +660,25 @@ class TestSearch:
             '"entries": [{"id": "a", "vector": [1.0, 0.0]}]}\n'
         )
         with pytest.raises(SchemaError, match="re-run `memaug index`"):
+            VectorIndex.load(path)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("item_ids", ("m0", "m0", "m2")),
+            ("vectors", np.array([[1.0, 0, 0], [0, 0, 0], [0, 0, 1]])),
+            ("vectors", np.array([[1.0, 0, 0], [0, np.nan, 0], [0, 0, 1]])),
+            ("vectors", np.array([[1.0, 0, 0], [0, np.inf, 0], [0, 0, 1]])),
+            ("vectors", np.array([[1.0, 0, 0], [0, 1, 0]])),
+        ],
+        ids=["duplicate-ids", "zero-row", "nan", "inf", "too-few-rows"],
+    )
+    def test_index_file_the_constructor_refuses_is_a_schema_error(self, tmp_path, field, value):
+        index = self.make_index(np.eye(3))
+        object.__setattr__(index, field, value)  # What a corrupt file would hold.
+        path = tmp_path / "index.bin"
+        index.save(path)
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: malformed index: "):
             VectorIndex.load(path)
 
     def test_malformed_binary_index_rejected(self, tmp_path):
@@ -949,6 +985,30 @@ def _search_case(dimension, n, seed, near_tie_step, self_match, duplicates, expo
         vectors[row] *= 2.0**exponent
     ids = tuple(f"i{j:03d}" for j in rng.permutation(n))
     return ids, vectors, query * 2.0**query_exponent
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dimension=st.sampled_from([1, 8]),
+    n=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+    duplicates=st.integers(0, 6),
+    data=st.data(),
+)
+def test_search_at_every_size_matches_the_oracle(dimension, n, seed, duplicates, data):
+    """One ranking path for any k against n rows: k below, at and above n."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.normal(size=(n, dimension))
+    for _ in range(duplicates if n else 0):
+        vectors[rng.integers(n)] = vectors[rng.integers(n)]
+    ids = tuple(f"i{j:02d}" for j in rng.permutation(n))
+    query = vectors[rng.integers(n)] if n and rng.integers(2) else rng.normal(size=dimension)
+    k = data.draw(st.integers(1, n + 3), label="k")
+    index = VectorIndex(ids, vectors, EmbeddingStrategy.RAW_CONTENT, dimension)
+    hits = index.search(query, k).hits
+    assert [hit.item_id for hit in hits] == brute_force_topk(ids, vectors.tolist(), query.tolist(), k)
+    assert [hit.rank for hit in hits] == list(range(1, min(k, n) + 1))
+    assert all(a.item_id < b.item_id for a, b in zip(hits, hits[1:]) if a.score == b.score)
 
 
 @settings(max_examples=300, deadline=None)

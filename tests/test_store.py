@@ -83,6 +83,19 @@ class TestWrite:
         with pytest.raises(ValueError):
             MemoryItem(id="s", kind=ItemKind.SESSION, content="x")
 
+    def test_entries_are_item_annotation_pairs_in_store_order(self):
+        store = MemoryStore()
+        for i in (3, 1, 2, 0):
+            store.write(entity(i), entity_annotation(("genre", f"g{i}")) if i % 2 else None)
+        store.attach_annotation("m0", entity_annotation(("mood", "calm")))
+        store.write(entity(1), None, overwrite=True)
+        assert list(store.entries()) == [
+            (entity(3), entity_annotation(("genre", "g3"))),
+            (entity(1), None),
+            (entity(2), None),
+            (entity(0), entity_annotation(("mood", "calm"))),
+        ]
+
 
 class TestLookup:
     @pytest.fixture
@@ -191,10 +204,10 @@ class TestStats:
 def assert_postings_rebuilt(store):
     """Each posting is strictly ascending and equals a rebuild from the entries."""
     expected: dict = {}
-    for entry in store.entries():
-        for pair in entry.annotation.pairs if entry.annotation else ():
+    for item, annotation in store.entries():
+        for pair in annotation.pairs if annotation else ():
             for key in (pair.name, (pair.name, pair.value.casefold())):
-                expected.setdefault(key, set()).add(entry.item.id)
+                expected.setdefault(key, set()).add(item.id)
     for ids in store._postings.values():
         assert all(a < b for a, b in zip(ids, ids[1:]))
     assert {key: ids for key, ids in store._postings.items() if ids} == {

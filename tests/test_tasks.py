@@ -432,6 +432,17 @@ class TestEventSummarization:
         assert parse_judge_scores("not scores") is None
         assert parse_judge_scores("Relevance: 4") is None
 
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            "Relevance: nan\nCoherence: 4\nConsistency: inf",
+            "Relevance: 4\nCoherence: -inf\nConsistency: 5",
+            "Relevance: 4\nCoherence: 5\nConsistency: NaN",
+        ],
+    )
+    def test_non_finite_judge_score_gives_none(self, reply):
+        assert parse_judge_scores(reply) is None
+
 
 class TestFilterEventPairs:
     def test_word_boundary_matching(self):
