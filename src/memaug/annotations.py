@@ -148,6 +148,7 @@ class TurnScopedAnnotation:
 
 # (position, reason) of each malformed span, in scan order.
 _Problems = list[tuple[int, str]]
+_STRAY_PAIR = "stray text outside [name]<value> pair"
 
 
 def _skip(problems: _Problems, position: int, reason: str, resume: int):
@@ -207,11 +208,14 @@ def _scan_pair(text: str, i: int, problems: _Problems) -> tuple[AttributePair | 
     return AttributePair(name, value), next_i
 
 
-def _scan_pairs(
-    text: str, start: int, stop: int, problems: _Problems, terminator: str | None = None
-) -> tuple[list[AttributePair], int]:
-    """Scan pairs in ``text[start:stop]``; stop early at ``terminator``."""
-    pairs: list[AttributePair] = []
+def _scan(text, start, stop, problems, opener, scan_one, stray, terminator=None):
+    """Scan units in ``text[start:stop]``; stop early at ``terminator``.
+
+    ``scan_one`` parses one unit at ``text[i] == opener`` and returns (unit
+    or None, next_index). Other text is recorded under the reason ``stray``
+    and skipped to the next opener, or to the terminator if that comes first.
+    """
+    units = []
     i = start
     while i < stop:
         ch = text[i]
@@ -219,19 +223,19 @@ def _scan_pairs(
             i += 1
             continue
         if terminator is not None and ch == terminator:
-            return pairs, i
-        if ch != "[":
-            problems.append((i, "stray text outside [name]<value> pair"))
-            nxt = text.find("[", i + 1, stop)
+            return units, i
+        if ch != opener:
+            problems.append((i, stray))
+            nxt = text.find(opener, i + 1, stop)
             term = text.find(terminator, i + 1, stop) if terminator else -1
             if term != -1 and (nxt == -1 or term < nxt):
-                return pairs, term
+                return units, term
             i = stop if nxt == -1 else nxt
             continue
-        pair, i = _scan_pair(text, i, problems)
-        if pair is not None:
-            pairs.append(pair)
-    return pairs, stop
+        unit, i = scan_one(text, i, problems)
+        if unit is not None:
+            units.append(unit)
+    return units, stop
 
 
 def parse_annotation(
@@ -250,7 +254,7 @@ def parse_annotation(
     first of them instead.
     """
     problems: _Problems = []
-    pairs, _ = _scan_pairs(text, 0, len(text), problems)
+    pairs, _ = _scan(text, 0, len(text), problems, "[", _scan_pair, _STRAY_PAIR)
     _report(problems, strict, warnings)
     return Annotation(pairs=tuple(pairs))
 
@@ -282,7 +286,7 @@ def _parse_group(text: str, i: int, problems: _Problems) -> tuple[TurnScopedAnno
         k += 1
     if k >= n or text[k] != ":":
         return _skip(problems, k, "expected ':' after the dialog id", k)
-    pairs, end = _scan_pairs(text, k + 1, n, problems, terminator="}")
+    pairs, end = _scan(text, k + 1, n, problems, "[", _scan_pair, _STRAY_PAIR, terminator="}")
     if end >= n or text[end] != "}":
         return _skip(problems, i, "unclosed turn group", n)
     annotation = Annotation(tuple(pairs), Perspective.CONVERSATION_CENTRIC, Granularity.TURN_LEVEL)
@@ -308,23 +312,10 @@ def parse_turn_annotations(
         stripped = stripped[1:-1]
         offset += 1
     problems: _Problems = []
-    out: list[TurnScopedAnnotation] = []
-    i, n = 0, len(stripped)
-    while i < n:
-        ch = stripped[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch != "{":
-            problems.append((i, "stray text outside {...} turn group"))
-            nxt = stripped.find("{", i + 1)
-            i = n if nxt == -1 else nxt
-            continue
-        scoped, i = _parse_group(stripped, i, problems)
-        if scoped is not None:
-            out.append(scoped)
+    stray = "stray text outside {...} turn group"
+    groups, _ = _scan(stripped, 0, len(stripped), problems, "{", _parse_group, stray)
     _report(problems, strict, warnings, offset)
-    return out
+    return groups
 
 
 def render_annotation(ann: Annotation) -> str:

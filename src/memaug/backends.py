@@ -209,49 +209,51 @@ class MockChatBackend:
         return payload
 
 
-def _post_json(
-    session: requests.Session, profile: BackendProfile, path: str, body: dict, what: str
-):
-    """POST ``body`` to the profile's endpoint + ``path``; return the decoded JSON.
-
-    The bearer key is read from ``profile.api_key_env`` at call time. A failed
-    request, a non-200 status or a non-JSON body raises :class:`TransportError`
-    whose message names the ``what`` request.
-    """
-    headers = {"Content-Type": "application/json"}
-    key = os.environ.get(profile.api_key_env, "")
-    if key:
-        headers["Authorization"] = f"Bearer {key}"
-    url = profile.endpoint.rstrip("/") + path
-    try:
-        response = session.post(url, json=body, headers=headers, timeout=profile.timeout)
-    except requests.RequestException as exc:
-        raise TransportError(f"{what} request failed: {exc}") from exc
-    if response.status_code != 200:
-        raise TransportError(
-            f"{what} request returned HTTP {response.status_code}: {response.text[:200]}"
-        )
-    try:
-        return response.json()
-    except ValueError as exc:
-        raise TransportError(f"malformed {what} response: {exc}") from exc
-
-
-class RemoteChatBackend:
-    """OpenAI-compatible chat-completions client."""
+class _RemoteClient:
+    """A remote profile and the one HTTP session its requests share."""
 
     def __init__(self, profile: BackendProfile, session: requests.Session | None = None):
         if profile.kind is not BackendKind.REMOTE_CHAT:
-            raise ValueError("RemoteChatBackend requires a remote profile")
+            raise ValueError(f"{type(self).__name__} requires a remote profile")
         self.profile = profile
         self._session = session or requests.Session()
+
+    def _post(self, path: str, body: dict, what: str):
+        """POST ``body`` to the profile's endpoint + ``path``; return the decoded JSON.
+
+        The bearer key is read from ``profile.api_key_env`` at call time. A
+        failed request, a non-200 status or a non-JSON body raises
+        :class:`TransportError` whose message names the ``what`` request.
+        """
+        profile = self.profile
+        headers = {"Content-Type": "application/json"}
+        key = os.environ.get(profile.api_key_env, "")
+        if key:
+            headers["Authorization"] = f"Bearer {key}"
+        url = profile.endpoint.rstrip("/") + path
+        try:
+            response = self._session.post(url, json=body, headers=headers, timeout=profile.timeout)
+        except requests.RequestException as exc:
+            raise TransportError(f"{what} request failed: {exc}") from exc
+        if response.status_code != 200:
+            raise TransportError(
+                f"{what} request returned HTTP {response.status_code}: {response.text[:200]}"
+            )
+        try:
+            return response.json()
+        except ValueError as exc:
+            raise TransportError(f"malformed {what} response: {exc}") from exc
+
+
+class RemoteChatBackend(_RemoteClient):
+    """OpenAI-compatible chat-completions client."""
 
     def complete(self, prompt, *, template=None, payload=None) -> str:
         body = {
             "model": self.profile.model_id,
             "messages": [{"role": "user", "content": prompt}],
         }
-        data = _post_json(self._session, self.profile, "/chat/completions", body, "chat")
+        data = self._post("/chat/completions", body, "chat")
         try:
             choice = data["choices"][0]
             content = choice["message"]["content"]
@@ -411,7 +413,7 @@ class HashEmbedder:
         return out
 
 
-class RemoteEmbedder:
+class RemoteEmbedder(_RemoteClient):
     """OpenAI-compatible embeddings client; dimension is backend-reported.
 
     ``embed_many`` sends up to ``BATCH_SIZE`` texts per request as an
@@ -420,13 +422,7 @@ class RemoteEmbedder:
 
     kind = "remote"
     BATCH_SIZE = 64
-
-    def __init__(self, profile: BackendProfile, session: requests.Session | None = None):
-        if profile.kind is not BackendKind.REMOTE_CHAT:
-            raise ValueError("RemoteEmbedder requires a remote profile")
-        self.profile = profile
-        self._session = session or requests.Session()
-        self._dimension: int | None = None
+    _dimension: int | None = None  # set by the first response
 
     @property
     def model(self) -> str:
@@ -452,7 +448,7 @@ class RemoteEmbedder:
 
     def _request(self, texts: list[str]) -> np.ndarray:
         body = {"model": self.profile.model_id, "input": texts}
-        data = _post_json(self._session, self.profile, "/embeddings", body, "embedding")
+        data = self._post("/embeddings", body, "embedding")
         try:
             rows = sorted(data["data"], key=lambda row: row["index"])
             if [row["index"] for row in rows] != list(range(len(texts))):

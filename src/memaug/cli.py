@@ -382,6 +382,7 @@ def _eval_qa(args, backend) -> tuple[dict, str]:
 
 
 def _eval_rec(args, backend) -> tuple[dict, str]:
+    check_positive_int(args.n, "n")
     dataset = load_recommendation_dataset(args.dataset)
     if args.n > len(dataset.dialogues):
         raise ValueError(

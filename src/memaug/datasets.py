@@ -173,15 +173,12 @@ def load_conversation_dataset(path: str | Path) -> ConversationDataset:
         )
     qa = []
     for q_idx, raw in enumerate(_records(data, "qa")):
-        try:
+        try:  # _require and the gold-id check raise SchemaError, not ValueError
             category = QACategory(_require(raw, "category", f"qa[{q_idx}]"))
-        except ValueError as exc:
-            raise SchemaError(f"qa[{q_idx}]: {exc}") from exc
-        gold_ids = frozenset(_require(raw, "gold_turn_ids", f"qa[{q_idx}]", [], strings=True))
-        unknown = gold_ids - seen_turn_ids
-        if unknown:
-            raise SchemaError(f"qa[{q_idx}]: unknown gold turn ids {sorted(unknown)}")
-        try:
+            gold_ids = frozenset(_require(raw, "gold_turn_ids", f"qa[{q_idx}]", [], strings=True))
+            unknown = gold_ids - seen_turn_ids
+            if unknown:
+                raise SchemaError(f"qa[{q_idx}]: unknown gold turn ids {sorted(unknown)}")
             qa.append(
                 QAExample(
                     question=_require(raw, "question", f"qa[{q_idx}]"),

@@ -26,7 +26,7 @@ from .annotations import (
 )
 from .backends import ChatBackend
 from .errors import AugmentFailure, BackendRefusal, LengthBudgetExceeded, TransportError
-from .store import AugmentationReport, ItemKind, MemoryItem
+from .store import AugmentationReport, ItemKind, MemoryItem, check_granularity
 from .templates import QUESTION_AUGMENTATION, ResponseFormat, build_prompt, mining_template
 
 T = TypeVar("T")
@@ -191,17 +191,20 @@ class AttributeMiner:
     def mine_corpus(
         self, items: list[MemoryItem]
     ) -> tuple[list[tuple[str, Annotation]], AugmentationReport]:
-        """Mine every item; failures are recorded, never raised.
+        """Mine every item; per-item failures are recorded, never raised.
 
         Results come back in input order regardless of ``parallelism``. Each
         item is augmented from its own content only, so the fan-out cannot
         change any result. Besides the reasons of :class:`AugmentFailure`,
         an item with no content fails as ``empty`` and one over the length
-        budget as ``too_long``.
+        budget as ``too_long``. It raises only before its first call: for a
+        repeated id, or an item kind this miner's granularity cannot annotate.
         """
         ids = [item.id for item in items]
         if len(set(ids)) != len(ids):
             raise ValueError("item ids must be unique")
+        for item in items:
+            check_granularity(item.kind, self.granularity)
 
         def run(item: MemoryItem) -> Annotation | AugmentFailure:
             if not item.content:

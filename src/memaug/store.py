@@ -73,15 +73,13 @@ class MemoryItem:
             raise ValueError("sessions require session_id")
 
 
-def _check_granularity(item: MemoryItem, annotation: Annotation | None) -> None:
-    """Raise unless the annotation's granularity is the one the item kind needs."""
-    if annotation is not None:
-        expected = _KIND_GRANULARITY[item.kind]
-        if annotation.granularity is not expected:
-            raise GranularityMismatchError(
-                f"item kind {item.kind.value} requires granularity "
-                f"{expected.value}, got {annotation.granularity.value}"
-            )
+def check_granularity(kind: ItemKind, granularity: Granularity) -> None:
+    """Raise unless ``granularity`` is the one items of ``kind`` are annotated at."""
+    expected = _KIND_GRANULARITY[kind]
+    if granularity is not expected:
+        raise GranularityMismatchError(
+            f"item kind {kind.value} requires granularity {expected.value}, got {granularity.value}"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,7 +213,8 @@ class MemoryStore:
         overwrite: bool = False,
     ) -> str:
         """Append an item (validating annotation granularity) and index it."""
-        _check_granularity(item, annotation)
+        if annotation is not None:
+            check_granularity(item.kind, annotation.granularity)
         if item.id in self._items:
             if not overwrite:
                 raise DuplicateIdError(f"item id {item.id!r} already present")
@@ -433,7 +432,8 @@ class MemoryStore:
                         continue
                     try:
                         item, annotation = from_line(line)
-                        _check_granularity(item, annotation)
+                        if annotation is not None:
+                            check_granularity(item.kind, annotation.granularity)
                         if item.id in items:
                             raise DuplicateIdError(f"item id {item.id!r} already present")
                     except (ValueError, KeyError, TypeError, DuplicateIdError, GranularityMismatchError) as exc:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .annotations import Annotation, Granularity, render_annotation
 from .backends import ChatBackend, Embedder
@@ -45,15 +45,8 @@ from .templates import PromptTemplate, build_prompt
 
 logger = logging.getLogger(__name__)
 
-# Attribute-name terms that mark a pair as an event (see filter_event_pairs).
-EVENT_ATTRIBUTE_TERMS = (
-    "event",
-    "events",
-    "life event",
-    "life events",
-    "activity",
-    "activities",
-)
+# Attribute-name words that mark a pair as an event (see filter_event_pairs).
+EVENT_ATTRIBUTE_TERMS = ("event", "events", "activity", "activities")
 
 # Recall@N and NDCG@N cut-offs of the recommendation task.
 REC_CUTOFFS = (1, 5, 10)
@@ -217,11 +210,13 @@ class RecTaskResult(_RetrievedCounts):
     retrieved_counts: list[int] = field(default_factory=list)
 
 
-def _candidate_block(store: MemoryStore, result: RetrievalResult) -> str:
+def _candidate_block(store: MemoryStore, result: RetrievalResult, titles: dict[str, str]) -> str:
+    """Each hit by its dataset title, which the ranked reply is scored against;
+    an id the dataset does not list is shown by its stored content."""
     lines = []
     for hit in result.hits:
-        item = store.get(hit.item_id)
-        lines.append(f"- {item.content}")
+        title = titles.get(hit.item_id)
+        lines.append(f"- {store.get(hit.item_id).content if title is None else title}")
         annotation = store.annotation_for(hit.item_id)
         if annotation:
             lines.append(f"  {render_annotation(annotation)}")
@@ -269,6 +264,7 @@ def run_rec_task(
             f"cannot sample {n} dialogues from a dataset of {len(dataset.dialogues)}"
         )
     sampled = random.Random(seed).sample(list(dataset.dialogues), n)
+    titles = {item.id: item.title for item in dataset.items}
 
     def recommend(dialogue: RecDialogue) -> tuple[RecResultRow, int | None] | None:
         try:
@@ -282,7 +278,7 @@ def run_rec_task(
         try:
             query = QueryContext(text=text, annotation=miner.mine_text(text))
             result = setup.run(store, query, k)
-            payload = f"Conversation:\n{text}\nCandidates:\n{_candidate_block(store, result)}"
+            payload = f"Conversation:\n{text}\nCandidates:\n{_candidate_block(store, result, titles)}"
             recommendations = parse_ranked_titles(_ask(rec_backend, RECOMMENDATION, payload))
         except MemaugError as exc:
             error = str(exc) or type(exc).__name__
@@ -342,27 +338,12 @@ class EventTaskResult:
 
 
 def filter_event_pairs(annotation: Annotation) -> Annotation:
-    """Keep only pairs whose name contains one of ``EVENT_ATTRIBUTE_TERMS``.
+    """Keep only pairs whose name holds one of ``EVENT_ATTRIBUTE_TERMS`` as a word.
 
-    A term matches when its words appear as a contiguous word sequence in
-    the attribute name, so "event" matches "life event" but not "prevent".
+    So "event" matches "big event" but neither "prevent" nor "pre-event".
     """
-    term_words = [tuple(term.split()) for term in EVENT_ATTRIBUTE_TERMS]
-
-    def matches(name: str) -> bool:
-        words = tuple(name.split())
-        return any(
-            words[i : i + len(needle)] == needle
-            for needle in term_words
-            for i in range(len(words) - len(needle) + 1)
-        )
-
-    return Annotation(
-        pairs=tuple(p for p in annotation.pairs if matches(p.name)),
-        perspective=annotation.perspective,
-        granularity=annotation.granularity,
-        prioritization=annotation.prioritization,
-    )
+    pairs = [p for p in annotation.pairs if any(w in EVENT_ATTRIBUTE_TERMS for w in p.name.split())]
+    return replace(annotation, pairs=tuple(pairs))
 
 
 def parse_judge_scores(response: str) -> dict[str, float] | None:

@@ -6,7 +6,8 @@ oracles is deliberately written in plain Python (explicit loops, ``math``
 instead of numpy) so the oracle shares no code path with the implementation
 it checks. The task-runner oracles are the serial, hand-accumulated runners
 the fan-out replaced; the index-build oracle is the one-batch build that
-block-wise building replaced.
+block-wise building replaced; the event-pair oracle is the word-window
+matcher that the one-word test replaced.
 """
 
 from __future__ import annotations
@@ -627,6 +628,7 @@ def run_rec_task_oracle(
         )
     rng = random.Random(seed)
     sampled = rng.sample(list(dataset.dialogues), n)
+    titles = {item.id: item.title for item in dataset.items}
     score_rows: dict[tuple[str, int], list[tuple[str, float]]] = {
         (metric, cutoff): [] for metric in ("recall", "ndcg") for cutoff in REC_CUTOFFS
     }
@@ -651,7 +653,7 @@ def run_rec_task_oracle(
             counts.append(len(retrieved))
             payload = (
                 f"Conversation:\n{masked.text()}\nCandidates:\n"
-                f"{_candidate_block(store, result)}"
+                f"{_candidate_block(store, result, titles)}"
             )
             prompt = build_prompt(RECOMMENDATION, payload)
             response = rec_backend.complete(prompt, template=RECOMMENDATION, payload=payload)
@@ -687,4 +689,27 @@ def run_rec_task_oracle(
         rows=rows,
         skipped_masking=skipped,
         retrieved_counts=counts,
+    )
+
+
+# The event terms before the two-word ones went: a name holding "life event"
+# as words also holds "event", so those two terms never changed a result.
+_EVENT_TERMS = ("event", "events", "life event", "life events", "activity", "activities")
+
+
+def filter_event_pairs_oracle(annotation: Annotation) -> Annotation:
+    """Keep the pairs in whose name some term's words appear contiguously."""
+    kept = []
+    for pair in annotation.pairs:
+        words = pair.name.split()
+        for term in _EVENT_TERMS:
+            needle = term.split()
+            if any(words[i : i + len(needle)] == needle for i in range(len(words) - len(needle) + 1)):
+                kept.append(pair)
+                break
+    return Annotation(
+        pairs=tuple(kept),
+        perspective=annotation.perspective,
+        granularity=annotation.granularity,
+        prioritization=annotation.prioritization,
     )

@@ -353,6 +353,11 @@ class TestRemoteBackends:
         backend = RemoteChatBackend(profile)
         assert backend.complete("hello") == "echo: hello"
 
+    @pytest.mark.parametrize("client", [RemoteChatBackend, RemoteEmbedder])
+    def test_clients_refuse_a_mock_profile(self, client):
+        with pytest.raises(ValueError, match=f"^{client.__name__} requires a remote profile$"):
+            client(BackendProfile())
+
     def test_chat_http_error(self, stub_server):
         profile = BackendProfile(
             kind=BackendKind.REMOTE_CHAT, model_id="boom", endpoint=stub_server

@@ -683,7 +683,10 @@ class TestConfigFile:
         source = write_items_jsonl(tmp_path / "items.jsonl", ["a fine comedy"])
         source.write_text(source.read_text() + "not json\n", encoding="utf-8")
         config = tmp_path / "memaug.ini"
-        args = ["augment", "--input", str(source), "--store", str(tmp_path / "store.jsonl")]
+        args = [
+            "augment", "--input", str(source), "--store", str(tmp_path / "store.jsonl"),
+            "--perspective", "entity", "--granularity", "na",
+        ]
         config.write_text("[memaug]\nstrict = false\n")
         assert main(["--config", str(config)] + args) == 0
         config.write_text("[memaug]\nstrict = true\n")

@@ -8,6 +8,7 @@ from memaug import (
     AttributeMiner,
     AugmentFailure,
     Granularity,
+    GranularityMismatchError,
     ItemKind,
     MemoryItem,
     MockChatBackend,
@@ -231,6 +232,16 @@ class TestMineCorpus:
         items = [make_turn(1, "x"), make_turn(1, "y")]
         with pytest.raises(ValueError):
             miner.mine_corpus(items)
+
+    def test_unannotatable_item_kind_refused_before_any_call(self):
+        backend = StaticChatBackend(["[genre]<comedy>"])
+        miner = AttributeMiner(backend, granularity=Granularity.TURN_LEVEL, parallelism=2)
+        items = [make_turn(0, "a fine comedy"), make_turn(1, "a drama")]
+        items.append(MemoryItem(id="e0", kind=ItemKind.ENTITY, content="a noir film"))
+        message = "^item kind entity requires granularity not_applicable, got turn_level$"
+        with pytest.raises(GranularityMismatchError, match=message):
+            miner.mine_corpus(items)
+        assert backend.calls == 0
 
     def test_parallel_matches_serial(self):
         items = [make_turn(i, f"a {word} film") for i, word in enumerate(

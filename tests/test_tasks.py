@@ -1,5 +1,6 @@
 """Task pipeline tests: question answering, recommendation, event summaries."""
 
+import dataclasses
 import json
 import sys
 import zlib
@@ -14,7 +15,9 @@ from memaug import (
     AttributePair,
     Granularity,
     HashEmbedder,
+    ItemKind,
     MatchPolicy,
+    MemoryItem,
     MemoryStore,
     MockChatBackend,
     Prioritization,
@@ -22,7 +25,8 @@ from memaug import (
     TransportError,
     build_index,
 )
-from memaug.datasets import load_conversation_dataset, load_recommendation_dataset, store_from_sessions
+from memaug.datasets import load_conversation_dataset, load_recommendation_dataset, store_from_items
+from memaug.datasets import store_from_sessions
 from memaug.errors import BackendRefusal
 from memaug.retrieval import EmbeddingStrategy, QueryPart
 from memaug.tasks import (
@@ -37,7 +41,7 @@ from memaug.tasks import (
 from memaug.templates import ANSWER_GENERATION, QUESTION_AUGMENTATION, RECOMMENDATION, SESSION_BASIC
 
 from doubles import StaticChatBackend
-from oracles import run_qa_task_oracle, run_rec_task_oracle
+from oracles import filter_event_pairs_oracle, run_qa_task_oracle, run_rec_task_oracle
 from synthetic import build_qa_fixture, build_rec_fixture
 
 
@@ -210,6 +214,41 @@ class TestRecTask:
         assert out.reports["ndcg@1"].overall == 1.0
         assert out.avg_items_retrieved == 10.0
         assert out.skipped_masking == 0
+
+    def test_candidates_are_named_by_title_when_items_carry_content(self, rec_setup):
+        dataset, planted, miner, mock = rec_setup
+        # The reply is scored against titles, so a candidate listed by its
+        # content ("Film 00: a noir film") could never score.
+        genre = {item.id: planted.annotation_for(item.id).pairs[0].value for item in dataset.items}
+        items = tuple(
+            dataclasses.replace(item, content=f"{item.title}: a {genre[item.id]} film")
+            for item in dataset.items
+        )
+        dataset = dataclasses.replace(dataset, items=items)
+        store = store_from_items(dataset.items)
+        for item in dataset.items:
+            store.attach_annotation(item.id, planted.annotation_for(item.id))
+        # A store id the dataset does not list is shown by its content.
+        store.write(MemoryItem(id="unlisted", kind=ItemKind.ENTITY, content="an unlisted film"),
+                    planted.annotation_for(dataset.items[0].id))
+        payloads = []
+
+        class Recording:
+            def complete(self, prompt, *, template=None, payload=None):
+                payloads.append(payload)
+                return mock.complete(prompt, template=template, payload=payload)
+
+        embedder = HashEmbedder(8)
+        index, _ = build_index(store, EmbeddingStrategy.AVERAGED_PAIRS, embedder)
+        setup = RetrievalSetup(mode=RetrievalMode.EMBEDDING_BASED, index=index, embedder=embedder)
+        out = run_rec_task(
+            dataset, store, miner=miner, rec_backend=Recording(), setup=setup, n=20, k=10, seed=0
+        )
+        assert out.reports["recall@10"].overall == 1.0
+        lines = [line for payload in payloads for line in payload.splitlines()]
+        listed = {line[2:] for line in lines if line.startswith("- ")}
+        assert listed <= {item.title for item in dataset.items} | {"an unlisted film"}
+        assert "an unlisted film" in listed
 
     def test_comprehensive_retrieves_store_size(self, rec_setup):
         dataset, store, miner, mock = rec_setup
@@ -456,6 +495,28 @@ class TestFilterEventPairs:
         )
         out = filter_event_pairs(ann)
         assert out.names == ("major life event", "activity")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from([
+                    "life", "major", "event", "events", "activity", "activities",
+                    "prevent", "eventful", "life-event", "sad",
+                ]),
+                min_size=1,
+                max_size=4,
+            ).map(" ".join),
+            max_size=6,
+        ),
+        st.sampled_from(list(Granularity)),
+    )
+    def test_matches_the_word_window_oracle(self, names, granularity):
+        ann = Annotation(
+            pairs=tuple(AttributePair(name, f"v{i}") for i, name in enumerate(names)),
+            granularity=granularity,
+        )
+        assert filter_event_pairs(ann) == filter_event_pairs_oracle(ann)
 
 
 # -- the fan-out runners against the serial oracles ------------------------------
