@@ -19,14 +19,11 @@ from .annotations import (
     render_annotation,
 )
 from .backends import (
-    BackendKind,
     BackendProfile,
     HashEmbedder,
     MockChatBackend,
     RemoteChatBackend,
     RemoteEmbedder,
-    make_chat_backend,
-    make_embedder,
 )
 from .datasets import (
     ConversationDataset,

@@ -2,14 +2,15 @@
 
 Two families live here:
 
-* Chat backends answer prompts. ``MockChatBackend`` is a deterministic rule
-  table for offline runs and tests; ``RemoteChatBackend`` speaks an
-  OpenAI-compatible ``/chat/completions`` JSON protocol.
-* Embedders map text to fixed-dimension vectors. ``HashEmbedder`` derives
+* Chat backends answer prompts. ``MockChatBackend(rules)`` is a deterministic
+  rule table for offline runs and tests; ``RemoteChatBackend(profile)`` speaks
+  an OpenAI-compatible ``/chat/completions`` JSON protocol.
+* Embedders map text to fixed-dimension vectors. ``HashEmbedder(dim)`` derives
   vectors from token hashes (deterministic across runs and platforms);
-  ``RemoteEmbedder`` speaks an OpenAI-compatible ``/embeddings`` protocol.
+  ``RemoteEmbedder(profile)`` speaks an OpenAI-compatible ``/embeddings`` protocol.
 
-Every backend is stateless after construction and safe for concurrent calls.
+Each is built directly; a :class:`BackendProfile` holds a remote one's settings.
+Every backend is safe for concurrent calls.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import os
 import string
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -27,31 +27,22 @@ from .errors import BackendRefusal, TransportError, ZeroVectorError
 from .templates import PromptTemplate, ResponseFormat
 
 
-class BackendKind(Enum):
-    MOCK = "mock"
-    REMOTE_CHAT = "remote_chat"
-
-
 @dataclass(frozen=True)
 class BackendProfile:
-    """Configuration for constructing a backend.
+    """Settings of a remote client; ``endpoint`` is required.
 
-    ``endpoint`` is required exactly when ``kind`` is remote. The API key is
-    never stored here; it is read from the environment variable named by
-    ``api_key_env`` at request time.
+    The API key is never stored here; it is read from the environment
+    variable named by ``api_key_env`` at request time.
     """
 
-    kind: BackendKind = BackendKind.MOCK
     model_id: str = "mock"
     endpoint: str | None = None
     timeout: float = 30.0
     api_key_env: str = "MEMAUG_API_KEY"
 
     def __post_init__(self):
-        if self.kind is BackendKind.REMOTE_CHAT and not self.endpoint:
+        if not self.endpoint:
             raise ValueError("remote backends require an endpoint")
-        if self.kind is BackendKind.MOCK and self.endpoint:
-            raise ValueError("mock backends must not set an endpoint")
 
 
 class ChatBackend(Protocol):
@@ -213,8 +204,6 @@ class _RemoteClient:
     """A remote profile and the one HTTP session its requests share."""
 
     def __init__(self, profile: BackendProfile, session: requests.Session | None = None):
-        if profile.kind is not BackendKind.REMOTE_CHAT:
-            raise ValueError(f"{type(self).__name__} requires a remote profile")
         self.profile = profile
         self._session = session or requests.Session()
 
@@ -316,14 +305,15 @@ def _components(seeds: np.ndarray, steps: np.ndarray) -> np.ndarray:
 
 
 _ZERO_NORM = "cannot normalize a zero vector"
+_MIN_NORM = 1e-12  # A vector with a smaller L2 norm counts as zero.
 
 
 def _unit_means(out: np.ndarray, keys: Sequence[Sequence], gather: Callable) -> np.ndarray:
     """Set ``out[i]`` to the mean of the rows ``gather`` returns for ``keys[i]``,
     summed key by key in key order, then scaled to unit L2 norm.
 
-    A mean whose norm is below 1e-12 cannot be normalized: its row is left
-    unscaled and marked in the mask returned.
+    A mean whose norm is below ``_MIN_NORM`` cannot be normalized: its row
+    is left unscaled and marked in the mask returned.
     """
     by_length: dict[int, list[int]] = {}
     for i, item in enumerate(keys):
@@ -334,7 +324,7 @@ def _unit_means(out: np.ndarray, keys: Sequence[Sequence], gather: Callable) -> 
             total += gather([keys[i][j] for i in members])
         out[members] = total / length
     norms = np.sqrt(np.matmul(out[:, None, :], out[:, :, None]).ravel())
-    zero = norms < 1e-12
+    zero = norms < _MIN_NORM
     out /= np.where(zero, 1.0, norms)[:, None]
     return zero
 
@@ -454,6 +444,8 @@ class RemoteEmbedder(_RemoteClient):
             if [row["index"] for row in rows] != list(range(len(texts))):
                 raise ValueError(f"expected rows 0..{len(texts) - 1}")
             vectors = np.array([row["embedding"] for row in rows], dtype=np.float64)
+            if not np.isfinite(vectors).all():
+                raise ValueError("embedding rows hold non-finite entries")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed embedding response: {exc}") from exc
         if vectors.ndim != 2 or self._dimension not in (None, vectors.shape[1]):
@@ -463,19 +455,3 @@ class RemoteEmbedder(_RemoteClient):
         self._dimension = vectors.shape[1]
         return vectors
 
-
-def make_chat_backend(
-    profile: BackendProfile,
-    *,
-    rules: dict[str, tuple[str, str]] | None = None,
-    capture_persons: bool = True,
-) -> ChatBackend:
-    if profile.kind is BackendKind.MOCK:
-        return MockChatBackend(rules, capture_persons=capture_persons)
-    return RemoteChatBackend(profile)
-
-
-def make_embedder(profile: BackendProfile, *, dimension: int = 8) -> Embedder:
-    if profile.kind is BackendKind.MOCK:
-        return HashEmbedder(dimension)
-    return RemoteEmbedder(profile)

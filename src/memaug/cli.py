@@ -24,7 +24,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .annotations import Granularity, Perspective, Prioritization, render_annotation
-from .backends import BackendKind, BackendProfile, make_chat_backend, make_embedder
+from .backends import (
+    BackendProfile, HashEmbedder, MockChatBackend, RemoteChatBackend, RemoteEmbedder,
+)
 from .datasets import (
     load_conversation_dataset,
     load_recommendation_dataset,
@@ -149,26 +151,20 @@ _SNAPSHOT = (
 )
 
 
-def _profile(args) -> BackendProfile:
-    kind = BackendKind.MOCK if args.backend == "mock" else BackendKind.REMOTE_CHAT
+def _profile(args, model: str | None) -> BackendProfile:
     return BackendProfile(
-        kind=kind,
-        model_id=args.model,
-        endpoint=args.endpoint if kind is BackendKind.REMOTE_CHAT else None,
-        timeout=args.timeout,
-        api_key_env=args.api_key_env,
+        model_id=model, endpoint=args.endpoint, timeout=args.timeout, api_key_env=args.api_key_env
     )
 
 
 def _embedder(args, dimension: int):
-    """The embedder of a run: the hash embedder under the mock backend,
-    else the remote ``--embed-model``, which is never the chat ``--model``."""
-    profile = _profile(args)
-    if profile.kind is BackendKind.REMOTE_CHAT:
-        if not args.embed_model:
-            raise ValueError("remote embeddings need --embed-model")
-        profile = replace(profile, model_id=args.embed_model)
-    return make_embedder(profile, dimension=dimension)
+    """The hash embedder, or the remote ``--embed-model`` (never the chat ``--model``)."""
+    if args.backend == "mock":
+        return HashEmbedder(dimension)
+    profile = _profile(args, args.embed_model)  # refuses a missing --endpoint first
+    if not args.embed_model:
+        raise ValueError("remote embeddings need --embed-model")
+    return RemoteEmbedder(profile)
 
 
 def _query_parts(args) -> tuple[QueryPart, ...]:
@@ -203,7 +199,9 @@ def _load_mock_rules(path: str | None) -> tuple[dict | None, bool]:
 
 def _chat_backend(args):
     rules, capture = _load_mock_rules(args.mock_rules)
-    return make_chat_backend(_profile(args), rules=rules, capture_persons=capture)
+    if args.backend == "mock":
+        return MockChatBackend(rules, capture_persons=capture)
+    return RemoteChatBackend(_profile(args, args.model))
 
 
 def _miner(args, backend, *, perspective=None, granularity=None) -> AttributeMiner:

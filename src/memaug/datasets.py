@@ -252,16 +252,14 @@ def mask_dialogue(dialogue: RecDialogue) -> RecDialogue:
     if not patterns:
         raise LabelNotFoundError("no labels to mask")
     masked_turns: list[tuple[str, str]] = []
-    cutoff: int | None = None
-    for idx, (speaker, text) in enumerate(dialogue.turns):
+    for speaker, text in dialogue.turns:
         replaced = text
         for pattern in patterns:
             replaced = pattern.sub(MASK_TOKEN, replaced)
         masked_turns.append((speaker, replaced))
         if replaced != text:
-            cutoff = idx
             break
-    if cutoff is None:
+    else:
         raise LabelNotFoundError("no ground-truth label occurs in the dialogue")
     return RecDialogue(
         dialogue_id=dialogue.dialogue_id,
@@ -278,6 +276,8 @@ def session_text(session: Session) -> str:
 
 def store_from_sessions(dataset: ConversationDataset, *, level: str = "turn") -> MemoryStore:
     """Build a store of dialogue turns (or whole sessions) from a dataset."""
+    if level not in ("turn", "session"):
+        raise ValueError(f"level must be 'turn' or 'session', got {level!r}")
     store = MemoryStore()
     for session in dataset.sessions:
         if level == "session":

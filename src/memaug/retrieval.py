@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .annotations import Annotation, render_annotation
-from .backends import _ZERO_NORM, Embedder, _unit_means
+from .backends import _MIN_NORM, _ZERO_NORM, Embedder, _unit_means
 from .errors import (
     DimensionMismatchError,
     EmptyAnnotationError,
@@ -246,7 +246,7 @@ class VectorIndex:
                 f"vector has dimension {vector.shape[0]}, expected {self.dimension}"
             )
         qnorm = float(np.linalg.norm(vector))
-        if qnorm < 1e-12:
+        if qnorm < _MIN_NORM:
             raise ZeroVectorError("query vector has zero norm")
         # One float32 gemv ranks every row; the rows within 2E of its k-th
         # score hold the exact top-k (see _BAND), and every row when k >= n.
@@ -397,14 +397,14 @@ def build_index(
         if items and matrix is None:
             eligible = sum(isinstance(texts, list) for _, texts in units)
             matrix = np.empty((eligible, len(rows[items[0][0]])), dtype=np.float64)
-        out = matrix[len(ids) : len(ids) + len(items)] if items else None
-        zero = np.zeros(len(items), dtype=bool)
-        if items and strategy is EmbeddingStrategy.AVERAGED_PAIRS:
+        out = matrix[len(ids) : len(ids) + len(items)] if items else np.empty((0, 0))
+        if strategy is EmbeddingStrategy.AVERAGED_PAIRS:
             zero = _unit_means(out, items, lambda texts: np.array([rows[text] for text in texts]))
-            if zero.any():
-                out[: len(items) - int(zero.sum())] = out[~zero]
-        elif items:
+        else:  # Single-text rows are stored as embedded, never rescaled.
             out[:] = [rows[texts[0]] for texts in items]
+            zero = np.linalg.norm(out, axis=1) < _MIN_NORM
+        if zero.any():  # A zero vector has no cosine, so its item is skipped.
+            out[: len(items) - int(zero.sum())] = out[~zero]
         flags = iter(zero)
         for (item_id, _), reason in zip(block, reasons):
             if reason is None and next(flags):

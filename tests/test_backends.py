@@ -6,13 +6,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import splitmix_components
 
 from memaug import (
-    BackendKind,
     BackendProfile,
     HashEmbedder,
     MockChatBackend,
@@ -20,8 +20,6 @@ from memaug import (
     RemoteEmbedder,
     TransportError,
     ZeroVectorError,
-    make_chat_backend,
-    make_embedder,
 )
 from memaug.templates import (
     ENTITY_BASIC,
@@ -261,19 +259,9 @@ class TestMockChatBackend:
 
 class TestBackendProfile:
     def test_remote_requires_endpoint(self):
-        with pytest.raises(ValueError):
-            BackendProfile(kind=BackendKind.REMOTE_CHAT, endpoint=None)
-
-    def test_mock_rejects_endpoint(self):
-        with pytest.raises(ValueError):
-            BackendProfile(kind=BackendKind.MOCK, endpoint="http://x")
-
-    def test_factories(self):
-        assert isinstance(make_chat_backend(BackendProfile()), MockChatBackend)
-        assert isinstance(make_embedder(BackendProfile(), dimension=4), HashEmbedder)
-        remote = BackendProfile(kind=BackendKind.REMOTE_CHAT, endpoint="http://localhost:1")
-        assert isinstance(make_chat_backend(remote), RemoteChatBackend)
-        assert isinstance(make_embedder(remote), RemoteEmbedder)
+        for endpoint in (None, ""):
+            with pytest.raises(ValueError, match="^remote backends require an endpoint$"):
+                BackendProfile(endpoint=endpoint)
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -347,27 +335,17 @@ def stub_server():
 
 class TestRemoteBackends:
     def test_chat_round_trip(self, stub_server):
-        profile = BackendProfile(
-            kind=BackendKind.REMOTE_CHAT, model_id="m1", endpoint=stub_server
-        )
+        profile = BackendProfile(model_id="m1", endpoint=stub_server)
         backend = RemoteChatBackend(profile)
         assert backend.complete("hello") == "echo: hello"
 
-    @pytest.mark.parametrize("client", [RemoteChatBackend, RemoteEmbedder])
-    def test_clients_refuse_a_mock_profile(self, client):
-        with pytest.raises(ValueError, match=f"^{client.__name__} requires a remote profile$"):
-            client(BackendProfile())
-
     def test_chat_http_error(self, stub_server):
-        profile = BackendProfile(
-            kind=BackendKind.REMOTE_CHAT, model_id="boom", endpoint=stub_server
-        )
+        profile = BackendProfile(model_id="boom", endpoint=stub_server)
         with pytest.raises(TransportError):
             RemoteChatBackend(profile).complete("hello")
 
     def test_chat_connection_refused(self):
         profile = BackendProfile(
-            kind=BackendKind.REMOTE_CHAT,
             model_id="m1",
             endpoint="http://127.0.0.1:9",
             timeout=0.2,
@@ -384,36 +362,49 @@ class TestRemoteBackends:
         ],
     )
     def test_http_failures_name_the_request(self, stub_server, what, model, message):
-        profile = BackendProfile(
-            kind=BackendKind.REMOTE_CHAT, model_id=model, endpoint=stub_server
-        )
+        profile = BackendProfile(model_id=model, endpoint=stub_server)
         client = RemoteChatBackend(profile) if what == "chat" else RemoteEmbedder(profile)
         call = client.complete if what == "chat" else client.embed
         with pytest.raises(TransportError, match=message.format(what=what)):
             call("hello")
 
     def test_embeddings_round_trip(self, stub_server):
-        profile = BackendProfile(
-            kind=BackendKind.REMOTE_CHAT, model_id="emb", endpoint=stub_server
-        )
+        profile = BackendProfile(model_id="emb", endpoint=stub_server)
         embedder = RemoteEmbedder(profile)
         np.testing.assert_array_equal(embedder.embed("text"), [1.0, 2.0, 2.0])
         assert embedder.dimension == 3
 
     def test_embeddings_dimension_unknown_before_first_call(self, stub_server):
-        profile = BackendProfile(
-            kind=BackendKind.REMOTE_CHAT, model_id="emb", endpoint=stub_server
-        )
+        profile = BackendProfile(model_id="emb", endpoint=stub_server)
         with pytest.raises(TransportError):
             _ = RemoteEmbedder(profile).dimension
 
 
+class _ReplySession:
+    """A session whose every POST is answered with ``body`` (HTTP 200)."""
+
+    def __init__(self, body):
+        self.body = body
+
+    def post(self, *args, **kwargs):
+        reply = requests.Response()
+        reply.status_code, reply._content = 200, json.dumps(self.body).encode()
+        return reply
+
+
 class TestRemoteEmbeddingBatches:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rows_are_a_malformed_response(self, value):
+        body = {"data": [{"index": 0, "embedding": [1.0, value, 0.0]}]}
+        profile = BackendProfile(model_id="emb", endpoint="http://127.0.0.1:9")
+        embedder = RemoteEmbedder(profile, session=_ReplySession(body))
+        with pytest.raises(TransportError, match="^malformed embedding response: "):
+            embedder.embed("text")
+
+
     def test_embed_many_chunks_and_reorders(self, stub_server):
         _StubHandler.requests.clear()
-        profile = BackendProfile(
-            kind=BackendKind.REMOTE_CHAT, model_id="emb-len", endpoint=stub_server
-        )
+        profile = BackendProfile(model_id="emb-len", endpoint=stub_server)
         embedder = RemoteEmbedder(profile)
         texts = ["x" * (i % 7 + 1) for i in range(2 * RemoteEmbedder.BATCH_SIZE + 2)]
         rows = embedder.embed_many(texts)
@@ -426,9 +417,7 @@ class TestRemoteEmbeddingBatches:
         np.testing.assert_array_equal(embedder.embed("xy"), [2.0, 1.0, 0.0])
 
     def test_dimension_drift_between_chunks_rejected(self, stub_server):
-        profile = BackendProfile(
-            kind=BackendKind.REMOTE_CHAT, model_id="drift", endpoint=stub_server
-        )
+        profile = BackendProfile(model_id="drift", endpoint=stub_server)
         embedder = RemoteEmbedder(profile)
         with pytest.raises(TransportError, match="do not match the dimension"):
             embedder.embed_many(["x"] * (RemoteEmbedder.BATCH_SIZE + 1))

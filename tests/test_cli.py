@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from memaug import cli
+from memaug.backends import MockChatBackend, RemoteChatBackend
 from memaug.cli import main
 from memaug.datasets import load_conversation_dataset, store_from_sessions
 
@@ -592,6 +593,51 @@ class TestEvalCommand:
         report = json.loads((out_dir / "events.json").read_text())
         assert report["skipped"] == 1
         assert "skipped" in capsys.readouterr().err
+
+
+class TestBackendChoice:
+    """A remote run needs ``--endpoint``; the transcript pins that a mock
+    run ignores one."""
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_items_jsonl(tmp_path / "items.jsonl", ["a great thriller", "a boring comedy"])
+        entity = ["--perspective", "entity", "--granularity", "na"]
+        assert main(["augment", "--input", "items.jsonl", "--store", "store.jsonl", *entity]) == 0
+        assert main(["index", "--store", "store.jsonl", "--out", "store.index"]) == 0
+        data, _ = build_qa_fixture(n_turns=20, n_sessions=4)
+        (tmp_path / "qa.json").write_text(json.dumps(data), encoding="utf-8")
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["augment", "--input", "items.jsonl", "--store", "remote.jsonl",
+             "--perspective", "entity", "--granularity", "na"],
+            ["index", "--store", "store.jsonl", "--out", "remote.index", "--embed-model", "e"],
+            ["retrieve", "a thriller", "--store", "store.jsonl", "--index", "store.index"],
+            ["retrieve", "a thriller", "--store", "store.jsonl", "--mode", "attribute"],
+            ["eval", "--task", "qa", "--dataset", "qa.json", "--out-dir", "reports"],
+        ],
+        ids=["augment", "index", "retrieve-embedding", "retrieve-attribute", "eval"],
+    )
+    def test_remote_without_endpoint_refused_before_any_call_or_write(
+        self, workdir, capsys, monkeypatch, argv
+    ):
+        def complete(*args, **kwargs):
+            pytest.fail("a chat call was made")
+
+        for backend in (MockChatBackend, RemoteChatBackend):
+            monkeypatch.setattr(backend, "complete", complete)
+        def files():
+            return {path: path.read_bytes() for path in workdir.rglob("*") if path.is_file()}
+
+        before = files()
+        capsys.readouterr()
+        assert main([*argv, "--backend", "remote"]) == 1
+        assert capsys.readouterr().err == "error: remote backends require an endpoint\n"
+        assert files() == before
 
 
 class TestConfigSnapshot:

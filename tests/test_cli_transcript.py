@@ -203,7 +203,7 @@ def _snapshot(root: Path) -> dict[str, bytes]:
     }
 
 
-def _flaky_backend(profile, *, rules=None, capture_persons=True):
+def _flaky_backend(rules=None, *, capture_persons=True):
     return FlakyChatBackend(MockChatBackend(rules, capture_persons=capture_persons))
 
 
@@ -214,7 +214,7 @@ def run_command(root: Path, entry: dict, parallelism: str) -> dict:
     stdout, stderr = io.StringIO(), io.StringIO()
     backend = contextlib.nullcontext()
     if entry.get("backend") == "flaky":
-        backend = mock.patch.object(cli, "make_chat_backend", _flaky_backend)
+        backend = mock.patch.object(cli, "MockChatBackend", _flaky_backend)
     with backend, contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = cli.main(argv)

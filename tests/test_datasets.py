@@ -125,6 +125,13 @@ class TestConversationDataset:
         assert item.content == session_text(dataset.sessions[0])
         assert item.content.count("\n") == 4
 
+    @pytest.mark.parametrize("level", ["sessions", "Session", "na", ""])
+    def test_store_from_sessions_refuses_an_unknown_level(self, tmp_path, level):
+        data, _ = build_qa_fixture(n_turns=10, n_sessions=2)
+        dataset = load_conversation_dataset(write_json(tmp_path, "d.json", data))
+        with pytest.raises(ValueError, match=f"^level must be 'turn' or 'session', got {level!r}$"):
+            store_from_sessions(dataset, level=level)
+
 
 class TestRecommendationDataset:
     def test_load_fixture(self, tmp_path):

@@ -18,7 +18,6 @@ from memaug import retrieval
 from memaug import (
     Annotation,
     AttributePair,
-    BackendKind,
     BackendProfile,
     DimensionMismatchError,
     EmbeddingStrategy,
@@ -257,7 +256,7 @@ class _UncalledSession:
 def test_nothing_to_embed_with_a_remote_embedder(tmp_path):
     store = MemoryStore()
     store.write(MemoryItem(id="m0", kind=ItemKind.ENTITY, content="no annotation"))
-    profile = BackendProfile(kind=BackendKind.REMOTE_CHAT, model_id="emb", endpoint="http://127.0.0.1:9")
+    profile = BackendProfile(model_id="emb", endpoint="http://127.0.0.1:9")
     embedder = RemoteEmbedder(profile, session=_UncalledSession())
     index, skipped = build_index(store, EmbeddingStrategy.AVERAGED_PAIRS, embedder)
     assert (len(index), index.dimension, skipped) == (0, 0, [("m0", "no annotation")])
@@ -382,6 +381,34 @@ class TestBlockBuild:
                 built = build_index(store, strategy, SwitchEmbedder(8))
             assert_same_index(built, build_index_oracle(store, strategy, SwitchEmbedder(8)))
             assert built[1] == reasons
+
+    @pytest.mark.parametrize("block", [1, 2, 1024])
+    @pytest.mark.parametrize("strategy", list(EmbeddingStrategy))
+    def test_a_zero_row_skips_its_item_under_every_strategy(self, strategy, block):
+        class ZeroEmbedder(SwitchEmbedder):
+            """Embeds every text holding "void" as the zero vector."""
+
+            def embed_many(self, texts):
+                rows = super().embed_many(texts)
+                rows[[i for i, text in enumerate(texts) if "void" in text]] = 0.0
+                return rows
+
+        words = {"m0": "noir", "m1": "void", "m2": "heist", "m3": "void too", "m4": "café"}
+        store = entity_store({i: single_pair("k", word) for i, word in words.items()}, words)
+        kept = entity_store(
+            {i: single_pair("k", word) for i, word in words.items() if "void" not in word}, words
+        )
+        with patch.object(retrieval, "_BUILD_BLOCK", block):
+            index, skipped = build_index(store, strategy, ZeroEmbedder(8))
+        expected, _ = build_index(kept, strategy, ZeroEmbedder(8))
+        assert skipped == [("m1", "cannot normalize a zero vector"),
+                           ("m3", "cannot normalize a zero vector")]
+        assert index.item_ids == expected.item_ids == ("m0", "m2", "m4")
+        assert index.vectors.tobytes() == expected.vectors.tobytes()
+        if strategy is not EmbeddingStrategy.AVERAGED_PAIRS:  # stored exactly as embedded
+            texts = [words[i] if strategy is EmbeddingStrategy.RAW_CONTENT
+                     else f"[k]<{words[i]}>" for i in index.item_ids]
+            assert index.vectors.tobytes() == ZeroEmbedder(8).embed_many(texts).tobytes()
 
     @pytest.mark.parametrize("strategy", list(EmbeddingStrategy))
     def test_each_distinct_text_embedded_once(self, strategy):
