@@ -119,26 +119,24 @@ class MockChatBackend:
         self.rules = dict(DEFAULT_MOCK_RULES if rules is None else rules)
         self.capture_persons = capture_persons
 
-    def _match(self, raw: str) -> tuple[str, str] | None:
-        folded = raw.casefold()
-        if folded in self.rules:
-            return self.rules[folded]
-        stripped = raw.strip(_PUNCT)
-        if stripped and stripped.casefold() in self.rules:
-            return self.rules[stripped.casefold()]
-        return None
+    def _tokens(self, text: str):
+        """Each token of ``text`` as its rule (looked up raw, then with
+        punctuation stripped, both case-folded; None if neither matches)
+        and its punctuation-stripped form."""
+        rule_of = self.rules.get
+        for raw in text.split():
+            stripped = raw.strip(_PUNCT)
+            rule = rule_of(raw.casefold())
+            if rule is None and stripped and stripped != raw:
+                rule = rule_of(stripped.casefold())
+            yield rule, stripped
 
     def _mine(self, text: str) -> list[tuple[str, str]]:
-        pairs: list[tuple[str, str]] = []
-        for raw in text.split():
-            rule = self._match(raw)
-            if rule is not None:
-                pairs.append(rule)
-                continue
-            stripped = raw.strip(_PUNCT)
-            if self.capture_persons and _is_proper_noun(stripped):
-                pairs.append(("person", stripped))
-        return pairs
+        return [
+            rule or ("person", stripped)
+            for rule, stripped in self._tokens(text)
+            if rule or (self.capture_persons and _is_proper_noun(stripped))
+        ]
 
     @staticmethod
     def _render_pairs(pairs: Sequence[tuple[str, str]]) -> str:
@@ -162,16 +160,12 @@ class MockChatBackend:
         return "".join(groups)
 
     def _person_attributes(self, payload: str) -> str:
-        persons: list[str] = []
-        attributes: list[str] = []
-        for raw in payload.split():
-            rule = self._match(raw)
-            stripped = raw.strip(_PUNCT)
-            if rule is not None:
-                if rule[0] not in attributes:
-                    attributes.append(rule[0])
-            elif _is_proper_noun(stripped) and stripped not in persons:
-                persons.append(stripped)
+        persons, attributes = {}, {}  # dicts keep the first of each, in order
+        for rule, word in self._tokens(payload):
+            if rule:
+                attributes[rule[0]] = None
+            elif _is_proper_noun(word):
+                persons[word] = None
         return f"Person:[{', '.join(persons)}]Attributes:[{', '.join(attributes)}]"
 
     @staticmethod

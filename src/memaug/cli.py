@@ -3,6 +3,8 @@
 Subcommands: ``augment`` (mine attributes for a corpus), ``index`` (build
 and save a vector index), ``retrieve`` (query a store), ``eval`` (run the
 qa/rec/events pipelines and write reports), ``stats`` (corpus statistics).
+Each takes only the flags it reads: its own, plus those of the shared
+remote, chat, mining and indexing groups it needs.
 
 Each setting's default sits on its flag. An optional INI config file
 (section ``[memaug]``, keys named like the long flags) overrides those
@@ -481,41 +483,44 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
 
-    def common(p: _Parser) -> None:
-        p.add_argument("--backend", choices=["mock", "remote"], default="mock")
-        p.add_argument("--model", default="mock")
-        p.add_argument("--endpoint")
-        p.add_argument("--api-key-env", dest="api_key_env", default="MEMAUG_API_KEY")
-        p.add_argument("--max-retries", dest="max_retries", type=int, default=2)
-        p.add_argument("--timeout", type=float, default=30.0)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--mock-rules", help="JSON rule table for the mock backend")
+    # Flag groups, each declared once; a command takes the groups it reads.
+    remote = argparse.ArgumentParser(add_help=False)  # any server call
+    remote.add_argument("--backend", choices=["mock", "remote"], default="mock")
+    remote.add_argument("--endpoint")
+    remote.add_argument("--api-key-env", dest="api_key_env", default="MEMAUG_API_KEY")
+    remote.add_argument("--timeout", type=float, default=30.0)
+    chat = argparse.ArgumentParser(add_help=False, parents=[remote])
+    chat.add_argument("--model", default="mock")
+    chat.add_argument("--max-retries", dest="max_retries", type=int, default=2)
+    chat.add_argument("--mock-rules", help="JSON rule table for the mock backend")
+    mining = argparse.ArgumentParser(add_help=False)
+    mining.add_argument("--perspective", choices=list(_PERSPECTIVES), default="conversation")
+    mining.add_argument("--granularity", choices=list(_GRANULARITIES), default="turn")
+    mining.add_argument("--prioritization", choices=list(_PRIORITIZATIONS), default="basic")
+    mining.add_argument("--parallelism", type=int, default=1)
+    embed_help = "embedding model of the remote backend, separate from the chat model"
+    indexing = argparse.ArgumentParser(add_help=False)
+    indexing.add_argument("--strategy", choices=list(_STRATEGIES), default="averaged")
+    indexing.add_argument("--dim", type=int, default=8)
+    indexing.add_argument("--embed-model", dest="embed_model", help=embed_help)
 
-    embed_help = "embedding model of the remote backend, separate from the chat --model"
-
-    p_augment = sub.add_parser("augment", help="mine attribute annotations for a corpus")
-    common(p_augment)
+    p_augment = sub.add_parser(
+        "augment", parents=[chat, mining], help="mine attribute annotations for a corpus"
+    )
     p_augment.add_argument("--input", required=True, help="input items JSONL")
     p_augment.add_argument("--store", required=True, help="output store JSONL")
-    p_augment.add_argument("--perspective", choices=list(_PERSPECTIVES), default="conversation")
-    p_augment.add_argument("--granularity", choices=list(_GRANULARITIES), default="turn")
-    p_augment.add_argument("--prioritization", choices=list(_PRIORITIZATIONS), default="basic")
-    p_augment.add_argument("--parallelism", type=int, default=1)
     p_augment.add_argument("--max-failure-rate", dest="max_failure_rate", type=float)
     p_augment.add_argument("--strict", action="store_true", help="abort on malformed input lines")
     p_augment.set_defaults(func=cmd_augment)
 
-    p_index = sub.add_parser("index", help="build and save a vector index")
-    common(p_index)
+    p_index = sub.add_parser(
+        "index", parents=[remote, indexing], help="build and save a vector index"
+    )
     p_index.add_argument("--store", required=True)
     p_index.add_argument("--out", required=True)
-    p_index.add_argument("--strategy", choices=list(_STRATEGIES), default="averaged")
-    p_index.add_argument("--dim", type=int, default=8)
-    p_index.add_argument("--embed-model", dest="embed_model", help=embed_help)
     p_index.set_defaults(func=cmd_index)
 
-    p_retrieve = sub.add_parser("retrieve", help="query a store")
-    common(p_retrieve)
+    p_retrieve = sub.add_parser("retrieve", parents=[chat], help="query a store")
     p_retrieve.add_argument("query", help="query text")
     p_retrieve.add_argument("--store", required=True)
     p_retrieve.add_argument("--mode", choices=list(_MODES), default="embedding")
@@ -528,23 +533,18 @@ def build_parser() -> _Parser:
                             help=embed_help + " (default: the one the index records)")
     p_retrieve.set_defaults(func=cmd_retrieve)
 
-    p_eval = sub.add_parser("eval", help="run an evaluation task and write reports")
-    common(p_eval)
+    p_eval = sub.add_parser(
+        "eval", parents=[chat, mining, indexing], help="run an evaluation task and write reports"
+    )
     p_eval.add_argument("--task", choices=["qa", "rec", "events"], required=True)
     p_eval.add_argument("--dataset", required=True)
     p_eval.add_argument("--store", help="pre-augmented store (else built from the dataset)")
     p_eval.add_argument("--mode", choices=list(_MODES), default="embedding")
-    p_eval.add_argument("--strategy", choices=list(_STRATEGIES), default="averaged")
     p_eval.add_argument("--policy", choices=list(_POLICIES))  # per task: cmd_eval
     p_eval.add_argument("--query-parts", dest="query_parts", default="text,attributes")
-    p_eval.add_argument("--perspective", choices=list(_PERSPECTIVES), default="conversation")
-    p_eval.add_argument("--granularity", choices=list(_GRANULARITIES), default="turn")
-    p_eval.add_argument("--prioritization", choices=list(_PRIORITIZATIONS), default="basic")
     p_eval.add_argument("--k", type=int)  # per task: cmd_eval
+    p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--n", type=int, default=10)
-    p_eval.add_argument("--dim", type=int, default=8)
-    p_eval.add_argument("--embed-model", dest="embed_model", help=embed_help)
-    p_eval.add_argument("--parallelism", type=int, default=1)
     p_eval.add_argument("--input-mode", dest="input_mode",
                         choices=["annotations_only", "annotations_plus_dialogues"],
                         default="annotations_only")

@@ -340,17 +340,17 @@ _BUILD_BLOCK = 1024
 
 def _embed_rows(embedder: Embedder, texts: list[str], errors: dict) -> dict[str, np.ndarray]:
     """Each text's row from one ``embed_many`` call; a text whose embedding
-    fails gets no row, and its reason goes into ``errors``."""
+    fails gets no row, and its reason goes into ``errors``. A failed batch is
+    embedded again in halves, so each failing text costs about two calls per
+    halving, not one call per text of its batch."""
     try:
         return dict(zip(texts, embedder.embed_many(texts)))
-    except ZeroVectorError:
-        rows = {}  # Embed one text at a time to learn which ones fail.
-        for text in texts:
-            try:
-                rows[text] = embedder.embed_many([text])[0]
-            except ZeroVectorError as exc:
-                errors[text] = str(exc)
-        return rows
+    except ZeroVectorError as exc:
+        if len(texts) == 1:
+            errors[texts[0]] = str(exc)
+            return {}
+    half = len(texts) // 2
+    return _embed_rows(embedder, texts[:half], errors) | _embed_rows(embedder, texts[half:], errors)
 
 
 def build_index(

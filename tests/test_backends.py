@@ -21,6 +21,7 @@ from memaug import (
     TransportError,
     ZeroVectorError,
 )
+from memaug.errors import BackendRefusal
 from memaug.templates import (
     ENTITY_BASIC,
     QUESTION_AUGMENTATION,
@@ -381,15 +382,46 @@ class TestRemoteBackends:
 
 
 class _ReplySession:
-    """A session whose every POST is answered with ``body`` (HTTP 200)."""
+    """A session whose every POST is answered with ``body`` (HTTP 200); the
+    headers of the last request are kept in ``headers``."""
 
     def __init__(self, body):
         self.body = body
+        self.headers = None
 
     def post(self, *args, **kwargs):
+        self.headers = kwargs["headers"]
         reply = requests.Response()
         reply.status_code, reply._content = 200, json.dumps(self.body).encode()
         return reply
+
+
+class TestRemoteChatReplies:
+    @staticmethod
+    def _complete(body, **profile):
+        session = _ReplySession(body)
+        profile = BackendProfile(model_id="m", endpoint="http://127.0.0.1:9", **profile)
+        return RemoteChatBackend(profile, session=session).complete("hello"), session
+
+    def test_content_filter_is_a_refusal(self):
+        body = {"choices": [{"message": {"content": ""}, "finish_reason": "content_filter"}]}
+        with pytest.raises(BackendRefusal, match="^backend declined the prompt$"):
+            self._complete(body)
+
+    @pytest.mark.parametrize("body", [{}, {"choices": []}, {"choices": [{"message": None}]}])
+    def test_reply_without_a_choice_is_malformed(self, body):
+        with pytest.raises(TransportError, match="^malformed chat response: "):
+            self._complete(body)
+
+    def test_bearer_key_is_read_from_api_key_env(self, monkeypatch):
+        body = {"choices": [{"message": {"content": "hi"}, "finish_reason": "stop"}]}
+        monkeypatch.setenv("MEMAUG_TEST_KEY", "s3cret")
+        reply, session = self._complete(body, api_key_env="MEMAUG_TEST_KEY")
+        assert reply == "hi"
+        assert session.headers["Authorization"] == "Bearer s3cret"
+        monkeypatch.delenv("MEMAUG_TEST_KEY")
+        _, session = self._complete(body, api_key_env="MEMAUG_TEST_KEY")
+        assert "Authorization" not in session.headers
 
 
 class TestRemoteEmbeddingBatches:
@@ -437,19 +469,50 @@ class TestRemoteEmbeddingBatches:
         _StubHandler.requests.clear()
         argv = [
             "index", "--store", str(store_path), "--out", str(index_path), "--strategy", "raw",
-            "--backend", "remote", "--endpoint", stub_server, "--model", "chat-m",
-            "--embed-model", "emb-len",
+            "--backend", "remote", "--endpoint", stub_server, "--embed-model", "emb-len",
         ]
         assert main(argv) == 0
         assert {r["model"] for r in _StubHandler.requests} == {"emb-len"}
         index = VectorIndex.load(index_path)
         assert (index.embedder_kind, index.embedder_model) == ("remote", "emb-len")
-        args = build_parser().parse_args(argv)
-        assert (args.model, args.embed_model) == ("chat-m", "emb-len")
+        with pytest.raises(SystemExit) as refused:  # index makes no chat call
+            main(argv + ["--model", "chat-m"])
+        assert refused.value.code == 1
+        assert "unrecognized arguments: --model chat-m" in capsys.readouterr().err
         assert build_parser().parse_args(argv[:5]).embed_model is None
-        without = [arg for arg in argv if arg not in ("--embed-model", "emb-len")]
-        assert main(without) == 1
+        assert main(argv[:-2]) == 1
         assert "--embed-model" in capsys.readouterr().err
         query = ["retrieve", "x", "--store", str(store_path), "--index", str(index_path)]
         assert main(query) == 1
         assert "index was built by embedder ('remote', 'emb-len')" in capsys.readouterr().err
+        # retrieve takes both models: the chat one mines the question, and
+        # only the embedding one reaches /embeddings.
+        _StubHandler.requests.clear()
+        query += ["--backend", "remote", "--endpoint", stub_server,
+                  "--model", "chat-m", "--embed-model", "emb-len"]
+        assert main(query) == 0
+        assert {r["model"] for r in _StubHandler.requests} == {"emb-len"}
+        args = build_parser().parse_args(query)
+        assert (args.model, args.embed_model) == ("chat-m", "emb-len")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["index", "--out", "out.index", "--strategy", "raw", "--embed-model", "boom"],
+            ["retrieve", "x", "--mode", "attribute", "--model", "boom", "--max-retries", "0"],
+        ],
+        ids=["index", "retrieve"],
+    )
+    def test_cli_backend_failure_exits_3(self, stub_server, tmp_path, monkeypatch, capsys, argv):
+        from memaug import ItemKind, MemoryItem, MemoryStore
+        from memaug.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        store = MemoryStore()
+        store.write(MemoryItem(id="m0", kind=ItemKind.ENTITY, content="x"))
+        store.save("store.jsonl")
+        remote = ["--store", "store.jsonl", "--backend", "remote", "--endpoint", stub_server]
+        capsys.readouterr()
+        assert main(argv + remote) == 3
+        assert "request returned HTTP 500: server exploded" in capsys.readouterr().err
+        assert not (tmp_path / "out.index").exists()

@@ -822,6 +822,44 @@ class TestConfigFile:
         assert "Traceback" not in err
 
 
+class TestFlagGroups:
+    """Each command takes only the flags it reads."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["augment", "--input", "items.jsonl", "--store", "s.jsonl", "--seed", "0"],
+            ["index", "--store", "s.jsonl", "--out", "i.index", "--seed", "0"],
+            ["retrieve", "q", "--store", "s.jsonl", "--seed", "0"],
+            ["index", "--store", "s.jsonl", "--out", "i.index", "--model", "m"],
+            ["index", "--store", "s.jsonl", "--out", "i.index", "--max-retries", "1"],
+            ["index", "--store", "s.jsonl", "--out", "i.index", "--mock-rules", "r.json"],
+        ],
+    )
+    def test_unread_flags_are_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 1
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+    def test_shared_config_keys_without_a_flag_are_skipped(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_items_jsonl(tmp_path / "items.jsonl", ["a great thriller", "a noir drama"])
+        write_mock_rules(tmp_path / "rules.json", {"noir": ("genre", "noir")})
+        (tmp_path / "memaug.ini").write_text(
+            "[memaug]\nseed = 7\nmodel = mock\nmax_retries = 0\nmock_rules = rules.json\n"
+            "perspective = entity\ngranularity = na\n"
+        )
+        config = ["--config", "memaug.ini"]
+        assert main([*config, "augment", "--input", "items.jsonl", "--store", "s.jsonl"]) == 0
+        assert main([*config, "index", "--store", "s.jsonl", "--out", "s.index"]) == 0
+        capsys.readouterr()
+        argv = [*config, "retrieve", "noir", "--store", "s.jsonl", "--mode", "attribute", "--json"]
+        assert main(argv) == 0
+        assert [hit["id"] for hit in json.loads(capsys.readouterr().out)] == ["m1"]
+        assert cli._config_tokens("memaug.ini", cli.build_parser().commands["index"]) == []
+
+
 class TestMalformedInputFiles:
     """Input files that are not JSON, or break their schema, exit 2 with a
     one-line error instead of a traceback or a silent misreading."""

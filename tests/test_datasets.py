@@ -149,6 +149,13 @@ class TestRecommendationDataset:
         with pytest.raises(SchemaError):
             load_recommendation_dataset(write_json(tmp_path, "r.json", payload))
 
+    def test_duplicate_item_id_rejected(self, tmp_path):
+        data, _, _ = build_rec_fixture(n_dialogues=2, n_items=3)
+        data["items"].append(dict(data["items"][1], title="Another"))
+        duplicate = data["items"][1]["id"]
+        with pytest.raises(SchemaError, match=f"^duplicate item id {duplicate!r}$"):
+            load_recommendation_dataset(write_json(tmp_path, "r.json", data))
+
     def test_store_from_items(self):
         _, store, _ = build_rec_fixture(n_dialogues=2, n_items=4)
         assert len(store) == 4

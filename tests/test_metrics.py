@@ -28,6 +28,11 @@ class TestRecallAtK:
         with pytest.raises(EmptyGoldError):
             recall_at_k(["a"], set(), 5)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_refused(self, k):
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            recall_at_k(["a"], {"a"}, k)
+
 
 class TestNdcgAtK:
     def test_perfect_single(self):
@@ -43,6 +48,11 @@ class TestNdcgAtK:
 
     def test_empty_gold_scores_zero(self):
         assert ndcg_at_k(["a"], set(), 3) == 0.0
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_refused(self, k):
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            ndcg_at_k(["a"], {"a"}, k)
 
     def test_one_iff_gold_ranked_first(self):
         rng = random.Random(4)

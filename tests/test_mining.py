@@ -54,6 +54,14 @@ class TestMine:
         pairs = [(p.name, p.value) for p in annotation.pairs]
         assert pairs == [("sentiment", "negative"), ("genre", "comedy")]
 
+    def test_turn_scoped_reply_for_another_turn_gives_its_first_group(self):
+        # A reply whose groups all name other dialog ids falls back to the
+        # first group; a batched turn path must not rely on this.
+        backend = StaticChatBackend(["{Bob:[t9]:[genre]<noir>}{Bob:[t8]:[genre]<heist>}"])
+        miner = AttributeMiner(backend, granularity=Granularity.TURN_LEVEL)
+        annotation = miner.mine(make_turn(1, "nothing to mine"))
+        assert [(p.name, p.value) for p in annotation.pairs] == [("genre", "noir")]
+
     def test_retry_contract_empty_responses(self):
         backend = StaticChatBackend([""])
         miner = AttributeMiner(backend, max_retries=2)

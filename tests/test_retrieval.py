@@ -437,6 +437,25 @@ class TestBlockBuild:
         }
         assert embedder.sent == Counter(texts)
 
+    def test_a_failing_text_is_found_by_halving_its_batch(self):
+        class CountingEmbedder(HashEmbedder):
+            calls = 0
+
+            def embed_many(self, texts):
+                self.calls += 1
+                return super().embed_many(texts)
+
+        contents = {f"m{i:04d}": f"text {i}" for i in range(1024)}
+        contents["m0500"] = ""
+        embedder = CountingEmbedder(8)
+        index, skipped = build_index(
+            entity_store(dict.fromkeys(contents), contents), EmbeddingStrategy.RAW_CONTENT, embedder
+        )
+        assert skipped == [("m0500", "no tokens to embed")] and len(index) == 1023
+        # One call for the shared texts (none), one for the block, then two
+        # for each of the ten halvings down to the empty text.
+        assert embedder.calls == 1 + 1 + 2 * 10
+
     def test_peak_memory_stays_near_the_index(self):
         # 4,096 items of three distinct pairs: the build may hold, at its
         # peak, three times the index's own matrices and no more.
@@ -587,6 +606,19 @@ class TestSearch:
         with pytest.raises(StrategyMismatchError):
             index.search(tagged, k=1)
 
+    @pytest.mark.parametrize(
+        "query, message",
+        [
+            ([[1.0, 0.0]], r"expected a 1-D vector, got shape \(1, 2\)"),
+            ([1.0, np.nan], "vector contains non-finite entries"),
+            ([np.inf, 0.0], "vector contains non-finite entries"),
+        ],
+        ids=["2-d", "nan", "inf"],
+    )
+    def test_refuses_a_2d_or_non_finite_query(self, query, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self.make_index(np.eye(2)).search(query, k=1)
+
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(31)
         index = self.make_index(rng.normal(size=(10, 8)))
@@ -706,6 +738,24 @@ class TestSearch:
         path = tmp_path / "index.bin"
         index.save(path)
         with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: malformed index: "):
+            VectorIndex.load(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("item_ids", ("m0", 1, "m2"), "index ids must be strings"),
+            ("vectors", np.eye(3, dtype=np.float32), "expected a float64 matrix, got float32"),
+        ],
+        ids=["int-id", "float32"],
+    )
+    def test_load_refuses_non_string_ids_or_a_non_float64_matrix(
+        self, tmp_path, field, value, message
+    ):
+        index = self.make_index(np.eye(3))
+        object.__setattr__(index, field, value)  # What a corrupt file would hold.
+        path = tmp_path / "index.bin"
+        index.save(path)
+        with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}: {message}')}$"):
             VectorIndex.load(path)
 
     def test_malformed_binary_index_rejected(self, tmp_path):

@@ -411,6 +411,20 @@ class TestEventSummarization:
         )
         assert "went hiking at dawn" in captured[0]
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"level": Granularity.NOT_APPLICABLE}, "level must be TURN_LEVEL or SESSION_LEVEL"),
+            ({"input_mode": "dialogues_only"}, "unknown input mode 'dialogues_only'"),
+        ],
+        ids=["level", "input-mode"],
+    )
+    def test_refuses_a_bad_level_or_input_mode(self, options, message):
+        dataset, store, mock = build_event_world()
+        options = {"level": Granularity.TURN_LEVEL, **options}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_event_summarization(dataset, store, summarizer=mock, **options)
+
     def test_session_without_event_attributes_skipped(self):
         dataset, store, mock = build_event_world()
         emotion_only = Annotation(
