@@ -305,15 +305,9 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     if _MODES[args.mode] is RetrievalMode.EMBEDDING_BASED and not args.index:
         raise ValueError("embedding retrieval requires --index")
     setup = _retrieval_setup(args, args.index)
-    query = QueryContext(text=args.query)
-    if setup.mode is not RetrievalMode.COMPREHENSIVE:
-        # The question template ignores the mining modes, so the miner
-        # keeps its default triple.
-        miner = AttributeMiner(_chat_backend(args), max_retries=args.max_retries)
-        mined = miner.mine_question(args.query)
-        query = QueryContext(
-            text=args.query, attribute_names=mined.attributes, persons=mined.persons
-        )
+    miner = AttributeMiner(_chat_backend(args), max_retries=args.max_retries)
+    names = miner.mine_question(args.query).attributes if setup.reads_mined(annotation=False) else ()
+    query = QueryContext(text=args.query, attribute_names=names)
     rows = []
     for hit in setup.run(store, query).hits:
         annotation = store.annotation_for(hit.item_id)

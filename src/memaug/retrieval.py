@@ -86,7 +86,7 @@ class QueryContext:
 
     ``annotation`` carries full attribute pairs (mined from a dialogue);
     ``attribute_names`` carries bare names (mined from a question). Either,
-    both, or just raw ``text`` may be present.
+    both, or just raw ``text`` may be present. Nothing reads ``persons``.
     """
 
     text: str | None = None

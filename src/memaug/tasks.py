@@ -1,7 +1,8 @@
 """End-to-end task pipelines: question answering, recommendation, events.
 
-Each runner wires mining, retrieval, and a generation backend together. The
-QA and recommendation runners may run their examples concurrently, over the
+Each runner wires mining, retrieval, and a generation backend together, and
+mines a query only where retrieval reads it (:meth:`RetrievalSetup.reads_mined`).
+The QA and recommendation runners may run their examples concurrently, over the
 miner's ``parallelism`` threads (chat backends are safe for concurrent calls);
 their rows keep input order, and their :class:`~memaug.metrics.MetricReport`s
 are built from those rows. Per-example failures are logged into the result and
@@ -32,11 +33,13 @@ from .metrics import MetricReport, ndcg_at_k, normalize_title, recall_at_k, toke
 from .mining import AttributeMiner, fan_out
 from .retrieval import (
     DEFAULT_QUERY_PARTS,
+    EmbeddingStrategy,
     QueryContext,
     QueryPart,
     RetrievalMode,
     RetrievalResult,
     VectorIndex,
+    check_positive_int,
     retrieve,
 )
 from .store import MatchPolicy, MemoryStore
@@ -75,6 +78,20 @@ class RetrievalSetup:
             embedder=self.embedder,
             query_parts=self.query_parts,
         )
+
+    def check(self, k: int | None) -> None:
+        """Refuse settings every example would fail under; None skips ``k``."""
+        if self.mode is RetrievalMode.EMBEDDING_BASED and (self.index is None or self.embedder is None):
+            raise ValueError("embedding retrieval requires an index and an embedder")
+        if k is not None:
+            check_positive_int(k, "k")
+
+    def reads_mined(self, *, annotation: bool) -> bool:
+        """Whether :meth:`run` reads a mined annotation (``annotation``) or mined names."""
+        if self.mode is RetrievalMode.EMBEDDING_BASED:  # an annotation is embedded whatever the parts
+            raw = self.index.strategy is EmbeddingStrategy.RAW_CONTENT
+            return not raw and (annotation or QueryPart.ATTRIBUTES in self.query_parts)
+        return self.mode is RetrievalMode.ATTRIBUTE_BASED
 
 
 @dataclass
@@ -144,6 +161,8 @@ def run_qa_task(
     an empty gold set are skipped for recall (there is no turn to find) but
     still scored for answer F1.
     """
+    setup.check(setup.k)  # recall@k is scored in every mode
+    mine = setup.reads_mined(annotation=False)
 
     def answer(example: QAExample) -> tuple[QAResultRow, int | None]:
         category = example.category.value
@@ -151,12 +170,8 @@ def run_qa_task(
         result: RetrievalResult | None = None
         reply = ""
         try:
-            mined = miner.mine_question(example.question)
-            query = QueryContext(
-                text=example.question,
-                attribute_names=mined.attributes,
-                persons=mined.persons,
-            )
+            names = miner.mine_question(example.question).attributes if mine else ()
+            query = QueryContext(text=example.question, attribute_names=names)
             try:
                 result = setup.run(store, query)
             except EmptyQueryError:
@@ -263,6 +278,8 @@ def run_rec_task(
         raise ValueError(
             f"cannot sample {n} dialogues from a dataset of {len(dataset.dialogues)}"
         )
+    setup.check(None if setup.mode is RetrievalMode.COMPREHENSIVE else k)  # only retrieval reads k
+    mine = setup.reads_mined(annotation=True)
     sampled = random.Random(seed).sample(list(dataset.dialogues), n)
     titles = {item.id: item.title for item in dataset.items}
 
@@ -276,7 +293,7 @@ def run_rec_task(
         result: RetrievalResult | None = None
         recommendations: tuple[str, ...] = ()
         try:
-            query = QueryContext(text=text, annotation=miner.mine_text(text))
+            query = QueryContext(text=text, annotation=miner.mine_text(text) if mine else None)
             result = setup.run(store, query, k)
             payload = f"Conversation:\n{text}\nCandidates:\n{_candidate_block(store, result, titles)}"
             recommendations = parse_ranked_titles(_ask(rec_backend, RECOMMENDATION, payload))

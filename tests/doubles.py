@@ -2,6 +2,7 @@
 
 import hashlib
 import threading
+from collections import Counter
 from typing import Sequence
 
 from memaug.errors import BackendRefusal, TransportError
@@ -23,6 +24,20 @@ class StaticChatBackend:
         index = min(self.calls, len(self.responses) - 1)
         self.calls += 1
         return self.responses[index]
+
+
+class CountingChatBackend:
+    """Wraps a backend and counts its calls by template id; safe across threads."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls: Counter[str] = Counter()
+        self._lock = threading.Lock()
+
+    def complete(self, prompt, *, template=None, payload=None) -> str:
+        with self._lock:
+            self.calls[template.id] += 1
+        return self.inner.complete(prompt, template=template, payload=payload)
 
 
 class FlakyChatBackend:

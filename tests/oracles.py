@@ -5,9 +5,10 @@ Everything here except :func:`single_pass_search`, :func:`load_store_oracle`,
 oracles is deliberately written in plain Python (explicit loops, ``math``
 instead of numpy) so the oracle shares no code path with the implementation
 it checks. The task-runner oracles are the serial, hand-accumulated runners
-the fan-out replaced; the index-build oracle is the one-batch build that
-block-wise building replaced; the event-pair oracle is the word-window
-matcher that the one-word test replaced.
+the fan-out replaced, and decide for themselves when a query is mined; the
+index-build oracle is the one-batch build that block-wise building replaced;
+the event-pair oracle is the word-window matcher that the one-word test
+replaced.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from memaug.mining import AugmentationReport
 from memaug.retrieval import (
     EmbeddingStrategy,
     QueryContext,
+    QueryPart,
     RankedHit,
     RetrievalResult,
     VectorIndex,
@@ -559,8 +561,23 @@ def parse_turn_annotations_oracle(
     return out
 
 
+def _embeds_annotations(setup) -> bool:
+    return (
+        setup.mode is RetrievalMode.EMBEDDING_BASED
+        and setup.index.strategy is not EmbeddingStrategy.RAW_CONTENT
+    )
+
+
 def run_qa_task_oracle(dataset, store, *, miner, answer_backend, setup) -> QATaskResult:
-    """``run_qa_task`` as one serial loop with hand-kept accumulators."""
+    """``run_qa_task`` as one serial loop with hand-kept accumulators.
+
+    A question is mined only where retrieval reads its attribute names:
+    attribute mode, or embedding mode over an annotation index whose query
+    parts include the attributes.
+    """
+    mine = setup.mode is RetrievalMode.ATTRIBUTE_BASED or (
+        _embeds_annotations(setup) and QueryPart.ATTRIBUTES in setup.query_parts
+    )
     recall_scores: list[tuple[str, float]] = []
     f1_scores: list[tuple[str, float]] = []
     rows: list[QAResultRow] = []
@@ -571,12 +588,8 @@ def run_qa_task_oracle(dataset, store, *, miner, answer_backend, setup) -> QATas
         retrieved: tuple[str, ...] = ()
         answer = ""
         try:
-            mined = miner.mine_question(example.question)
-            query = QueryContext(
-                text=example.question,
-                attribute_names=mined.attributes,
-                persons=mined.persons,
-            )
+            names = miner.mine_question(example.question).attributes if mine else ()
+            query = QueryContext(text=example.question, attribute_names=names)
             try:
                 result = setup.run(store, query)
             except EmptyQueryError:
@@ -621,11 +634,17 @@ def run_qa_task_oracle(dataset, store, *, miner, answer_backend, setup) -> QATas
 def run_rec_task_oracle(
     dataset, store, *, miner, rec_backend, setup, n=200, k=10, seed=0
 ) -> RecTaskResult:
-    """``run_rec_task`` as one serial loop with hand-kept accumulators."""
+    """``run_rec_task`` as one serial loop with hand-kept accumulators.
+
+    A dialogue is mined only where retrieval reads its annotation: attribute
+    mode, or embedding mode over an annotation index, whose query embeds a
+    non-empty annotation whatever the query parts.
+    """
     if n > len(dataset.dialogues):
         raise ValueError(
             f"cannot sample {n} dialogues from a dataset of {len(dataset.dialogues)}"
         )
+    mine = setup.mode is RetrievalMode.ATTRIBUTE_BASED or _embeds_annotations(setup)
     rng = random.Random(seed)
     sampled = rng.sample(list(dataset.dialogues), n)
     titles = {item.id: item.title for item in dataset.items}
@@ -646,7 +665,7 @@ def run_rec_task_oracle(
         retrieved: tuple[str, ...] = ()
         recommendations: tuple[str, ...] = ()
         try:
-            annotation = miner.mine_text(masked.text())
+            annotation = miner.mine_text(masked.text()) if mine else None
             query = QueryContext(text=masked.text(), annotation=annotation)
             result = setup.run(store, query, k)
             retrieved = result.ids()

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from memaug.backends import MockChatBackend, RemoteChatBackend
 from memaug.cli import main
 from memaug.datasets import load_conversation_dataset, store_from_sessions
 
-from doubles import StaticChatBackend
+from doubles import CountingChatBackend, StaticChatBackend
 from synthetic import build_qa_fixture, build_rec_fixture
 
 
@@ -23,6 +24,20 @@ def write_items_jsonl(path, contents):
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+@pytest.fixture
+def chat_calls(monkeypatch):
+    """The chat calls by template of every backend the CLI builds from here on."""
+    backends = []
+    build = cli._chat_backend
+
+    def counting(args):
+        backends.append(CountingChatBackend(build(args)))
+        return backends[-1]
+
+    monkeypatch.setattr(cli, "_chat_backend", counting)
+    return lambda: sum((backend.calls for backend in backends), Counter())
 
 
 def write_mock_rules(path, rules, capture_persons=False):
@@ -172,6 +187,32 @@ class TestIndexAndRetrieve:
         assert code == 0
         out = capsys.readouterr().out
         assert "m2" in out
+
+    @pytest.mark.parametrize(
+        "strategy,flags,mined",
+        [
+            ("averaged", ["--mode", "comprehensive"], 0),
+            ("raw", [], 0),
+            ("averaged", ["--query-parts", "text"], 0),
+            ("averaged", ["--mode", "attribute"], 1),
+            ("averaged", [], 1),
+            ("whole", [], 1),
+        ],
+        ids=["comprehensive", "raw", "text", "attribute", "averaged", "whole"],
+    )
+    def test_question_mined_only_where_retrieval_reads_it(
+        self, store_path, tmp_path, capsys, chat_calls, strategy, flags, mined
+    ):
+        index_path = tmp_path / f"{strategy}.index"
+        assert main([
+            "index", "--store", str(store_path), "--out", str(index_path), "--strategy", strategy,
+        ]) == 0
+        code = main([
+            "retrieve", "which comedy", "--store", str(store_path),
+            "--index", str(index_path), *flags,
+        ])
+        assert code == 0, capsys.readouterr().err
+        assert chat_calls() == Counter(question_augmentation=mined)
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_attribute_mode_k_below_one_exit(self, store_path, capsys, k):
@@ -325,6 +366,47 @@ class TestEvalCommand:
         assert code == 1
         assert not (tmp_path / "reports").exists()
         assert augmented == []
+
+    # Each run's chat calls by template on the synthetic fixtures: 20 turns
+    # and 20 questions for QA; for rec, 8 sampled dialogues and 10 items whose
+    # titles mine no pair, so each takes all 3 attempts. A question or
+    # dialogue is mined only where retrieval reads what is mined.
+    @pytest.mark.parametrize(
+        "task,flags,mined",
+        [
+            ("qa", ["--mode", "comprehensive"], 0),
+            ("qa", ["--strategy", "raw"], 0),
+            ("qa", ["--query-parts", "text"], 0),
+            ("qa", ["--mode", "attribute"], 20),
+            ("qa", [], 20),
+            ("rec", ["--mode", "comprehensive"], 0),
+            ("rec", ["--strategy", "raw"], 0),
+            ("rec", ["--query-parts", "text"], 8),
+            ("rec", ["--mode", "attribute"], 8),
+            ("rec", [], 8),
+        ],
+        ids=[
+            "qa-comprehensive", "qa-raw", "qa-text", "qa-attribute", "qa-embedding",
+            "rec-comprehensive", "rec-raw", "rec-text", "rec-attribute", "rec-embedding",
+        ],
+    )
+    def test_chat_calls_per_template(self, tmp_path, capsys, chat_calls, task, flags, mined):
+        if task == "qa":
+            dataset, rules_path = self._qa_paths(tmp_path)
+            want = Counter(turn_basic=20, question_augmentation=mined, answer_generation=20)
+        else:
+            data, _, rules = build_rec_fixture(n_dialogues=12, n_items=10)
+            dataset = tmp_path / "rec.json"
+            dataset.write_text(json.dumps(data), encoding="utf-8")
+            rules_path = write_mock_rules(tmp_path / "rules.json", rules)
+            flags = [*flags, "--n", "8"]
+            want = Counter(entity_basic=30, session_basic=mined, recommendation=8)
+        code = main([
+            "eval", "--task", task, "--dataset", str(dataset), "--mock-rules", str(rules_path),
+            *flags, "--out-dir", str(tmp_path / "reports"), "--no-timestamp",
+        ])
+        assert code == 0, capsys.readouterr().err
+        assert chat_calls() == want
 
     @pytest.mark.parametrize("granularity", ["session", "na"])
     def test_qa_refuses_non_turn_granularity_before_mining(

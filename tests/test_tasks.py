@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 import sys
 import zlib
 
@@ -27,8 +28,8 @@ from memaug import (
 )
 from memaug.datasets import load_conversation_dataset, load_recommendation_dataset, store_from_items
 from memaug.datasets import store_from_sessions
-from memaug.errors import BackendRefusal
-from memaug.retrieval import EmbeddingStrategy, QueryPart
+from memaug.errors import BackendRefusal, EmptyQueryError
+from memaug.retrieval import DEFAULT_QUERY_PARTS, EmbeddingStrategy, QueryContext, QueryPart
 from memaug.tasks import (
     RetrievalSetup,
     filter_event_pairs,
@@ -40,7 +41,7 @@ from memaug.tasks import (
 )
 from memaug.templates import ANSWER_GENERATION, QUESTION_AUGMENTATION, RECOMMENDATION, SESSION_BASIC
 
-from doubles import StaticChatBackend
+from doubles import CountingChatBackend, StaticChatBackend
 from oracles import filter_event_pairs_oracle, run_qa_task_oracle, run_rec_task_oracle
 from synthetic import build_qa_fixture, build_rec_fixture
 
@@ -604,17 +605,34 @@ def oracle_world(tmp_path_factory):
         "qa": (qa_dataset, qa_store, qa_mock, qa_index),
         "rec": (rec_dataset, rec_store, rec_mock, rec_index),
         "embedder": embedder,
+        "raw": {
+            "qa": build_index(qa_store, EmbeddingStrategy.RAW_CONTENT, embedder)[0],
+            "rec": build_index(rec_store, EmbeddingStrategy.RAW_CONTENT, embedder)[0],
+        },
     }
 
 
-def oracle_setup(world, task, mode, policy, k):
-    _, _, _, index = world[task]
+def oracle_setup(world, task, mode, policy, k, index="averaged", parts=DEFAULT_QUERY_PARTS):
+    """The ``mode`` setup; embedding mode searches the ``averaged`` or
+    ``raw`` index of ``task``'s store."""
     if mode is RetrievalMode.EMBEDDING_BASED:
-        return RetrievalSetup(mode=mode, k=k, index=index, embedder=world["embedder"])
+        index = world[task][3] if index == "averaged" else world["raw"][task]
+        return RetrievalSetup(
+            mode=mode, k=k, index=index, embedder=world["embedder"], query_parts=parts
+        )
     return RetrievalSetup(mode=mode, k=k, policy=policy)
 
 
-_oracle_modes = st.sampled_from([RetrievalMode.ATTRIBUTE_BASED, RetrievalMode.EMBEDDING_BASED])
+# Every kind of setup the mining rule tells apart: attribute mode mines,
+# comprehensive mode and a raw index never do, and text-only parts mine a
+# dialogue but not a question.
+_oracle_retrievals = st.sampled_from([
+    (RetrievalMode.ATTRIBUTE_BASED, "averaged", DEFAULT_QUERY_PARTS),
+    (RetrievalMode.COMPREHENSIVE, "averaged", DEFAULT_QUERY_PARTS),
+    (RetrievalMode.EMBEDDING_BASED, "averaged", DEFAULT_QUERY_PARTS),
+    (RetrievalMode.EMBEDDING_BASED, "averaged", (QueryPart.TEXT,)),
+    (RetrievalMode.EMBEDDING_BASED, "raw", DEFAULT_QUERY_PARTS),
+])
 _oracle_failures = st.tuples(
     st.frozensets(st.sampled_from(FAILABLE_TEMPLATES)),
     st.integers(0, 2**16),
@@ -624,7 +642,7 @@ _oracle_failures = st.tuples(
 
 @settings(max_examples=60, deadline=None)
 @given(
-    mode=_oracle_modes,
+    retrieval=_oracle_retrievals,
     policy=st.sampled_from(list(MatchPolicy)),
     k=st.integers(1, 8),
     parallelism=st.sampled_from([1, 2]),
@@ -632,11 +650,12 @@ _oracle_failures = st.tuples(
     failures=_oracle_failures,
 )
 def test_qa_runner_matches_the_serial_oracle(
-    oracle_world, mode, policy, k, parallelism, max_retries, failures
+    oracle_world, retrieval, policy, k, parallelism, max_retries, failures
 ):
     dataset, store, mock, _ = oracle_world["qa"]
     backend = FlakyChatBackend(mock, *failures)
-    setup = oracle_setup(oracle_world, "qa", mode, policy, k)
+    mode, index, parts = retrieval
+    setup = oracle_setup(oracle_world, "qa", mode, policy, k, index, parts)
 
     def run(runner, threads):
         miner = AttributeMiner(backend, max_retries=max_retries, parallelism=threads)
@@ -654,7 +673,7 @@ def test_qa_runner_matches_the_serial_oracle(
 
 @settings(max_examples=60, deadline=None)
 @given(
-    mode=_oracle_modes,
+    retrieval=_oracle_retrievals,
     policy=st.sampled_from(list(MatchPolicy)),
     n=st.integers(1, 16),
     k=st.integers(1, 10),
@@ -663,11 +682,12 @@ def test_qa_runner_matches_the_serial_oracle(
     failures=_oracle_failures,
 )
 def test_rec_runner_matches_the_serial_oracle(
-    oracle_world, mode, policy, n, k, seed, parallelism, failures
+    oracle_world, retrieval, policy, n, k, seed, parallelism, failures
 ):
     dataset, store, mock, _ = oracle_world["rec"]
     backend = FlakyChatBackend(mock, *failures)
-    setup = oracle_setup(oracle_world, "rec", mode, policy, k)
+    mode, index, parts = retrieval
+    setup = oracle_setup(oracle_world, "rec", mode, policy, k, index, parts)
 
     def run(runner, threads):
         miner = AttributeMiner(
@@ -764,3 +784,106 @@ def test_runners_match_the_oracle_under_thread_stress(oracle_world):
             assert (got.rows, got.reports) == (want.rows, want.reports)
     finally:
         sys.setswitchinterval(interval)
+
+
+# -- a setup the runners refuse up front ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "task,mode,k,index,embedder,message",
+    [
+        ("qa", RetrievalMode.EMBEDDING_BASED, 0, True, True, "k must be a positive integer"),
+        ("qa", RetrievalMode.COMPREHENSIVE, 0, False, False, "k must be a positive integer"),
+        ("qa", RetrievalMode.ATTRIBUTE_BASED, -1, False, False, "k must be a positive integer"),
+        ("rec", RetrievalMode.ATTRIBUTE_BASED, 0, False, False, "k must be a positive integer"),
+        ("rec", RetrievalMode.EMBEDDING_BASED, 0, True, True, "k must be a positive integer"),
+        ("qa", RetrievalMode.EMBEDDING_BASED, 5, False, True, "requires an index and an embedder"),
+        ("rec", RetrievalMode.EMBEDDING_BASED, 5, True, False, "requires an index and an embedder"),
+    ],
+)
+def test_runners_refuse_an_unusable_setup_before_any_chat_call(
+    oracle_world, task, mode, k, index, embedder, message
+):
+    dataset, store, mock, built = oracle_world[task]
+    backend = CountingChatBackend(mock)
+    miner = AttributeMiner(backend, granularity=Granularity.SESSION_LEVEL)
+    setup = RetrievalSetup(
+        mode=mode,
+        k=k,
+        index=built if index else None,
+        embedder=oracle_world["embedder"] if embedder else None,
+    )
+    with pytest.raises(ValueError, match=message):
+        if task == "qa":
+            run_qa_task(dataset, store, miner=miner, answer_backend=backend, setup=setup)
+        else:
+            run_rec_task(dataset, store, miner=miner, rec_backend=backend, setup=setup, n=4, k=k)
+    assert not backend.calls
+
+
+def test_rec_comprehensive_ignores_k(oracle_world):
+    dataset, store, mock, _ = oracle_world["rec"]
+    backend = CountingChatBackend(mock)
+    miner = AttributeMiner(backend, granularity=Granularity.SESSION_LEVEL)
+    setup = RetrievalSetup(mode=RetrievalMode.COMPREHENSIVE)
+    out = run_rec_task(dataset, store, miner=miner, rec_backend=backend, setup=setup, n=4, k=0)
+    assert out.retrieved_counts == [len(store)] * len(out.rows)
+    assert backend.calls == {RECOMMENDATION.id: len(out.rows)}
+
+
+# -- the mining rule against retrieval itself ------------------------------------
+
+_RULE_WORDS = ("noir", "rome", "paris", "jazz", "boat", "drama", "heist")
+
+
+@pytest.fixture(scope="module")
+def rule_world():
+    """An annotated store, its index under every strategy, and the embedder."""
+    rng = random.Random(7)
+    store = MemoryStore()
+    for i in range(12):
+        words = rng.sample(_RULE_WORDS, 3)
+        pairs = tuple(AttributePair(word, rng.choice(_RULE_WORDS)) for word in words[:2])
+        item = MemoryItem(id=f"m{i:02d}", kind=ItemKind.ENTITY, content=" ".join(words))
+        store.write(item, Annotation(pairs=pairs))
+    embedder = HashEmbedder(16)
+    indexes = {strategy: build_index(store, strategy, embedder)[0] for strategy in EmbeddingStrategy}
+    return store, embedder, indexes
+
+
+def _outcome(setup, store, query):
+    try:
+        return setup.run(store, query)
+    except EmptyQueryError:
+        return EmptyQueryError
+
+
+@pytest.mark.parametrize("mined", ["names", "annotation"])
+@pytest.mark.parametrize(
+    "parts", [(QueryPart.TEXT,), (QueryPart.ATTRIBUTES,), DEFAULT_QUERY_PARTS],
+    ids=["text", "attributes", "both"],
+)
+@pytest.mark.parametrize("strategy", list(EmbeddingStrategy), ids=lambda s: s.value)
+@pytest.mark.parametrize("mode", list(RetrievalMode), ids=lambda m: m.value)
+def test_reads_mined_says_whether_retrieval_reads_the_mined_part(
+    rule_world, mode, strategy, parts, mined
+):
+    """Where the rule says retrieval does not read a query's mined part,
+    every generated query retrieves the same without it; where it says it
+    does, some query retrieves differently."""
+    store, embedder, indexes = rule_world
+    setup = RetrievalSetup(
+        mode=mode, k=3, index=indexes[strategy], embedder=embedder, query_parts=parts
+    )
+    rng = random.Random(f"{mode.value} {strategy.value} {parts} {mined}")
+    differing = 0
+    for _ in range(25):
+        text = " ".join(rng.sample(_RULE_WORDS, rng.randint(1, 3)))
+        names = tuple(rng.sample(_RULE_WORDS, rng.randint(1, 2)))
+        if mined == "names":
+            query = QueryContext(text=text, attribute_names=names)
+        else:
+            pairs = tuple(AttributePair(name, rng.choice(_RULE_WORDS)) for name in names)
+            query = QueryContext(text=text, annotation=Annotation(pairs=pairs))
+        differing += _outcome(setup, store, query) != _outcome(setup, store, QueryContext(text=text))
+    assert setup.reads_mined(annotation=mined == "annotation") == (differing > 0)
