@@ -262,21 +262,15 @@ _SM_MULT2 = 0x94D049BB133111EB
 _CHUNK_ELEMENTS = 1 << 16
 
 
-def _fnv1a_seeds(tokens: Sequence[str]) -> dict[str, int]:
-    """Each of ``tokens`` (at least one) with the 64-bit FNV-1a hash of its
-    UTF-8 bytes. Tokens are hashed longest first, so byte position ``j``
-    updates the prefix of the hashes whose tokens have more than ``j`` bytes."""
-    data = [token.encode("utf-8") for token in tokens]
-    order = sorted(range(len(data)), key=lambda i: -len(data[i]))
-    lengths = np.array([len(data[i]) for i in order], dtype=np.int64)
-    starts = np.cumsum(lengths) - lengths
-    flat = np.frombuffer(b"".join(data[i] for i in order), dtype=np.uint8)
-    hashes = np.full(len(data), _FNV_OFFSET, dtype=np.uint64)
-    longer = np.searchsorted(-lengths, -np.arange(lengths[0]))  # tokens longer than j
-    for j, m in enumerate(longer.tolist()):
-        hashes[:m] ^= flat[starts[:m] + j]
-        hashes[:m] *= np.uint64(_FNV_PRIME)
-    return dict(zip((tokens[i] for i in order), hashes.tolist()))
+def _fnv1a_seeds(tokens: Sequence[str]) -> np.ndarray:
+    """The 64-bit FNV-1a hash of each token's UTF-8 bytes, in token order."""
+    seeds = []
+    for token in tokens:
+        state = _FNV_OFFSET
+        for byte in token.encode("utf-8"):
+            state = ((state ^ byte) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+        seeds.append(state)
+    return np.array(seeds, dtype=np.uint64)
 
 
 def _components(seeds: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -347,35 +341,28 @@ class HashEmbedder:
     the fixed hash/mix chain into a vector, token vectors are summed in token
     order and averaged, and the mean is L2-normalized. There is no semantic
     signal: two texts are similar exactly to the extent that they share
-    tokens. The cache holds each token's 64-bit hash seed, not its vector:
-    components are recomputed from the seed for each block of texts.
+    tokens. The embedder keeps no state beyond its dimension: every call
+    hashes its tokens afresh, so a vector depends only on the text.
     """
 
     kind = "hash"
     model = None
 
     def __init__(self, dimension: int = 8):
+        if isinstance(dimension, bool) or not isinstance(dimension, int):
+            raise ValueError(f"dimension must be an integer, got {dimension!r}")
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self._dimension = dimension
         self._steps = np.arange(1, dimension + 1, dtype=np.uint64) * np.uint64(_SM_GAMMA)
-        self._cache: dict[str, int] = {}
 
     @property
     def dimension(self) -> int:
         return self._dimension
 
-    def _expand(self, tokens: Sequence[str]) -> np.ndarray:
-        """Components of distinct ``tokens``, one row each, hashing unseen ones."""
-        unseen = [token for token in tokens if token not in self._cache]
-        if unseen:
-            self._cache.update(_fnv1a_seeds(unseen))
-        seeds = np.array([self._cache[token] for token in tokens], dtype=np.uint64)
-        return _components(seeds, self._steps)
-
     def token_vector(self, token: str) -> np.ndarray:
         """Raw (pre-normalization) vector for one case-folded token."""
-        return self._expand([token])[0]
+        return _components(_fnv1a_seeds([token]), self._steps)[0]
 
     def embed(self, text: str) -> np.ndarray:
         return self.embed_many([text])[0]
@@ -392,7 +379,8 @@ class HashEmbedder:
             row_of = {token: row for row, token in enumerate(distinct)}
             rows = out[start : start + block]
             indexes = [[row_of[token] for token in tokens] for tokens in lists]
-            if _unit_means(rows, indexes, self._expand(distinct).__getitem__).any():
+            components = _components(_fnv1a_seeds(distinct), self._steps)
+            if _unit_means(rows, indexes, components.__getitem__).any():
                 raise ZeroVectorError(_ZERO_NORM)
         return out
 

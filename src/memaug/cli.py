@@ -228,6 +228,9 @@ def _augment_store(store: MemoryStore, miner: AttributeMiner):
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
+    rate = args.max_failure_rate
+    if rate is not None and not 0.0 <= rate <= 1.0:  # NaN fails both comparisons
+        raise ValueError(f"max-failure-rate must be between 0 and 1, got {rate}")
     warnings: list[str] = []
     store = MemoryStore.load(args.input, strict=args.strict, warnings=warnings)
     for warning in warnings:

@@ -1,6 +1,7 @@
 """Backend tests: mock chat rules, golden embedder vectors, remote protocol."""
 
 import json
+import pickle
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -128,6 +129,30 @@ class TestHashEmbedder:
         assert HashEmbedder(8).embed_many([]).shape == (0, 8)
         with pytest.raises(ZeroVectorError):
             HashEmbedder(8).embed_many(["fine", " "])
+
+    @pytest.mark.parametrize("dimension", [True, False, 8.0, "8", None, np.int64(8)])
+    def test_dimension_must_be_an_int(self, dimension):
+        with pytest.raises(ValueError, match="^dimension must be an integer, got "):
+            HashEmbedder(dimension)
+
+    def test_no_state_changes_after_embedding(self):
+        embedder = HashEmbedder(16)
+        before = pickle.dumps(vars(embedder))
+        embedder.embed_many([f"token{i} word{i % 97}" for i in range(10_000)])
+        embedder.token_vector("one-more-token")
+        assert pickle.dumps(vars(embedder)) == before
+
+    def test_64kb_token_matches_scalar_oracle(self):
+        # 1 + 2 + 3 + 4 UTF-8 bytes per repeat: 6,553 repeats and 6 bytes more.
+        long = "aé€𝄞" * 6_553 + "abcdef"
+        assert len(long.encode("utf-8")) == 65_536
+        dimension = 64
+        rows = HashEmbedder(dimension).embed_many([long, "x", f"{long} x"])
+        components = [np.array(splitmix_components(token, dimension)) for token in (long, "x")]
+        for component, row in zip(components, rows):
+            assert row.tobytes() == (component / np.linalg.norm(component)).tobytes()
+        mean = (components[0] + components[1]) / 2
+        assert rows[2].tobytes() == (mean / np.linalg.norm(mean)).tobytes()
 
 
 # Whitespace-free tokens that survive case folding as one token, multi-byte

@@ -74,6 +74,33 @@ class TestAugmentCommand:
         ])
         assert code == 4
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "-1", "1.5"])
+    def test_failure_rate_outside_unit_interval_refused_before_mining(
+        self, tmp_path, capsys, chat_calls, rate
+    ):
+        source = write_items_jsonl(tmp_path / "items.jsonl", ["a great thriller", "zzz qqq"])
+        store = tmp_path / "out.jsonl"
+        code = main([
+            "augment", "--input", str(source), "--store", str(store),
+            "--perspective", "entity", "--granularity", "na",
+            "--max-retries", "0", f"--max-failure-rate={rate}",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: max-failure-rate must be between 0 and 1, got {float(rate)}\n"
+        )
+        assert chat_calls() == Counter()
+        assert not store.exists()
+
+    @pytest.mark.parametrize("rate", ["0.5", "1"])
+    def test_failure_rate_at_or_under_the_threshold_exits_0(self, tmp_path, rate):
+        source = write_items_jsonl(tmp_path / "items.jsonl", ["a great thriller", "zzz qqq"])
+        assert main([
+            "augment", "--input", str(source), "--store", str(tmp_path / "out.jsonl"),
+            "--perspective", "entity", "--granularity", "na",
+            "--max-retries", "0", "--max-failure-rate", rate,
+        ]) == 0
+
     def test_missing_input_exit_code(self, tmp_path, capsys):
         code = main([
             "augment", "--input", str(tmp_path / "missing.jsonl"),

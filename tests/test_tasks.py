@@ -742,11 +742,11 @@ def test_rec_skips_and_fails_in_one_run(oracle_world, parallelism):
 
 
 def test_runners_match_the_oracle_under_thread_stress(oracle_world):
-    """Eight threads with a tiny switch interval, on cold shared caches.
+    """Eight threads with a tiny switch interval, on stores built for the run.
 
-    The workers share the store's lazily built sorted posting views and the
-    embedder's token cache; both start empty here, so concurrent queries
-    build them at once.
+    The workers share one store, index and embedder per task. None of them
+    holds state that a query fills in, so concurrent queries only read, and
+    must give the serial oracle's rows at every interleaving.
     """
     qa_dataset, qa_store, qa_mock, qa_index = oracle_world["qa"]
     rec_dataset, rec_store, rec_mock, rec_index = oracle_world["rec"]
