@@ -106,8 +106,10 @@ def _config_tokens(path: str, command: argparse.ArgumentParser) -> list[str]:
 
     A value becomes ``--key=value``, or a bare ``--flag`` for a boolean
     flag set true, so argparse checks it like a typed flag. Keys the
-    subcommand has no option for are skipped. A file configparser cannot
-    read raises :class:`SchemaError`.
+    subcommand has no option for are skipped. The file is read as UTF-8; one
+    that is not UTF-8 or that configparser cannot parse raises
+    :class:`SchemaError`, and one that cannot be opened raises
+    :class:`OSError`.
     """
     source = Path(path)
     if not source.exists():
@@ -120,7 +122,8 @@ def _config_tokens(path: str, command: argparse.ArgumentParser) -> list[str]:
     parser = configparser.ConfigParser()
     tokens = []
     try:
-        parser.read(source)
+        with source.open(encoding="utf-8") as fh:
+            parser.read_file(fh, source=source)
         section = parser["memaug"] if parser.has_section("memaug") else {}
         for key in section:
             action = actions.get(key.replace("-", "_"))
@@ -131,7 +134,7 @@ def _config_tokens(path: str, command: argparse.ArgumentParser) -> list[str]:
                 tokens.append(f"{option}={section[key]}")
             elif section.getboolean(key):
                 tokens.append(option)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise SchemaError(f"config file {source}: {exc}") from exc
     return tokens
 

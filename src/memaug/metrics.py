@@ -5,6 +5,7 @@ All metrics are order-based or token-based and need no model calls:
 * ``recall_at_k`` — fraction of the gold set found in the top-k ranking.
 * ``ndcg_at_k`` — binary-relevance DCG, ``sum 1/log2(i+1)`` over gold hits
   at 1-based ranks ``i <= k``, normalized by the ideal DCG for the gold set.
+  A gold item repeated in the ranking scores only at its first rank.
 * ``token_f1`` — multiset precision/recall over case-folded whitespace
   tokens, combined as ``2PR/(P+R)`` (0 when both are 0).
 """
@@ -33,20 +34,22 @@ def recall_at_k(retrieved: Sequence[str], gold: Iterable[str], k: int) -> float:
 def ndcg_at_k(retrieved: Sequence[str], gold: Iterable[str], k: int) -> float:
     """Normalized discounted cumulative gain with binary relevance.
 
-    An empty gold set scores 0. The ideal DCG places min(|gold|, k) hits at
-    the top ranks, so the result is 1 exactly when every gold item in the
-    window precedes every non-gold item.
+    An empty gold set scores 0. A gold item counts only at its first rank;
+    a repeat scores 0 and keeps its position. The ideal DCG places
+    min(|gold|, k) hits at the top ranks, so the result is at most 1, and 1
+    exactly when those first ranks hold distinct gold items.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     gold_set = set(gold)
     if not gold_set:
         return 0.0
+    ideal = sum(1.0 / math.log2(i + 1) for i in range(1, min(len(gold_set), k) + 1))
     dcg = 0.0
     for i, item in enumerate(retrieved[:k], start=1):
         if item in gold_set:
+            gold_set.remove(item)  # its repeats score 0
             dcg += 1.0 / math.log2(i + 1)
-    ideal = sum(1.0 / math.log2(i + 1) for i in range(1, min(len(gold_set), k) + 1))
     return dcg / ideal
 
 

@@ -46,10 +46,15 @@ _KIND_GRANULARITY = {
     ItemKind.SESSION: Granularity.SESSION_LEVEL,
 }
 
-# Canonical JSONL field order; None-valued fields are omitted.
-_FIELD_ORDER = ("id", "kind", "content", "speaker", "session_id", "turn_id", "timestamp", "annotation")
-# Text fields a stored record may leave out or set to null.
-_OPTIONAL_TEXT_FIELDS = ("speaker", "session_id", "turn_id", "timestamp")
+# The text fields of a stored item, each with the value a line that leaves
+# it out reads as: a field read as "" must be a string, one read as None may
+# also be null, and null fields are not written. Saved lines and MemoryItem
+# both hold them in this order, with "kind" right after "id"; a saved line
+# ends with "annotation".
+_TEXT_FIELDS = (
+    ("id", ""), ("content", ""),
+    ("speaker", None), ("session_id", None), ("turn_id", None), ("timestamp", None),
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -325,52 +330,35 @@ class MemoryStore:
 
     @staticmethod
     def _record(item: MemoryItem, annotation: Annotation | None) -> dict:
-        raw = {
-            "id": item.id,
-            "kind": item.kind.value,
-            "content": item.content,
-            "speaker": item.speaker,
-            "session_id": item.session_id,
-            "turn_id": item.turn_id,
-            "timestamp": item.timestamp,
-            "annotation": annotation.to_dict() if annotation is not None else None,
-        }
-        return {key: raw[key] for key in _FIELD_ORDER if raw[key] is not None}
+        record = {"id": item.id, "kind": item.kind.value}
+        for key, _ in _TEXT_FIELDS[1:]:
+            value = getattr(item, key)
+            if value is not None:
+                record[key] = value
+        if annotation is not None:
+            record["annotation"] = annotation.to_dict()
+        return record
 
     @staticmethod
     def _from_line(line: str) -> tuple[MemoryItem, Annotation | None]:
         """Decode one JSONL line into an item and its annotation.
 
-        ``id`` and ``content`` must be strings, the other text fields
-        strings or null; the item and annotation constructors then make
-        their own checks.
+        The text fields are checked against ``_TEXT_FIELDS`` in its order,
+        and the first of the wrong type raises :class:`TypeError`; the item
+        and annotation constructors then make their own checks.
         """
         record = json.loads(line)
         if not isinstance(record, dict) or "id" not in record or "kind" not in record:
             raise ValueError("record must be an object with 'id' and 'kind'")
         get = record.get
-        item_id, content = record["id"], get("content", "")
-        speaker, session_id, turn_id, timestamp = (
-            get("speaker"), get("session_id"), get("turn_id"), get("timestamp")
-        )
-        if not (
-            isinstance(item_id, str)
-            and isinstance(content, str)
-            and (speaker is None or isinstance(speaker, str))
-            and (session_id is None or isinstance(session_id, str))
-            and (turn_id is None or isinstance(turn_id, str))
-            and (timestamp is None or isinstance(timestamp, str))
-        ):
-            raise TypeError(_wrong_type_message(record))
-        item = MemoryItem(
-            id=item_id,
-            kind=ItemKind(record["kind"]),
-            content=content,
-            speaker=speaker,
-            session_id=session_id,
-            turn_id=turn_id,
-            timestamp=timestamp,
-        )
+        fields = []
+        for key, missing in _TEXT_FIELDS:
+            value = get(key, missing)
+            if not isinstance(value, str) and (value is not None or missing is not None):
+                raise TypeError(f"field {key!r} must be a string, got {type(value).__name__}")
+            fields.append(value)
+        fields.insert(1, ItemKind(record["kind"]))
+        item = MemoryItem(*fields)
         annotation = get("annotation")
         if annotation is not None:
             annotation = Annotation.from_dict(annotation)
@@ -407,10 +395,12 @@ class MemoryStore:
     ) -> "MemoryStore":
         """Rebuild a store (and its attribute index) from a JSONL file.
 
-        Malformed lines raise :class:`SchemaError` with the line number in
-        strict mode; lenient mode skips them, reporting via ``warnings``. A
-        line is checked in full before it changes the store. A malformed
-        ``<path>.report.json`` raises :class:`SchemaError` in either mode.
+        Lines are split on ``\\n`` and decoded as UTF-8 one at a time.
+        Malformed lines, undecodable ones included, raise :class:`SchemaError`
+        with the line number in strict mode; lenient mode skips them,
+        reporting via ``warnings``. A line is checked in full before it
+        changes the store. A malformed ``<path>.report.json`` raises
+        :class:`SchemaError` in either mode.
         """
         source = Path(path)
         if not source.exists():
@@ -426,11 +416,12 @@ class MemoryStore:
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            with source.open("r", encoding="utf-8") as fh:
-                for line_no, line in enumerate(fh, start=1):
-                    if not line.strip():
-                        continue
+            with source.open("rb") as fh:
+                for line_no, raw in enumerate(fh, start=1):
                     try:
+                        line = raw.decode("utf-8")
+                        if not line.strip():
+                            continue
                         item, annotation = from_line(line)
                         if annotation is not None:
                             check_granularity(item.kind, annotation.granularity)
@@ -475,11 +466,3 @@ def _held_by(ids: list[str], walk: Iterator[str]) -> Iterator[str]:
 def _report_path(store_path: Path) -> Path:
     return store_path.with_name(store_path.name + ".report.json")
 
-
-def _wrong_type_message(record: dict) -> str:
-    """Name the first text field of ``record`` that is not a string."""
-    for key in ("id", "content", *_OPTIONAL_TEXT_FIELDS):
-        value = record.get(key, "")
-        if not isinstance(value, str) and (value is not None or key not in _OPTIONAL_TEXT_FIELDS):
-            return f"field {key!r} must be a string, got {type(value).__name__}"
-    return "text fields must be strings"

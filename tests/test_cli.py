@@ -12,6 +12,7 @@ from memaug import cli
 from memaug.backends import MockChatBackend, RemoteChatBackend
 from memaug.cli import main
 from memaug.datasets import load_conversation_dataset, store_from_sessions
+from memaug.store import MemoryStore
 
 from doubles import CountingChatBackend, StaticChatBackend
 from synthetic import build_qa_fixture, build_rec_fixture
@@ -929,6 +930,52 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config file {config}: ")
         assert "Traceback" not in err
+
+    def test_undecodable_config_exits_2_naming_the_file(self, tmp_path, capsys):
+        config = tmp_path / "memaug.ini"
+        config.write_bytes(b"[memaug]\nperspective = \xff\n")
+        code = main(["--config", str(config), "stats", "--store", str(tmp_path / "s.jsonl")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: config file {config}: 'utf-8' codec can't decode byte 0xff"
+        )
+
+    def test_config_path_that_cannot_be_read_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "memaug.ini"
+        config.mkdir()
+        code = main(["--config", str(config), "stats", "--store", str(tmp_path / "s.jsonl")])
+        assert code == 2
+        assert str(config) in capsys.readouterr().err
+
+
+class TestUndecodableStoreLine:
+    """A store line that is not UTF-8 is a malformed line, not a crash."""
+
+    @pytest.fixture
+    def source(self, tmp_path):
+        path = write_items_jsonl(tmp_path / "items.jsonl", ["a thriller", "a comedy", "a drama"])
+        path.write_bytes(path.read_bytes().replace(b"comedy", b"com\xffdy"))
+        return path
+
+    def augment(self, source, *flags):
+        return main([
+            "augment", "--input", str(source), "--store", str(source.with_name("out.jsonl")),
+            "--perspective", "entity", "--granularity", "na", *flags,
+        ])
+
+    def test_lenient_augment_skips_it_with_a_warning(self, source, capsys):
+        assert self.augment(source) == 0
+        assert "warning: line 2: skipped ('utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+        assert MemoryStore.load(source.with_name("out.jsonl")).ids() == ("m0", "m2")
+
+    def test_strict_augment_exits_2_at_its_line(self, source, capsys):
+        assert self.augment(source, "--strict") == 2
+        assert capsys.readouterr().err.startswith("error: line 2: 'utf-8' codec can't decode")
+        assert not source.with_name("out.jsonl").exists()
+
+    def test_stats_exits_2_at_its_line(self, source, capsys):
+        assert main(["stats", "--store", str(source)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 2: 'utf-8' codec can't decode")
 
 
 class TestFlagGroups:

@@ -113,6 +113,11 @@ def write_inputs(root: Path) -> None:
         encoding="utf-8",
     )
     (root / "eval.ini").write_text("[memaug]\nmode = attribute\nk = 3\n", encoding="utf-8")
+    # Files whose second line holds a byte that is not UTF-8.
+    undecodable = [json.dumps(record).encode("utf-8") for record in _entities(ENTITY_CONTENTS[:3])]
+    undecodable[1] = undecodable[1].replace(b"comedy", b"com\xffdy")
+    (root / "undecodable.jsonl").write_bytes(b"\n".join(undecodable) + b"\n")
+    (root / "undecodable.ini").write_bytes(b"[memaug]\nperspective = \xff\n")
 
     qa, qa_rules = build_qa_fixture(n_turns=20, n_sessions=4)
     (root / "qa.json").write_text(json.dumps(qa), encoding="utf-8")

@@ -220,6 +220,25 @@ class TestMaskDialogue:
                 assert MASK_TOKEN not in text
             assert len(masked.turns) == label_turn + 1
 
+    def test_label_matches_whole_mentions_only(self):
+        masked = mask_dialogue(self.make(
+            ["Where can I find a film like that?", "Try her: HER is great", "Her again"],
+            labels=("Her",),
+        ))
+        assert masked.turns == (
+            ("user", "Where can I find a film like that?"),
+            ("user", f"Try {MASK_TOKEN}: {MASK_TOKEN} is great"),
+        )
+
+    @pytest.mark.parametrize("label, text, expected", [
+        ("Up", "an upbeat film, not Up", f"an upbeat film, not {MASK_TOKEN}"),
+        ("It", "It's it_2 or It", f"{MASK_TOKEN}'s it_2 or {MASK_TOKEN}"),
+        ("Heat", "preheat; (Heat) Heat2", f"preheat; ({MASK_TOKEN}) Heat2"),
+        ("Us", "thus us", f"thus {MASK_TOKEN}"),
+    ])
+    def test_word_characters_around_a_label_block_its_mask(self, label, text, expected):
+        assert mask_dialogue(self.make([text], labels=(label,))).turns[0][1] == expected
+
 
 class TestFieldTypes:
     """Every record is an object; ids, speakers and texts are strings, and

@@ -68,6 +68,27 @@ class TestNdcgAtK:
             else:
                 assert score < 1.0
 
+    def test_repeated_gold_scores_once(self):
+        assert ndcg_at_k(["heat", "heat", "heat"], {"heat"}, 5) == 1.0
+        assert ndcg_at_k(["x", "heat", "heat", "a"], {"heat", "a"}, 5) == pytest.approx(
+            (1 / math.log2(3) + 1 / math.log2(5)) / (1 + 1 / math.log2(3)), abs=1e-12
+        )
+
+    def test_repeats_score_as_non_gold_at_their_rank(self):
+        rng = random.Random(9)
+        for _ in range(300):
+            pool = [f"i{j}" for j in range(6)]
+            ranking = [rng.choice(pool) for _ in range(rng.randint(1, 10))]
+            gold = set(rng.sample(pool, rng.randint(1, 4)))
+            k = rng.randint(1, 10)
+            # Each repeat replaced by a distinct non-gold item.
+            deduped = [
+                item if item not in ranking[:i] else f"repeat{i}" for i, item in enumerate(ranking)
+            ]
+            score = ndcg_at_k(ranking, gold, k)
+            assert 0.0 <= score <= 1.0
+            assert score == pytest.approx(ndcg_at_k(deduped, gold, k), abs=1e-12)
+
 
 class TestTokenF1:
     def test_exact_match(self):

@@ -598,6 +598,79 @@ class TestMalformedInput:
                 MemoryStore.load(path, strict=strict)
 
 
+class TestRecordFields:
+    """The exact bytes a saved item takes, and the exact refusal of a stored
+    text field of the wrong type."""
+
+    TEXT_FIELDS = ("id", "content", "speaker", "session_id", "turn_id", "timestamp")
+    WRONG = {
+        f"{field}-{name}": (field, value, type_name)
+        for field in TEXT_FIELDS
+        for name, value, type_name in [("int", 3, "int"), ("list", ["x"], "list")]
+        + ([("null", None, "NoneType")] if field in ("id", "content") else [])
+    }
+
+    @pytest.mark.parametrize("field, value, type_name", WRONG.values(), ids=WRONG.keys())
+    def test_wrong_type_message(self, tmp_path, field, value, type_name):
+        expected = f"field {field!r} must be a string, got {type_name}"
+        path = _write_lines(tmp_path / "store.jsonl", [_entity_line(id="m0"), _entity_line(**{field: value})])
+        with pytest.raises(SchemaError) as exc_info:
+            MemoryStore.load(path)
+        assert str(exc_info.value) == f"line 2: {expected}"
+        warnings: list[str] = []
+        assert MemoryStore.load(path, strict=False, warnings=warnings).ids() == ("m0",)
+        assert warnings == [f"line 2: skipped ({expected})"]
+
+    def test_first_wrong_field_in_field_order_is_named(self, tmp_path):
+        # The line holds timestamp before content, but content comes first in
+        # field order; the bad kind is only checked after the text fields.
+        line = json.dumps({"kind": "bogus", "timestamp": 5, "id": "m1", "content": ["x"]})
+        path = _write_lines(tmp_path / "store.jsonl", [line])
+        with pytest.raises(SchemaError) as exc_info:
+            MemoryStore.load(path)
+        assert str(exc_info.value) == "line 1: field 'content' must be a string, got list"
+
+    def test_saved_line_bytes(self, tmp_path):
+        store = MemoryStore()
+        store.write(
+            MemoryItem("t1", ItemKind.DIALOGUE_TURN, "héllo", speaker="ana", session_id="s1",
+                       turn_id="7", timestamp="2024-01-01"),
+            Annotation(pairs=(AttributePair("mood", "calm"),), granularity=Granularity.TURN_LEVEL),
+        )
+        store.write(MemoryItem("e1", ItemKind.ENTITY, ""))
+        path = tmp_path / "store.jsonl"
+        store.save(path)
+        assert path.read_bytes() == (
+            '{"id": "t1", "kind": "dialogue_turn", "content": "héllo", "speaker": "ana", '
+            '"session_id": "s1", "turn_id": "7", "timestamp": "2024-01-01", "annotation": '
+            '{"pairs": [{"name": "mood", "value": "calm"}], "perspective": "conversation_centric", '
+            '"granularity": "turn_level", "prioritization": "basic"}}\n'
+            '{"id": "e1", "kind": "entity", "content": ""}\n'
+        ).encode("utf-8")
+
+    def test_undecodable_line_is_a_malformed_line(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        lines = [_entity_line(id="m0").encode(), b'{"id": "m1", "kind": "entity", "content": "\xff"}',
+                 _entity_line(id="m2").encode()]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(SchemaError) as exc_info:
+            MemoryStore.load(path)
+        assert exc_info.value.line == 2
+        assert "can't decode byte 0xff" in str(exc_info.value)
+        warnings: list[str] = []
+        assert MemoryStore.load(path, strict=False, warnings=warnings).ids() == ("m0", "m2")
+        assert len(warnings) == 1 and warnings[0].startswith("line 2: skipped ('utf-8' codec can't decode")
+
+    def test_crlf_lines_load(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        path.write_bytes(b"\r\n".join(_entity_line(id=f"m{i}").encode() for i in range(3)) + b"\r\n\r\n")
+        assert MemoryStore.load(path).ids() == ("m0", "m1", "m2")
+        path.write_bytes(_entity_line(id="m0").encode() + b"\r\n{broken\r\n")
+        with pytest.raises(SchemaError) as exc_info:
+            MemoryStore.load(path)
+        assert exc_info.value.line == 2
+
+
 class TestLoadPausesCollector:
     @pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
     def gc_state(self, request):
