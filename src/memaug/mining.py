@@ -3,14 +3,16 @@
 ``AttributeMiner`` owns the mode triple (perspective, granularity,
 prioritization), takes the one prompt template of that triple, and retries
 failed calls. Corpus-level mining fans out over a thread pool (:func:`fan_out`,
-which the task runners share) and aggregates an :class:`AugmentationReport`;
-individual failures never abort the stream.
+which the task runners share), mines the turns of a session from one call
+where the template replies turn by turn, and aggregates an
+:class:`AugmentationReport`; individual failures never abort the stream.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import re
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
@@ -20,6 +22,7 @@ from .annotations import (
     Granularity,
     Perspective,
     Prioritization,
+    TurnScopedAnnotation,
     normalize_name,
     parse_annotation,
     parse_turn_annotations,
@@ -165,8 +168,11 @@ class AttributeMiner:
                 raise AugmentFailure("unparseable", "response contained no pairs")
             return annotation
 
+        return self._tagged(self._with_retries(self.template, text, parse))
+
+    def _tagged(self, annotation: Annotation) -> Annotation:
         return dataclasses.replace(
-            self._with_retries(self.template, text, parse),
+            annotation,
             perspective=self.perspective,
             granularity=self.granularity,
             prioritization=self.prioritization,
@@ -188,17 +194,79 @@ class AttributeMiner:
             raise ValueError("question must be non-empty")
         return self._with_retries(QUESTION_AUGMENTATION, question, parse_person_attributes)
 
+    def _outcome(self, item: MemoryItem) -> Annotation | AugmentFailure:
+        """``mine(item)``, with a failure returned under its reason, not raised."""
+        if not item.content:
+            return AugmentFailure("empty", "item content is empty")
+        try:
+            return self.mine(item)
+        except AugmentFailure as exc:
+            return exc
+        except LengthBudgetExceeded as exc:
+            return AugmentFailure("too_long", str(exc))
+
+    def _mine_session(self, turns: list[MemoryItem]) -> list[Annotation | AugmentFailure]:
+        """Outcomes of one session's turns, mined together from one call where possible.
+
+        Only a turn with content, whose payload is one line and whose turn
+        id is unique in ``turns`` and reads back unchanged from a
+        ``[dialog_id]`` segment (no ``]``, no surrounding whitespace),
+        joins the call: any other line could yield a group that claims
+        another turn's id. A turn takes the reply's group for its id only
+        when exactly one group carries that id and it holds a pair. Every
+        other turn, and every turn when fewer than two join or the call
+        fails after its retries or is over the length budget, is mined on
+        its own by :meth:`_outcome`.
+        """
+        id_counts = Counter(turn.turn_id for turn in turns)
+        lines: dict[str, str] = {}
+        for turn in turns:
+            line = turn_payload(turn)
+            turn_id = turn.turn_id
+            if (
+                turn.content
+                and id_counts[turn_id] == 1
+                and "]" not in turn_id
+                and turn_id == turn_id.strip()
+                and line.splitlines() == [line]
+            ):
+                lines[turn_id] = line
+        placed: dict[str, Annotation] = {}
+        if len(lines) > 1:
+            try:
+                groups = self._with_retries(self.template, "\n".join(lines.values()), _turn_groups)
+            except (AugmentFailure, LengthBudgetExceeded):
+                groups = []
+            claims = Counter(group.dialog_id for group in groups)
+            placed = {
+                group.dialog_id: self._tagged(group.annotation)
+                for group in groups
+                if group.dialog_id in lines and claims[group.dialog_id] == 1 and len(group.annotation)
+            }
+        return [
+            placed[turn.turn_id] if turn.turn_id in placed else self._outcome(turn)
+            for turn in turns
+        ]
+
     def mine_corpus(
         self, items: list[MemoryItem]
     ) -> tuple[list[tuple[str, Annotation]], AugmentationReport]:
         """Mine every item; per-item failures are recorded, never raised.
 
-        Results come back in input order regardless of ``parallelism``. Each
-        item is augmented from its own content only, so the fan-out cannot
-        change any result. Besides the reasons of :class:`AugmentFailure`,
-        an item with no content fails as ``empty`` and one over the length
-        budget as ``too_long``. It raises only before its first call: for a
-        repeated id, or an item kind this miner's granularity cannot annotate.
+        A template that replies with one group per turn (``turn_basic``)
+        gets one call per session: the turns of a ``session_id``, in input
+        order, wherever they stand in ``items``, as their ``[turn_id]
+        speaker: text`` lines. A turn the session reply cannot annotate,
+        unambiguously and with at least one pair, is mined with a call of
+        its own, as is every turn when the session call fails or is over
+        the length budget (see :meth:`_mine_session` for the rules). Other
+        templates, and one-turn sessions, get one call per item, from that
+        item's content only. Results come back in input order, and are the
+        same at every ``parallelism``. Besides the reasons of
+        :class:`AugmentFailure`, an item with no content fails as ``empty``
+        and one over the length budget as ``too_long``. It raises only
+        before its first call: for a repeated id, or an item kind this
+        miner's granularity cannot annotate.
         """
         ids = [item.id for item in items]
         if len(set(ids)) != len(ids):
@@ -206,17 +274,17 @@ class AttributeMiner:
         for item in items:
             check_granularity(item.kind, self.granularity)
 
-        def run(item: MemoryItem) -> Annotation | AugmentFailure:
-            if not item.content:
-                return AugmentFailure("empty", "item content is empty")
-            try:
-                return self.mine(item)
-            except AugmentFailure as exc:
-                return exc
-            except LengthBudgetExceeded as exc:
-                return AugmentFailure("too_long", str(exc))
-
-        outcomes = fan_out(run, items, self.parallelism)
+        if self.template.expected_format is ResponseFormat.TURN_SCOPED_PAIR_LIST:
+            sessions: dict[str, list[MemoryItem]] = {}
+            for item in items:
+                sessions.setdefault(item.session_id, []).append(item)
+            by_id: dict[str, Annotation | AugmentFailure] = {}
+            mined = fan_out(self._mine_session, list(sessions.values()), self.parallelism)
+            for turns, session_outcomes in zip(sessions.values(), mined):
+                by_id.update(zip((turn.id for turn in turns), session_outcomes))
+            outcomes = [by_id[item_id] for item_id in ids]
+        else:
+            outcomes = fan_out(self._outcome, items, self.parallelism)
 
         results: list[tuple[str, Annotation]] = []
         failures: list[tuple[str, str]] = []
@@ -232,3 +300,10 @@ class AttributeMiner:
             failures=failures,
         )
         return results, report
+
+
+def _turn_groups(response: str) -> list[TurnScopedAnnotation]:
+    groups = parse_turn_annotations(response)
+    if not groups:
+        raise AugmentFailure("unparseable", "response contained no turn groups")
+    return groups

@@ -5,6 +5,7 @@ import threading
 from collections import Counter
 from typing import Sequence
 
+from memaug.annotations import parse_turn_annotations, render_annotation
 from memaug.errors import BackendRefusal, TransportError
 
 
@@ -74,3 +75,51 @@ def flaky_outcome(payload: str, attempt: int) -> str:
     """What :class:`FlakyChatBackend` does on call ``attempt`` for ``payload``."""
     digest = hashlib.sha256(f"{attempt}\n{payload}".encode("utf-8")).digest()
     return FLAKY_OUTCOMES[digest[0] % len(FLAKY_OUTCOMES)]
+
+
+SESSION_FAULTS = ("refusal", "transport", "drop", "no_pairs", "repeat")
+
+
+class SessionFaultChatBackend:
+    """Wraps a turn-scoped backend and spoils every reply to a prompt of more than one turn.
+
+    A one-line payload gets the wrapped backend's reply. A longer one is
+    refused, fails in transport, or is answered line by line with one
+    line's group dropped, emptied of its pairs, or repeated ahead of itself
+    with the pairs of the next line's group, as ``fault`` says. The line is
+    picked by a hash of the payload, so the reply never depends on the
+    order in which threads call.
+    """
+
+    def __init__(self, inner, fault: str):
+        if fault not in SESSION_FAULTS:
+            raise ValueError(f"unknown fault {fault!r}")
+        self.inner = inner
+        self.fault = fault
+
+    def complete(self, prompt, *, template=None, payload=None) -> str:
+        lines = payload.splitlines()
+        if len(lines) < 2:
+            return self.inner.complete(prompt, template=template, payload=payload)
+        if self.fault == "refusal":
+            raise BackendRefusal("injected session refusal")
+        if self.fault == "transport":
+            raise TransportError("injected session transport error")
+        groups = [self.inner.complete(line, template=template, payload=line) for line in lines]
+        victim = hashlib.sha256(payload.encode("utf-8")).digest()[0] % len(groups)
+        if self.fault == "drop":
+            del groups[victim]
+        elif self.fault == "no_pairs":
+            groups[victim] = _regroup(groups[victim], "")
+        else:
+            others = parse_turn_annotations(groups[(victim + 1) % len(groups)])
+            pairs = " ".join(render_annotation(group.annotation) for group in others)
+            groups.insert(victim, _regroup(groups[victim], pairs))
+        return "".join(groups)
+
+
+def _regroup(reply: str, pairs: str) -> str:
+    """The turn groups of ``reply`` with ``pairs`` in place of their own."""
+    return "".join(
+        f"{{{group.speaker}:[{group.dialog_id}]:{pairs}}}" for group in parse_turn_annotations(reply)
+    )

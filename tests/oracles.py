@@ -1,14 +1,15 @@
 """Independent brute-force oracles used to check the fast implementations.
 
 Everything here except :func:`single_pass_search`, :func:`load_store_oracle`,
-:func:`build_index_oracle`, the two parser oracles and the two task-runner
-oracles is deliberately written in plain Python (explicit loops, ``math``
-instead of numpy) so the oracle shares no code path with the implementation
-it checks. The task-runner oracles are the serial, hand-accumulated runners
-the fan-out replaced, and decide for themselves when a query is mined; the
-index-build oracle is the one-batch build that block-wise building replaced;
-the event-pair oracle is the word-window matcher that the one-word test
-replaced.
+:func:`build_index_oracle`, the two parser oracles, the per-turn mining oracle
+and the two task-runner oracles is deliberately written in plain Python
+(explicit loops, ``math`` instead of numpy) so the oracle shares no code path
+with the implementation it checks. The task-runner oracles are the serial,
+hand-accumulated runners the fan-out replaced, and decide for themselves when
+a query is mined; the per-turn mining oracle is the one-call-per-item corpus
+miner that one call per session replaced; the index-build oracle is the
+one-batch build that block-wise building replaced; the event-pair oracle is
+the word-window matcher that the one-word test replaced.
 """
 
 from __future__ import annotations
@@ -45,11 +46,12 @@ from memaug.errors import (
     AugmentFailure,
     EmptyAnnotationError,
     LabelNotFoundError,
+    LengthBudgetExceeded,
     MemaugError,
     ZeroVectorError,
 )
 from memaug.metrics import MetricReport, ndcg_at_k, normalize_title, recall_at_k, token_f1
-from memaug.mining import AugmentationReport
+from memaug.mining import AugmentationReport, fan_out
 from memaug.retrieval import (
     EmbeddingStrategy,
     QueryContext,
@@ -60,6 +62,7 @@ from memaug.retrieval import (
     _annotation_texts,
     _average,
 )
+from memaug.store import check_granularity
 from memaug.tasks import (
     REC_CUTOFFS,
     QAResultRow,
@@ -559,6 +562,47 @@ def parse_turn_annotations_oracle(
         if scoped is not None:
             out.append(scoped)
     return out
+
+
+def mine_corpus_per_turn_oracle(miner, items):
+    """``miner.mine_corpus(items)`` with one ``miner.mine`` call per item.
+
+    This is the corpus miner from before turns were mined one session per
+    call: every item, turns included, is mined from its own content only,
+    with the per-item retries and failure reasons of ``mine``.
+    """
+    ids = [item.id for item in items]
+    if len(set(ids)) != len(ids):
+        raise ValueError("item ids must be unique")
+    for item in items:
+        check_granularity(item.kind, miner.granularity)
+
+    def run(item):
+        if not item.content:
+            return AugmentFailure("empty", "item content is empty")
+        try:
+            return miner.mine(item)
+        except AugmentFailure as exc:
+            return exc
+        except LengthBudgetExceeded as exc:
+            return AugmentFailure("too_long", str(exc))
+
+    outcomes = fan_out(run, items, miner.parallelism)
+
+    results = []
+    failures = []
+    for item, outcome in zip(items, outcomes):
+        if isinstance(outcome, AugmentFailure):
+            failures.append((item.id, outcome.reason))
+        else:
+            results.append((item.id, outcome))
+    report = AugmentationReport(
+        total=len(items),
+        succeeded=len(results),
+        failed=len(failures),
+        failures=failures,
+    )
+    return results, report
 
 
 def _embeds_annotations(setup) -> bool:

@@ -421,7 +421,7 @@ class TestEvalCommand:
     def test_chat_calls_per_template(self, tmp_path, capsys, chat_calls, task, flags, mined):
         if task == "qa":
             dataset, rules_path = self._qa_paths(tmp_path)
-            want = Counter(turn_basic=20, question_augmentation=mined, answer_generation=20)
+            want = Counter(turn_basic=4, question_augmentation=mined, answer_generation=20)
         else:
             data, _, rules = build_rec_fixture(n_dialogues=12, n_items=10)
             dataset = tmp_path / "rec.json"

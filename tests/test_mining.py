@@ -1,8 +1,11 @@
 """Attribute miner tests: modes, retries, corpus accounting."""
 
+import json
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memaug import (
     AttributeMiner,
@@ -16,22 +19,80 @@ from memaug import (
     Prioritization,
     TransportError,
 )
+from memaug.datasets import load_conversation_dataset, store_from_sessions
 from memaug.errors import BackendRefusal
 from memaug.mining import fan_out, parse_person_attributes, turn_payload
 from memaug.templates import LENGTH_BUDGET
 
-from doubles import StaticChatBackend
+from doubles import (
+    SESSION_FAULTS,
+    CountingChatBackend,
+    SessionFaultChatBackend,
+    StaticChatBackend,
+)
+from oracles import mine_corpus_per_turn_oracle
+from synthetic import build_qa_fixture
 
 
-def make_turn(i: int, text: str) -> MemoryItem:
+def make_turn(i: int, text: str, *, turn_id: str | None = None) -> MemoryItem:
     return MemoryItem(
         id=f"t{i}",
         kind=ItemKind.DIALOGUE_TURN,
         content=text,
         speaker="Ana",
         session_id="s1",
-        turn_id=f"t{i}",
+        turn_id=turn_id or f"t{i}",
     )
+
+
+SESSION_RULES = {
+    "pizza": ("food", "pizza"),
+    "paris": ("city", "paris"),
+    "comedy": ("genre", "comedy"),
+    "jazz": ("music", "jazz"),
+}
+
+
+def mine_both(backend, items, **options):
+    """Batched ``mine_corpus`` and the per-turn oracle, each on a fresh miner."""
+    got = AttributeMiner(backend, **options).mine_corpus(items)
+    want = mine_corpus_per_turn_oracle(AttributeMiner(backend, **options), items)
+    return got, want
+
+
+# Words the session mock mines, names it captures, and words it finds nothing in.
+_WORDS = st.sampled_from([*SESSION_RULES, "Ana", "Bob", "zzz", "[x]", "{y}", "a:b", "q]"])
+_CONTENTS = st.one_of(
+    st.just(""),
+    st.lists(_WORDS, min_size=1, max_size=4).map(" ".join),
+    st.lists(_WORDS, min_size=2, max_size=4).map("\n".join),
+)
+_TURN_IDS = st.one_of(
+    st.integers(0, 999).map(lambda n: f"d{n}"),
+    st.text(alphabet="ab[]:{} ", min_size=1, max_size=3),
+)
+
+
+@st.composite
+def _session_corpora(draw):
+    """Turns of up to four sessions of 1-25 turns, in a shuffled order."""
+    turns = []
+    for session in range(draw(st.integers(1, 4))):
+        for _ in range(draw(st.integers(1, 25))):
+            speaker = draw(st.sampled_from(["Ana", "Bob", None]))
+            turns.append((f"s{session}", draw(_TURN_IDS), draw(_CONTENTS), speaker))
+    turns = draw(st.permutations(turns))
+    return [
+        MemoryItem(
+            id=f"i{n}",
+            kind=ItemKind.DIALOGUE_TURN,
+            content=content,
+            speaker=speaker,
+            session_id=session_id,
+            turn_id=turn_id,
+        )
+        for n, (session_id, turn_id, content, speaker) in enumerate(turns)
+    ]
 
 
 class TestMine:
@@ -279,6 +340,89 @@ class TestMineCorpus:
         assert report.failures == [("t1", "empty")]
         assert (report.total, report.succeeded, report.failed) == (3, 2, 1)
         assert [item_id for item_id, _ in results] == ["t0", "t2"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        items=_session_corpora(),
+        fault=st.sampled_from([None, *SESSION_FAULTS]),
+        max_retries=st.integers(0, 1),
+        parallelism=st.sampled_from([1, 2]),
+    )
+    def test_session_batching_matches_the_per_turn_oracle(
+        self, items, fault, max_retries, parallelism
+    ):
+        backend = MockChatBackend(SESSION_RULES)
+        if fault is not None:
+            backend = SessionFaultChatBackend(backend, fault)
+        got, want = mine_both(backend, items, max_retries=max_retries, parallelism=parallelism)
+        assert got == want
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("claimant", ["a]b", " a"])
+    def test_turn_id_holding_another_turns_id_keeps_its_own_pairs(self, parallelism, claimant):
+        # The mock reads the dialog id up to the first "]" and strips it, so
+        # the group of the turn with id "a]b" or " a" claims id "a". With
+        # the group of turn "a" lost from the session reply, taking the one
+        # group that carries "a" would give turn "a" the other turn's pizza.
+        class DropsTurnA:
+            """The mock, less the group of turn "a" in a reply to several turns."""
+
+            def complete(self, prompt, *, template=None, payload=None):
+                lines = payload.splitlines()
+                if len(lines) > 1:
+                    payload = "\n".join(line for line in lines if not line.startswith("[a] "))
+                return mock.complete(payload, template=template, payload=payload)
+
+        mock = MockChatBackend(SESSION_RULES)
+        items = [
+            make_turn(0, "pizza", turn_id=claimant),
+            make_turn(1, "paris", turn_id="a"),
+            make_turn(2, "comedy", turn_id="c"),
+        ]
+        for backend in (mock, DropsTurnA()):
+            got, want = mine_both(backend, items, parallelism=parallelism)
+            assert got == want
+            pairs = {item_id: [(p.name, p.value) for p in ann.pairs] for item_id, ann in got[0]}
+            assert pairs["t0"] == [("food", "pizza")]
+            assert pairs["t1"] == [("city", "paris")]
+            assert pairs["t2"] == [("genre", "comedy")]
+
+    def test_empty_turn_fails_as_empty_when_the_session_reply_annotates_it(self):
+        class AnnotatesEveryLine:
+            def complete(self, prompt, *, template=None, payload=None):
+                ids = [line[1 : line.index("]")] for line in payload.splitlines()]
+                return "".join(f"{{Ana:[{turn_id}]:[topic]<chat>}}" for turn_id in ids)
+
+        items = [make_turn(0, "pizza"), make_turn(1, ""), make_turn(2, "paris")]
+        got, want = mine_both(AnnotatesEveryLine(), items)
+        assert got == want
+        assert got[1].failures == [("t1", "empty")]
+
+    def test_synthetic_qa_fixture_makes_one_turn_call_per_session(self, tmp_path):
+        data, rules = build_qa_fixture(n_turns=20, n_sessions=4)
+        path = tmp_path / "qa.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        items = list(store_from_sessions(load_conversation_dataset(path)))
+        backend = CountingChatBackend(MockChatBackend(rules))
+        results, report = AttributeMiner(backend, parallelism=2).mine_corpus(items)
+        assert backend.calls == {"turn_basic": 4}
+        assert report.failed == 0
+        assert (results, report) == mine_corpus_per_turn_oracle(
+            AttributeMiner(MockChatBackend(rules)), items
+        )
+
+    def test_session_over_the_length_budget_is_mined_per_turn(self):
+        third = LENGTH_BUDGET // 3
+        items = [make_turn(i, f"{word} " + "c" * third) for i, word in enumerate(SESSION_RULES)]
+        assert all(len(turn_payload(item)) <= LENGTH_BUDGET for item in items)
+        assert len("\n".join(turn_payload(item) for item in items)) > LENGTH_BUDGET
+        backend = CountingChatBackend(MockChatBackend(SESSION_RULES))
+        results, report = AttributeMiner(backend).mine_corpus(items)
+        assert backend.calls["turn_basic"] == len(items)
+        assert (results, report) == mine_corpus_per_turn_oracle(
+            AttributeMiner(MockChatBackend(SESSION_RULES)), items
+        )
+        assert report.failed == 0
 
     def test_report_consistency(self):
         from memaug.mining import AugmentationReport
