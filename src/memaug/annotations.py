@@ -51,7 +51,12 @@ def normalize_name(name: str) -> str:
 
 @dataclass(frozen=True, slots=True)
 class AttributePair:
-    """One mined attribute: a normalized name and a verbatim (trimmed) value."""
+    """One mined attribute: a normalized name and a verbatim (trimmed) value.
+
+    A value that is blank or reads ``none`` in any case is refused, as
+    :func:`parse_annotation` drops it, so every pair survives a render and
+    parse.
+    """
 
     name: str
     value: str
@@ -63,6 +68,8 @@ class AttributePair:
             raise ValueError("attribute name is empty after normalization")
         if "[" in self.name or "]" in self.name:
             raise ValueError(f"attribute name may not contain '[' or ']': {self.name!r}")
+        if not self.value or self.value.casefold() == "none":
+            raise ValueError(f"attribute value may not be empty or 'none': {self.value!r}")
         if "<" in self.value or ">" in self.value:
             raise ValueError(f"attribute value may not contain '<' or '>': {self.value!r}")
 
@@ -322,6 +329,7 @@ def render_annotation(ann: Annotation) -> str:
     """Serialize pairs as ``[name]<value>`` joined by single spaces.
 
     ``parse_annotation(render_annotation(a))`` reproduces ``a``'s pairs
-    exactly, order included.
+    exactly, order included: :class:`AttributePair` refuses the blank and
+    ``none`` values that the parser drops.
     """
     return " ".join(p.render() for p in ann.pairs)

@@ -53,7 +53,7 @@ class QAExample:
     gold_answer: str
 
     def __post_init__(self):
-        if not self.question:
+        if not self.question.strip():
             raise ValueError("question must be non-empty")
         if not self.gold_answer.split():
             raise ValueError("gold_answer must contain at least one token")
@@ -150,7 +150,12 @@ def load_conversation_dataset(path: str | Path) -> ConversationDataset:
     data = read_json_object(path, "dataset file")
     sessions = []
     seen_turn_ids: set[str] = set()
+    seen_session_ids: set[str] = set()
     for s_idx, raw in enumerate(_records(data, "sessions")):
+        session_id = _require(raw, "session_id", f"sessions[{s_idx}]")
+        if session_id in seen_session_ids:
+            raise SchemaError(f"duplicate session_id {session_id!r}")
+        seen_session_ids.add(session_id)
         turns = []
         for t_idx, turn in enumerate(_records(raw, "turns", f"sessions[{s_idx}]")):
             turn_id = _require(turn, "turn_id", f"sessions[{s_idx}].turns[{t_idx}]")
@@ -166,7 +171,7 @@ def load_conversation_dataset(path: str | Path) -> ConversationDataset:
             )
         sessions.append(
             Session(
-                session_id=_require(raw, "session_id", f"sessions[{s_idx}]"),
+                session_id=session_id,
                 turns=tuple(turns),
                 timestamp=_require(raw, "timestamp", f"sessions[{s_idx}]", None),
             )
@@ -245,13 +250,14 @@ def mask_dialogue(dialogue: RecDialogue) -> RecDialogue:
     word character right before or after (the label "Her" masks "her" but
     not "where"), and replaced with ``[MASKED]``; every turn strictly after
     the first turn containing a mask is removed (those turns back the
-    evaluation labels). Raises :class:`LabelNotFoundError` when no label
-    occurs anywhere.
+    evaluation labels). A blank label, with no non-whitespace character,
+    is ignored. Raises :class:`LabelNotFoundError` when no label occurs
+    anywhere.
     """
     patterns = [
         re.compile(rf"(?<!\w){re.escape(label)}(?!\w)", re.IGNORECASE)
         for label in dialogue.gold_labels
-        if label
+        if label.strip()
     ]
     if not patterns:
         raise LabelNotFoundError("no labels to mask")

@@ -22,7 +22,8 @@ class AugmentFailure(MemaugError):
     """Attribute mining gave up on an item after exhausting retries.
 
     ``reason`` is one of ``"transport"``, ``"refusal"``, ``"unparseable"``;
-    corpus mining also records ``"empty"`` and ``"too_long"`` items.
+    corpus mining also records ``"empty"`` items, whose content has no
+    non-whitespace character and costs no call, and ``"too_long"`` items.
     """
 
     def __init__(self, reason: str, detail: str = ""):

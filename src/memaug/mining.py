@@ -180,7 +180,7 @@ class AttributeMiner:
 
     def mine(self, item: MemoryItem) -> Annotation:
         """Mine one memory item using the payload convention for its kind."""
-        if not item.content:
+        if not item.content.strip():
             raise ValueError("item content must be non-empty")
         if item.kind is ItemKind.DIALOGUE_TURN and self.granularity is Granularity.TURN_LEVEL:
             payload = turn_payload(item)
@@ -190,13 +190,13 @@ class AttributeMiner:
 
     def mine_question(self, question: str) -> QueryAnnotation:
         """Identify the persons and attribute names a question asks about."""
-        if not question:
+        if not question.strip():
             raise ValueError("question must be non-empty")
         return self._with_retries(QUESTION_AUGMENTATION, question, parse_person_attributes)
 
     def _outcome(self, item: MemoryItem) -> Annotation | AugmentFailure:
         """``mine(item)``, with a failure returned under its reason, not raised."""
-        if not item.content:
+        if not item.content.strip():
             return AugmentFailure("empty", "item content is empty")
         try:
             return self.mine(item)
@@ -208,10 +208,10 @@ class AttributeMiner:
     def _mine_session(self, turns: list[MemoryItem]) -> list[Annotation | AugmentFailure]:
         """Outcomes of one session's turns, mined together from one call where possible.
 
-        Only a turn with content, whose payload is one line and whose turn
-        id is unique in ``turns`` and reads back unchanged from a
-        ``[dialog_id]`` segment (no ``]``, no surrounding whitespace),
-        joins the call: any other line could yield a group that claims
+        Only a turn whose content holds a non-whitespace character, whose
+        payload is one line and whose turn id is unique in ``turns`` and
+        reads back unchanged from a ``[dialog_id]`` segment (no ``]``, no
+        surrounding whitespace), joins the call: any other line could yield a group that claims
         another turn's id. A turn takes the reply's group for its id only
         when exactly one group carries that id and it holds a pair. Every
         other turn, and every turn when fewer than two join or the call
@@ -224,7 +224,7 @@ class AttributeMiner:
             line = turn_payload(turn)
             turn_id = turn.turn_id
             if (
-                turn.content
+                turn.content.strip()
                 and id_counts[turn_id] == 1
                 and "]" not in turn_id
                 and turn_id == turn_id.strip()
@@ -263,8 +263,9 @@ class AttributeMiner:
         templates, and one-turn sessions, get one call per item, from that
         item's content only. Results come back in input order, and are the
         same at every ``parallelism``. Besides the reasons of
-        :class:`AugmentFailure`, an item with no content fails as ``empty``
-        and one over the length budget as ``too_long``. It raises only
+        :class:`AugmentFailure`, an item whose content has no
+        non-whitespace character fails as ``empty``, with no call, and one
+        over the length budget as ``too_long``. It raises only
         before its first call: for a repeated id, or an item kind this
         miner's granularity cannot annotate.
         """

@@ -310,19 +310,25 @@ class VectorIndex:
                 )
             try:
                 vectors = np.load(fh, allow_pickle=False)
-                ids = tuple(header["ids"])
-                dimension = int(header["dimension"])
+                ids = header["ids"]
+                dimension = header["dimension"]
                 strategy = EmbeddingStrategy(header["strategy"])
                 kind, model = header["embedder"]["kind"], header["embedder"]["model"]
             except (ValueError, EOFError, OSError, KeyError, TypeError) as exc:
                 raise SchemaError(f"{source}: malformed index: {exc}") from exc
+        if not isinstance(ids, list):
+            raise SchemaError(f"{source}: index ids must be a list, got {type(ids).__name__}")
         if not all(isinstance(item_id, str) for item_id in ids):
             raise SchemaError(f"{source}: index ids must be strings")
+        if not isinstance(dimension, int) or isinstance(dimension, bool):
+            raise SchemaError(f"{source}: index dimension must be an integer, got {dimension!r}")
+        if not all(value is None or isinstance(value, str) for value in (kind, model)):
+            raise SchemaError(f"{source}: index embedder kind and model must be strings or null")
         if vectors.dtype != np.float64:
             raise SchemaError(f"{source}: expected a float64 matrix, got {vectors.dtype}")
         try:
             return cls(
-                item_ids=ids,
+                item_ids=tuple(ids),
                 vectors=vectors,
                 strategy=strategy,
                 dimension=dimension,
@@ -446,13 +452,13 @@ def embed_query(
     joined by spaces. The raw-content strategy always embeds the text alone.
     """
     if strategy is EmbeddingStrategy.RAW_CONTENT:
-        if not query.text:
+        if not (query.text or "").strip():
             raise EmptyQueryError("raw-content queries need query text")
         return QueryVector(embedder.embed(query.text), strategy)
     if query.annotation is not None and len(query.annotation):
         return QueryVector(embed_annotation(query.annotation, strategy, embedder), strategy)
     units: list[str] = []
-    if QueryPart.TEXT in parts and query.text:
+    if QueryPart.TEXT in parts and (query.text or "").strip():
         units.append(query.text)
     if QueryPart.ATTRIBUTES in parts and query.attribute_names:
         units.append(" ".join(query.attribute_names))

@@ -301,7 +301,7 @@ def run_rec_task(
             error = str(exc) or type(exc).__name__
             logger.warning("dialogue %s failed: %s", dialogue.dialogue_id, exc)
         retrieved = () if result is None else result.ids()
-        gold = {normalize_title(label) for label in dialogue.gold_labels}
+        gold = {normalize_title(label) for label in dialogue.gold_labels if label.strip()}
         predicted = [normalize_title(title) for title in recommendations]
         scores: dict[str, float] = {}
         for cutoff in REC_CUTOFFS:

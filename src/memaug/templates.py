@@ -44,8 +44,11 @@ class PromptTemplate:
 
 
 def build_prompt(template: PromptTemplate, payload: str) -> str:
-    """Substitute ``payload`` into the template's single placeholder."""
-    if not payload:
+    """Substitute ``payload`` into the template's single placeholder.
+
+    A payload with no non-whitespace character raises ``ValueError``.
+    """
+    if not payload.strip():
         raise ValueError("payload must be non-empty")
     if len(payload) > LENGTH_BUDGET:
         raise LengthBudgetExceeded(

@@ -35,6 +35,13 @@ class TestAttributePair:
         with pytest.raises(ValueError):
             AttributePair("a", "x<y")
 
+    @pytest.mark.parametrize("value", ["", "  ", "\t\n", "none", "None", " NONE "])
+    def test_blank_or_none_value_rejected(self, value):
+        # parse_annotation drops such a span, so the pair could not survive
+        # render and parse.
+        with pytest.raises(ValueError, match="attribute value may not be empty or 'none'"):
+            AttributePair("genre", value)
+
     def test_normalization_idempotent(self):
         name = normalize_name("  A  B\tC ")
         assert normalize_name(name) == name

@@ -242,6 +242,21 @@ class TestIndexAndRetrieve:
         assert code == 0, capsys.readouterr().err
         assert chat_calls() == Counter(question_augmentation=mined)
 
+    @pytest.mark.parametrize("mode", ["attribute", "embedding"])
+    def test_blank_query_exits_1_before_any_call(
+        self, store_path, tmp_path, capsys, chat_calls, mode
+    ):
+        index_path = tmp_path / "averaged.index"
+        assert main(["index", "--store", str(store_path), "--out", str(index_path)]) == 0
+        capsys.readouterr()
+        code = main([
+            "retrieve", " \t ", "--store", str(store_path), "--index", str(index_path),
+            "--mode", mode,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: question must be non-empty\n"
+        assert chat_calls() == Counter()
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_attribute_mode_k_below_one_exit(self, store_path, capsys, k):
         capsys.readouterr()
@@ -626,7 +641,9 @@ class TestEvalCommand:
         assert (tmp_path / "reports" / "rec.json").exists()
 
     @pytest.mark.parametrize(
-        "field,value", [("question", ""), ("gold_answer", "  ")], ids=["question", "answer"]
+        "field,value",
+        [("question", ""), ("gold_answer", "  "), ("question", " \t\n ")],
+        ids=["question", "answer", "blank-question"],
     )
     def test_qa_refuses_unanswerable_record_before_mining(
         self, tmp_path, capsys, monkeypatch, field, value
@@ -1044,6 +1061,33 @@ class TestMalformedInputFiles:
         assert capsys.readouterr().err.startswith(f"error: {index}: malformed index: ")
 
     @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("ids", "ab", "index ids must be a list, got str"),
+            ("dimension", True, "index dimension must be an integer, got True"),
+            ("embedder", {"kind": 5, "model": None},
+             "index embedder kind and model must be strings or null"),
+        ],
+        ids=["ids-string", "dimension-bool", "kind-int"],
+    )
+    def test_index_header_of_the_wrong_type_exits_2_naming_the_file(
+        self, tmp_path, capsys, key, value, message
+    ):
+        store = write_items_jsonl(tmp_path / "store.jsonl", ["a great thriller"])
+        matrix = io.BytesIO()
+        np.save(matrix, np.ones((2, 1)), allow_pickle=False)
+        header = {
+            "format": "memaug-index", "version": 2, "strategy": "averaged_pairs",
+            "dimension": 1, "embedder": {"kind": "hash", "model": None}, "ids": ["a", "b"],
+        }
+        header[key] = value
+        index = tmp_path / "index.bin"
+        index.write_bytes(json.dumps(header).encode() + b"\n" + matrix.getvalue())
+        code = main(["retrieve", "a thriller", "--store", str(store), "--index", str(index)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {index}: {message}\n"
+
+    @pytest.mark.parametrize(
         "text",
         [
             "[]",
@@ -1079,8 +1123,13 @@ class TestMalformedInputFiles:
                      "dialogues": [{"dialogue_id": "d1", "turns": [{"speaker": "u", "text": "Heat"}],
                                     "gold_labels": "Heat"}]}),
             ("qa", "{not json"),
+            ("qa", {"sessions": [
+                {"session_id": "s1", "turns": [{"turn_id": "t1", "speaker": "a", "text": "x"}]},
+                {"session_id": "s1", "turns": [{"turn_id": "t2", "speaker": "b", "text": "y"}]},
+            ]}),
         ],
-        ids=["top-level-list", "session-not-object", "integer-turn-id", "labels-not-a-list", "not-json"],
+        ids=["top-level-list", "session-not-object", "integer-turn-id", "labels-not-a-list", "not-json",
+             "duplicate-session-id"],
     )
     def test_malformed_dataset(self, tmp_path, capsys, task, payload):
         dataset = tmp_path / "dataset.json"

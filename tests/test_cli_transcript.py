@@ -157,6 +157,11 @@ def write_inputs(root: Path) -> None:
         ],
     }
     (root / "events.json").write_text(json.dumps(events), encoding="utf-8")
+    repeated = {"session_id": "s1", "turns": [
+        {"turn_id": "t5", "speaker": "bob", "text": "we moved again"},
+    ]}
+    duplicate = dict(events, sessions=[*events["sessions"], repeated])
+    (root / "events_dup_session.json").write_text(json.dumps(duplicate), encoding="utf-8")
     store_from_sessions(load_conversation_dataset(root / "events.json")).save(
         root / "events_turns.jsonl"
     )

@@ -54,6 +54,16 @@ class TestConversationDataset:
         with pytest.raises(SchemaError):
             load_conversation_dataset(write_json(tmp_path, "d.json", payload))
 
+    def test_duplicate_session_ids_rejected(self, tmp_path):
+        payload = {
+            "sessions": [
+                {"session_id": "s1", "turns": [{"turn_id": "t1", "speaker": "a", "text": "x"}]},
+                {"session_id": "s1", "turns": [{"turn_id": "t2", "speaker": "b", "text": "y"}]},
+            ]
+        }
+        with pytest.raises(SchemaError, match="^duplicate session_id 's1'$"):
+            load_conversation_dataset(write_json(tmp_path, "d.json", payload))
+
     def test_unknown_gold_turn_rejected(self, tmp_path):
         payload = {
             "sessions": [
@@ -95,10 +105,11 @@ class TestConversationDataset:
         "field,value,message",
         [
             ("question", "", "question must be non-empty"),
+            ("question", " \t\n", "question must be non-empty"),
             ("gold_answer", "", "gold_answer must contain at least one token"),
             ("gold_answer", " \t\n", "gold_answer must contain at least one token"),
         ],
-        ids=["empty-question", "empty-answer", "blank-answer"],
+        ids=["empty-question", "blank-question", "empty-answer", "blank-answer"],
     )
     def test_unanswerable_qa_record_is_a_schema_error(self, tmp_path, field, value, message):
         data, _ = build_qa_fixture(n_turns=10, n_sessions=2)
@@ -194,6 +205,19 @@ class TestMaskDialogue:
     def test_case_insensitive_and_all_occurrences(self):
         masked = mask_dialogue(self.make(["I rewatched heat because HEAT rules"]))
         assert masked.turns[0][1] == f"I rewatched {MASK_TOKEN} because {MASK_TOKEN} rules"
+
+    @pytest.mark.parametrize("blank", ["", "  ", "\t"])
+    def test_blank_label_is_ignored(self, blank):
+        # Blank runs with no word character around them, as a blank label's
+        # whole-mention pattern would match.
+        texts = ["well ,  , hmm (\t)", "and more", "watch Heat tonight", "bye"]
+        masked = mask_dialogue(self.make(texts, labels=("Heat", blank)))
+        assert masked.turns == mask_dialogue(self.make(texts)).turns
+        assert masked.turns[2][1] == f"watch {MASK_TOKEN} tonight"
+
+    def test_only_blank_labels_mask_nothing(self):
+        with pytest.raises(LabelNotFoundError, match="no labels to mask"):
+            mask_dialogue(self.make(["well ,  , hmm"], labels=("  ",)))
 
     def test_structural_invariants_on_random_dialogues(self):
         rng = random.Random(42)

@@ -53,6 +53,14 @@ SESSION_RULES = {
 }
 
 
+class AnnotatesEveryLine:
+    """Replies to a turn prompt with a ``[topic]<chat>`` group for each of its lines."""
+
+    def complete(self, prompt, *, template=None, payload=None):
+        ids = [line[1 : line.index("]")] for line in payload.splitlines()]
+        return "".join(f"{{Ana:[{turn_id}]:[topic]<chat>}}" for turn_id in ids)
+
+
 def mine_both(backend, items, **options):
     """Batched ``mine_corpus`` and the per-turn oracle, each on a fresh miner."""
     got = AttributeMiner(backend, **options).mine_corpus(items)
@@ -212,6 +220,16 @@ class TestMine:
         with pytest.raises(ValueError):
             miner.mine_text("")
 
+    @pytest.mark.parametrize("blank", [" ", "\n", " \t\n "])
+    def test_blank_text_refused_before_any_call(self, blank):
+        backend = StaticChatBackend(["{Ana:[t1]:[genre]<comedy>}"])
+        miner = AttributeMiner(backend)
+        with pytest.raises(ValueError, match="^item content must be non-empty$"):
+            miner.mine(make_turn(1, blank))
+        with pytest.raises(ValueError, match="^payload must be non-empty$"):
+            miner.mine_text(blank)
+        assert backend.calls == 0
+
     def test_zero_parallelism_rejected(self):
         with pytest.raises(ValueError):
             AttributeMiner(MockChatBackend(), parallelism=0)
@@ -273,6 +291,13 @@ class TestMineQuestion:
         with pytest.raises(AugmentFailure):
             miner.mine_question("anything")
         assert backend.calls == 3
+
+    @pytest.mark.parametrize("blank", ["", " ", " \t\n "])
+    def test_blank_question_refused_before_any_call(self, blank):
+        backend = StaticChatBackend(["Person:[Ana]Attributes:[genre]"])
+        with pytest.raises(ValueError, match="^question must be non-empty$"):
+            AttributeMiner(backend).mine_question(blank)
+        assert backend.calls == 0
 
 
 class TestMineCorpus:
@@ -341,6 +366,17 @@ class TestMineCorpus:
         assert (report.total, report.succeeded, report.failed) == (3, 2, 1)
         assert [item_id for item_id, _ in results] == ["t0", "t2"]
 
+    @pytest.mark.parametrize("blank", [" ", "\n", " \t\n "])
+    def test_blank_entity_fails_as_empty_with_no_call(self, blank):
+        backend = CountingChatBackend(MockChatBackend())
+        miner = AttributeMiner(
+            backend, perspective=Perspective.ENTITY_CENTRIC, granularity=Granularity.NOT_APPLICABLE
+        )
+        items = [MemoryItem(id="m0", kind=ItemKind.ENTITY, content=blank)]
+        results, report = miner.mine_corpus(items)
+        assert (results, report.failures) == ([], [("m0", "empty")])
+        assert backend.calls == {}
+
     @settings(max_examples=150, deadline=None)
     @given(
         items=_session_corpora(),
@@ -388,15 +424,28 @@ class TestMineCorpus:
             assert pairs["t2"] == [("genre", "comedy")]
 
     def test_empty_turn_fails_as_empty_when_the_session_reply_annotates_it(self):
-        class AnnotatesEveryLine:
-            def complete(self, prompt, *, template=None, payload=None):
-                ids = [line[1 : line.index("]")] for line in payload.splitlines()]
-                return "".join(f"{{Ana:[{turn_id}]:[topic]<chat>}}" for turn_id in ids)
-
         items = [make_turn(0, "pizza"), make_turn(1, ""), make_turn(2, "paris")]
         got, want = mine_both(AnnotatesEveryLine(), items)
         assert got == want
         assert got[1].failures == [("t1", "empty")]
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize(
+        "inner, mined",
+        [
+            (MockChatBackend(SESSION_RULES), {"t0": [("food", "pizza")], "t2": [("city", "paris")]}),
+            (AnnotatesEveryLine(), {"t0": [("topic", "chat")], "t2": [("topic", "chat")]}),
+        ],
+        ids=["mock", "annotates-every-line"],
+    )
+    def test_blank_turn_stays_out_of_the_session_call(self, inner, mined, parallelism):
+        backend = CountingChatBackend(inner)
+        items = [make_turn(0, "pizza"), make_turn(1, " \t "), make_turn(2, "paris")]
+        results, report = AttributeMiner(backend, parallelism=parallelism).mine_corpus(items)
+        assert backend.calls == {"turn_basic": 1}
+        assert report.failures == [("t1", "empty")]
+        pairs = {item_id: [(p.name, p.value) for p in ann.pairs] for item_id, ann in results}
+        assert pairs == mined
 
     def test_synthetic_qa_fixture_makes_one_turn_call_per_session(self, tmp_path):
         data, rules = build_qa_fixture(n_turns=20, n_sessions=4)

@@ -758,6 +758,36 @@ class TestSearch:
         with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}: {message}')}$"):
             VectorIndex.load(path)
 
+    @pytest.mark.parametrize(
+        "key, value, columns, message",
+        [
+            ("ids", "ab", 2, "index ids must be a list, got str"),
+            ("ids", {"a": 1, "b": 2}, 2, "index ids must be a list, got dict"),
+            ("dimension", 2.7, 2, "index dimension must be an integer, got 2.7"),
+            ("dimension", 2.0, 2, "index dimension must be an integer, got 2.0"),
+            ("dimension", "2", 2, "index dimension must be an integer, got '2'"),
+            ("dimension", True, 1, "index dimension must be an integer, got True"),
+            ("embedder", {"kind": 5, "model": None}, 2,
+             "index embedder kind and model must be strings or null"),
+            ("embedder", {"kind": "hash", "model": ["m"]}, 2,
+             "index embedder kind and model must be strings or null"),
+        ],
+        ids=["ids-string", "ids-object", "dimension-fraction", "dimension-float",
+             "dimension-string", "dimension-bool", "kind-int", "model-list"],
+    )
+    def test_load_refuses_a_header_field_of_the_wrong_type(
+        self, tmp_path, key, value, columns, message
+    ):
+        # Each header would load next to its two-row matrix if its type went unchecked.
+        path = tmp_path / "index.bin"
+        self.make_index(np.eye(2)[:, :columns] + 1.0, ids=["a", "b"]).save(path)
+        header, _, matrix = path.read_bytes().partition(b"\n")
+        fields = json.loads(header)
+        fields[key] = value
+        path.write_bytes(json.dumps(fields).encode() + b"\n" + matrix)
+        with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            VectorIndex.load(path)
+
     def test_malformed_binary_index_rejected(self, tmp_path):
         index = self.make_index(np.eye(3))
         path = tmp_path / "index.bin"
@@ -844,6 +874,18 @@ class TestEmbedQuery:
     def test_no_embeddable_content(self):
         with pytest.raises(EmptyQueryError):
             embed_query(QueryContext(), EmbeddingStrategy.AVERAGED_PAIRS, HashEmbedder(8))
+
+    @pytest.mark.parametrize("blank", ["", " ", " \t\n "])
+    def test_blank_text_is_absent(self, blank):
+        embedder = HashEmbedder(8)
+        with pytest.raises(EmptyQueryError, match="^raw-content queries need query text$"):
+            embed_query(QueryContext(text=blank), EmbeddingStrategy.RAW_CONTENT, embedder)
+        with pytest.raises(EmptyQueryError, match="^query has no embeddable content"):
+            embed_query(QueryContext(text=blank), EmbeddingStrategy.AVERAGED_PAIRS, embedder)
+        # The text part is skipped, so the query embeds its attribute names alone.
+        query = QueryContext(text=blank, attribute_names=("genre", "year"))
+        out = embed_query(query, EmbeddingStrategy.AVERAGED_PAIRS, embedder)
+        np.testing.assert_array_equal(out.values, embedder.embed("genre year"))
 
 
 class TestRetrieve:

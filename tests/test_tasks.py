@@ -300,6 +300,27 @@ class TestRecTask:
         assert out.skipped_masking == 5
         assert out.rows == []
 
+    @pytest.mark.parametrize("labels", [["Heat"], ["Heat", ""], ["Heat", "  "], ["Heat", "\t\n"]])
+    def test_blank_gold_label_is_not_gold(self, tmp_path, labels):
+        data = {
+            "items": [{"id": "m1", "title": "Heat"}, {"id": "m2", "title": "Up"}],
+            "dialogues": [{
+                "dialogue_id": "d1",
+                "turns": [{"speaker": "user", "text": "any film like Heat?"}],
+                "gold_labels": labels,
+            }],
+        }
+        path = tmp_path / "rec.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        dataset = load_recommendation_dataset(path)
+        out = run_rec_task(
+            dataset, store_from_items(dataset.items), miner=AttributeMiner(MockChatBackend()),
+            rec_backend=StaticChatBackend(["1. Heat\n2. Up"]),
+            setup=RetrievalSetup(mode=RetrievalMode.COMPREHENSIVE), n=1, k=10,
+        )
+        assert [row.error for row in out.rows] == [None]
+        assert out.reports["recall@10"].overall == 1.0
+
 
 class TestParseRankedTitles:
     def test_bullets_and_numbering(self):

@@ -32,6 +32,12 @@ class TestBuildPrompt:
         with pytest.raises(ValueError):
             build_prompt(template, "")
 
+    @pytest.mark.parametrize("payload", [" ", "\n", " \t\n "])
+    def test_blank_payload_rejected(self, payload):
+        template = PromptTemplate(id="t", body="x {}")
+        with pytest.raises(ValueError, match="payload must be non-empty"):
+            build_prompt(template, payload)
+
     def test_body_preserved_around_placeholder(self):
         template = PromptTemplate(id="t", body="a {b} {} {c}")
         assert build_prompt(template, "X") == "a {b} X {c}"
