@@ -53,7 +53,8 @@ def normalize_name(name: str) -> str:
 class AttributePair:
     """One mined attribute: a normalized name and a verbatim (trimmed) value.
 
-    A value that is blank or reads ``none`` in any case is refused, as
+    A name or value that is not a string raises :class:`TypeError`. A value
+    that is blank or reads ``none`` in any case is refused, as
     :func:`parse_annotation` drops it, so every pair survives a render and
     parse.
     """
@@ -62,6 +63,9 @@ class AttributePair:
     value: str
 
     def __post_init__(self):
+        if not (isinstance(self.name, str) and isinstance(self.value, str)):
+            types = f"{type(self.name).__name__} and {type(self.value).__name__}"
+            raise TypeError(f"pair name and value must be strings, got {types}")
         object.__setattr__(self, "name", normalize_name(self.name))
         object.__setattr__(self, "value", self.value.strip())
         if not self.name:
@@ -119,17 +123,8 @@ class Annotation:
     @classmethod
     def from_dict(cls, data: dict) -> "Annotation":
         try:
-            pairs = []
-            for pair in data["pairs"]:
-                name, value = pair["name"], pair["value"]
-                if not (isinstance(name, str) and isinstance(value, str)):
-                    raise TypeError(
-                        f"pair name and value must be strings, got "
-                        f"{type(name).__name__} and {type(value).__name__}"
-                    )
-                pairs.append(AttributePair(name, value))
             return cls(
-                pairs=tuple(pairs),
+                pairs=tuple([AttributePair(pair["name"], pair["value"]) for pair in data["pairs"]]),
                 perspective=Perspective(data["perspective"]),
                 granularity=Granularity(data["granularity"]),
                 prioritization=Prioritization(data["prioritization"]),

@@ -15,6 +15,7 @@ Every backend is safe for concurrent calls.
 
 from __future__ import annotations
 
+import math
 import os
 import string
 from dataclasses import dataclass
@@ -23,13 +24,14 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 import requests
 
-from .errors import BackendRefusal, TransportError, ZeroVectorError
+from .errors import BackendRefusal, TransportError, ZeroVectorError, check_count
 from .templates import PromptTemplate, ResponseFormat
 
 
 @dataclass(frozen=True)
 class BackendProfile:
-    """Settings of a remote client; ``endpoint`` is required.
+    """Settings of a remote client; ``endpoint`` is required, and ``timeout``
+    is a positive, finite number of seconds.
 
     The API key is never stored here; it is read from the environment
     variable named by ``api_key_env`` at request time.
@@ -43,6 +45,9 @@ class BackendProfile:
     def __post_init__(self):
         if not self.endpoint:
             raise ValueError("remote backends require an endpoint")
+        t = self.timeout
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0 < t < math.inf:
+            raise ValueError(f"timeout must be a positive, finite number, got {t!r}")
 
 
 class ChatBackend(Protocol):
@@ -349,11 +354,7 @@ class HashEmbedder:
     model = None
 
     def __init__(self, dimension: int = 8):
-        if isinstance(dimension, bool) or not isinstance(dimension, int):
-            raise ValueError(f"dimension must be an integer, got {dimension!r}")
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        self._dimension = dimension
+        self._dimension = check_count(dimension, "dimension")
         self._steps = np.arange(1, dimension + 1, dtype=np.uint64) * np.uint64(_SM_GAMMA)
 
     @property

@@ -42,6 +42,7 @@ from .errors import (
     MemaugError,
     SchemaError,
     TransportError,
+    check_count,
 )
 from .fileio import read_json_object, replace_together
 from .mining import AttributeMiner
@@ -52,7 +53,6 @@ from .retrieval import (
     RetrievalMode,
     VectorIndex,
     build_index,
-    check_positive_int,
 )
 from .store import MatchPolicy, MemoryStore
 from .tasks import RetrievalSetup, run_event_summarization, run_qa_task, run_rec_task
@@ -287,7 +287,7 @@ def _retrieval_setup(args, index_path: str | None = None) -> RetrievalSetup:
         embedder = _embedder(args, args.dim)
     query_parts = _query_parts(args)
     if mode is not RetrievalMode.COMPREHENSIVE:  # comprehensive retrieval ignores k
-        check_positive_int(args.k, "k")
+        check_count(args.k, "k")
     return RetrievalSetup(
         mode=mode,
         k=args.k,
@@ -356,7 +356,7 @@ def _eval_qa(args, backend) -> tuple[dict, str]:
     if args.granularity != "turn":
         # QA retrieves dialogue turns, so their annotations must be turn level.
         raise ValueError(f"--task qa needs --granularity turn, got {args.granularity}")
-    check_positive_int(args.k, "k")  # recall@k is scored in every retrieval mode
+    check_count(args.k, "k")  # recall@k is scored in every retrieval mode
     dataset = load_conversation_dataset(args.dataset)
     setup = _retrieval_setup(args)
     store = _store(args, lambda: store_from_sessions(dataset), backend)
@@ -382,7 +382,7 @@ def _eval_qa(args, backend) -> tuple[dict, str]:
 
 
 def _eval_rec(args, backend) -> tuple[dict, str]:
-    check_positive_int(args.n, "n")
+    check_count(args.n, "n")
     dataset = load_recommendation_dataset(args.dataset)
     if args.n > len(dataset.dialogues):
         raise ValueError(

@@ -32,6 +32,7 @@ from pathlib import Path
 
 from .errors import LabelNotFoundError, SchemaError
 from .fileio import read_json_object
+from .metrics import normalize_title
 from .store import ItemKind, MemoryItem, MemoryStore
 
 MASK_TOKEN = "[MASKED]"
@@ -250,14 +251,14 @@ def mask_dialogue(dialogue: RecDialogue) -> RecDialogue:
     word character right before or after (the label "Her" masks "her" but
     not "where"), and replaced with ``[MASKED]``; every turn strictly after
     the first turn containing a mask is removed (those turns back the
-    evaluation labels). A blank label, with no non-whitespace character,
-    is ignored. Raises :class:`LabelNotFoundError` when no label occurs
-    anywhere.
+    evaluation labels). A label that :func:`~memaug.metrics.normalize_title`
+    maps to ``""`` names no title and is ignored. Raises
+    :class:`LabelNotFoundError` when no label occurs anywhere.
     """
     patterns = [
         re.compile(rf"(?<!\w){re.escape(label)}(?!\w)", re.IGNORECASE)
         for label in dialogue.gold_labels
-        if label.strip()
+        if normalize_title(label)
     ]
     if not patterns:
         raise LabelNotFoundError("no labels to mask")
@@ -317,14 +318,15 @@ def store_from_sessions(dataset: ConversationDataset, *, level: str = "turn") ->
 
 
 def store_from_items(items: tuple[RecItem, ...]) -> MemoryStore:
-    """Build an entity store from recommendation items."""
+    """Build an entity store from recommendation items; an item whose
+    content has no non-whitespace character is stored as its title."""
     store = MemoryStore()
     for item in items:
         store.write(
             MemoryItem(
                 id=item.id,
                 kind=ItemKind.ENTITY,
-                content=item.content or item.title,
+                content=item.content if item.content.strip() else item.title,
             )
         )
     return store

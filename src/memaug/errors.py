@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a count."""
+
+
+def check_count(value: int, name: str, minimum: int = 1) -> int:
+    """``value`` if it is an ``int`` (not a ``bool``) of at least ``minimum`` (0 or 1)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        kind = "positive" if minimum == 1 else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+    return value
 
 
 class MemaugError(Exception):

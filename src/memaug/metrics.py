@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import EmptyGoldError
+from .errors import EmptyGoldError, check_count
 
 
 def recall_at_k(retrieved: Sequence[str], gold: Iterable[str], k: int) -> float:
@@ -26,8 +26,7 @@ def recall_at_k(retrieved: Sequence[str], gold: Iterable[str], k: int) -> float:
     gold_set = set(gold)
     if not gold_set:
         raise EmptyGoldError("recall is undefined for an empty gold set")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_count(k, "k")
     return len(gold_set & set(retrieved[:k])) / len(gold_set)
 
 
@@ -39,8 +38,7 @@ def ndcg_at_k(retrieved: Sequence[str], gold: Iterable[str], k: int) -> float:
     min(|gold|, k) hits at the top ranks, so the result is at most 1, and 1
     exactly when those first ranks hold distinct gold items.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_count(k, "k")
     gold_set = set(gold)
     if not gold_set:
         return 0.0

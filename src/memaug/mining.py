@@ -29,6 +29,7 @@ from .annotations import (
 )
 from .backends import ChatBackend
 from .errors import AugmentFailure, BackendRefusal, LengthBudgetExceeded, TransportError
+from .errors import check_count
 from .store import AugmentationReport, ItemKind, MemoryItem, check_granularity
 from .templates import QUESTION_AUGMENTATION, ResponseFormat, build_prompt, mining_template
 
@@ -109,16 +110,12 @@ class AttributeMiner:
         parallelism: int = 1,
     ):
         self.template = mining_template(perspective, granularity, prioritization)
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
+        self.max_retries = check_count(max_retries, "max_retries", 0)
+        self.parallelism = check_count(parallelism, "parallelism")
         self.backend = backend
         self.perspective = perspective
         self.granularity = granularity
         self.prioritization = prioritization
-        self.max_retries = max_retries
-        self.parallelism = parallelism
 
     def _with_retries(self, template, payload: str, parse):
         """Prompt the backend up to ``max_retries + 1`` times; return ``parse(response)``.
@@ -179,13 +176,12 @@ class AttributeMiner:
         )
 
     def mine(self, item: MemoryItem) -> Annotation:
-        """Mine one memory item using the payload convention for its kind."""
+        """Mine one memory item using the payload convention for its kind; an item
+        kind this miner's granularity cannot annotate is refused before any call."""
+        check_granularity(item.kind, self.granularity)
         if not item.content.strip():
             raise ValueError("item content must be non-empty")
-        if item.kind is ItemKind.DIALOGUE_TURN and self.granularity is Granularity.TURN_LEVEL:
-            payload = turn_payload(item)
-        else:
-            payload = item.content
+        payload = turn_payload(item) if item.kind is ItemKind.DIALOGUE_TURN else item.content
         return self.mine_text(payload, item=item)
 
     def mine_question(self, question: str) -> QueryAnnotation:

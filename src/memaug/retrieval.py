@@ -34,6 +34,7 @@ from .errors import (
     StrategyMismatchError,
     TransportError,
     ZeroVectorError,
+    check_count,
 )
 from .fileio import replace_together
 from .store import MatchPolicy, MemoryStore
@@ -143,12 +144,6 @@ def embed_annotation(
     return _average(rows) if strategy is EmbeddingStrategy.AVERAGED_PAIRS else rows[0]
 
 
-def check_positive_int(value: int, name: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return value
-
-
 # Binary index file: one JSON header line, then the float64 matrix in .npy form.
 INDEX_FORMAT = "memaug-index"
 INDEX_VERSION = 2
@@ -175,7 +170,8 @@ class VectorIndex:
 
     ``embedder_kind`` and ``embedder_model`` record what built the vectors.
     ``unit32``, the unit-scaled rows in float32 for the first search pass,
-    is derived from the float64 rows and never saved.
+    is derived from the float64 rows and never saved. Every index that
+    constructs saves and loads back.
     """
 
     item_ids: tuple[str, ...]
@@ -188,8 +184,14 @@ class VectorIndex:
     unit32: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not all(isinstance(item_id, str) for item_id in self.item_ids):
+            raise ValueError("index ids must be strings")
         if len(set(self.item_ids)) != len(self.item_ids):
             raise ValueError("index item ids must be unique")
+        check_count(self.dimension, "dimension", 0)
+        if not all(value is None or isinstance(value, str)
+                   for value in (self.embedder_kind, self.embedder_model)):
+            raise ValueError("index embedder kind and model must be strings or None")
         vectors = np.asarray(self.vectors, dtype=np.float64)
         if vectors.shape != (len(self.item_ids), self.dimension):
             raise DimensionMismatchError(
@@ -225,7 +227,7 @@ class VectorIndex:
         with consecutive ranks from 1. Tagged query vectors must match this
         index's strategy.
         """
-        check_positive_int(k, "k")
+        check_count(k, "k")
         if isinstance(query, QueryVector):
             if query.strategy is not self.strategy:
                 raise StrategyMismatchError(
@@ -310,31 +312,17 @@ class VectorIndex:
                 )
             try:
                 vectors = np.load(fh, allow_pickle=False)
-                ids = header["ids"]
-                dimension = header["dimension"]
+                ids, embedder = header["ids"], header["embedder"]
                 strategy = EmbeddingStrategy(header["strategy"])
-                kind, model = header["embedder"]["kind"], header["embedder"]["model"]
+                fields = (strategy, header["dimension"], embedder["kind"], embedder["model"])
             except (ValueError, EOFError, OSError, KeyError, TypeError) as exc:
                 raise SchemaError(f"{source}: malformed index: {exc}") from exc
         if not isinstance(ids, list):
             raise SchemaError(f"{source}: index ids must be a list, got {type(ids).__name__}")
-        if not all(isinstance(item_id, str) for item_id in ids):
-            raise SchemaError(f"{source}: index ids must be strings")
-        if not isinstance(dimension, int) or isinstance(dimension, bool):
-            raise SchemaError(f"{source}: index dimension must be an integer, got {dimension!r}")
-        if not all(value is None or isinstance(value, str) for value in (kind, model)):
-            raise SchemaError(f"{source}: index embedder kind and model must be strings or null")
         if vectors.dtype != np.float64:
             raise SchemaError(f"{source}: expected a float64 matrix, got {vectors.dtype}")
-        try:
-            return cls(
-                item_ids=tuple(ids),
-                vectors=vectors,
-                strategy=strategy,
-                dimension=dimension,
-                embedder_kind=kind,
-                embedder_model=model,
-            )
+        try:  # The constructor checks the field types.
+            return cls(tuple(ids), vectors, *fields)
         except (ValueError, MemaugError) as exc:
             raise SchemaError(f"{source}: malformed index: {exc}") from exc
 
@@ -484,7 +472,7 @@ def _attribute_based(
     k: int | None,
 ) -> RetrievalResult:
     if k is not None:
-        check_positive_int(k, "k")
+        check_count(k, "k")
     terms = query.attribute_queries()
     if not terms:
         raise EmptyQueryError("query has no attributes to match")

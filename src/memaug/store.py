@@ -30,7 +30,7 @@ from itertools import islice
 from typing import Iterator, Sequence
 
 from .annotations import Annotation, Granularity, normalize_name
-from .errors import DuplicateIdError, GranularityMismatchError, SchemaError
+from .errors import DuplicateIdError, GranularityMismatchError, SchemaError, check_count
 from .fileio import replace_together
 
 
@@ -109,7 +109,8 @@ class CorpusStats:
 
 @dataclass
 class AugmentationReport:
-    """Success/failure accounting for one corpus pass."""
+    """Success/failure accounting for one corpus pass: non-negative integer
+    counts, and an (item id, reason) pair of strings per failure."""
 
     total: int = 0
     succeeded: int = 0
@@ -117,8 +118,13 @@ class AugmentationReport:
     failures: list[tuple[str, str]] = field(default_factory=list)
 
     def __post_init__(self):
+        for name in ("total", "succeeded", "failed"):
+            check_count(getattr(self, name), name, 0)
         if self.succeeded + self.failed != self.total:
             raise ValueError("succeeded + failed must equal total")
+        if not all(isinstance(f, tuple) and len(f) == 2 and all(isinstance(s, str) for s in f)
+                   for f in self.failures):
+            raise ValueError("failures must be (item id, reason) pairs of strings")
 
     @property
     def failure_rate(self) -> float:

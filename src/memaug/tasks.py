@@ -28,7 +28,7 @@ from .datasets import (
     mask_dialogue,
     session_text,
 )
-from .errors import EmptyQueryError, LabelNotFoundError, MemaugError
+from .errors import EmptyQueryError, LabelNotFoundError, MemaugError, check_count
 from .metrics import MetricReport, ndcg_at_k, normalize_title, recall_at_k, token_f1
 from .mining import AttributeMiner, fan_out
 from .retrieval import (
@@ -39,7 +39,6 @@ from .retrieval import (
     RetrievalMode,
     RetrievalResult,
     VectorIndex,
-    check_positive_int,
     retrieve,
 )
 from .store import MatchPolicy, MemoryStore
@@ -84,7 +83,7 @@ class RetrievalSetup:
         if self.mode is RetrievalMode.EMBEDDING_BASED and (self.index is None or self.embedder is None):
             raise ValueError("embedding retrieval requires an index and an embedder")
         if k is not None:
-            check_positive_int(k, "k")
+            check_count(k, "k")
 
     def reads_mined(self, *, annotation: bool) -> bool:
         """Whether :meth:`run` reads a mined annotation (``annotation``) or mined names."""
@@ -274,6 +273,7 @@ def run_rec_task(
     recommendation backend for a ranked list, and scores direct title
     matches with Recall@N and NDCG@N for each N in ``REC_CUTOFFS``.
     """
+    check_count(n, "n")
     if n > len(dataset.dialogues):
         raise ValueError(
             f"cannot sample {n} dialogues from a dataset of {len(dataset.dialogues)}"
@@ -301,7 +301,7 @@ def run_rec_task(
             error = str(exc) or type(exc).__name__
             logger.warning("dialogue %s failed: %s", dialogue.dialogue_id, exc)
         retrieved = () if result is None else result.ids()
-        gold = {normalize_title(label) for label in dialogue.gold_labels if label.strip()}
+        gold = {title for title in map(normalize_title, dialogue.gold_labels) if title}
         predicted = [normalize_title(title) for title in recommendations]
         scores: dict[str, float] = {}
         for cutoff in REC_CUTOFFS:

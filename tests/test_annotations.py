@@ -42,6 +42,19 @@ class TestAttributePair:
         with pytest.raises(ValueError, match="attribute value may not be empty or 'none'"):
             AttributePair("genre", value)
 
+    @pytest.mark.parametrize(
+        "name, value, types",
+        [
+            (5, "x", "int and str"),
+            ("genre", None, "str and NoneType"),
+            (["a"], 1.5, "list and float"),
+        ],
+    )
+    def test_name_or_value_that_is_not_a_string_rejected(self, name, value, types):
+        message = f"pair name and value must be strings, got {types}"
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            AttributePair(name, value)
+
     def test_normalization_idempotent(self):
         name = normalize_name("  A  B\tC ")
         assert normalize_name(name) == name

@@ -2,6 +2,7 @@
 
 import json
 import pickle
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -132,7 +133,7 @@ class TestHashEmbedder:
 
     @pytest.mark.parametrize("dimension", [True, False, 8.0, "8", None, np.int64(8)])
     def test_dimension_must_be_an_int(self, dimension):
-        with pytest.raises(ValueError, match="^dimension must be an integer, got "):
+        with pytest.raises(ValueError, match="^dimension must be a positive integer, got "):
             HashEmbedder(dimension)
 
     def test_no_state_changes_after_embedding(self):
@@ -288,6 +289,12 @@ class TestBackendProfile:
         for endpoint in (None, ""):
             with pytest.raises(ValueError, match="^remote backends require an endpoint$"):
                 BackendProfile(endpoint=endpoint)
+
+    @pytest.mark.parametrize("timeout", [float("inf"), -1.0, float("nan"), 0, True, "30"])
+    def test_timeout_must_be_a_positive_finite_number(self, timeout):
+        message = f"timeout must be a positive, finite number, got {timeout!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BackendProfile(endpoint="http://127.0.0.1:9/", timeout=timeout)
 
 
 class _StubHandler(BaseHTTPRequestHandler):

@@ -7,6 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import requests
 
 from memaug import cli
 from memaug.backends import MockChatBackend, RemoteChatBackend
@@ -150,6 +151,29 @@ class TestStatsCommand:
         (tmp_path / "store.jsonl.report.json").write_text('{"total": 1, "failed": 0}')
         assert main(["stats", "--store", str(store)]) == 2
         assert "store.jsonl.report.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            {"total": 2.5, "succeeded": 1.5, "failed": 1,
+             "failures": [{"item_id": "m0", "reason": "transport"}]},
+            {"total": True, "succeeded": True, "failed": False},
+            {"total": 0, "succeeded": 1, "failed": -1},
+            {"total": 1, "succeeded": 0, "failed": 1,
+             "failures": [{"item_id": 5, "reason": "transport"}]},
+            {"total": 1, "succeeded": 0, "failed": 1,
+             "failures": [{"item_id": "m0", "reason": None}]},
+        ],
+        ids=["fraction", "bool", "negative", "int-id", "null-reason"],
+    )
+    def test_stats_exits_2_on_a_sidecar_of_the_wrong_type(self, tmp_path, capsys, report):
+        store = write_items_jsonl(tmp_path / "store.jsonl", ["a great thriller"])
+        sidecar = tmp_path / "store.jsonl.report.json"
+        sidecar.write_text(json.dumps(report), encoding="utf-8")
+        assert main(["stats", "--store", str(store), "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: store report {sidecar}: ValueError(")
 
 
 class TestIndexAndRetrieve:
@@ -583,7 +607,7 @@ class TestEvalCommand:
             (["--query-parts", "bogus"], "unknown query part 'bogus'"),
             (["--k", "0"], "k must be a positive integer, got 0"),
             (["--mode", "attribute", "--k", "-1"], "k must be a positive integer, got -1"),
-            (["--dim", "0"], "dimension must be >= 1"),
+            (["--dim", "0"], "dimension must be a positive integer, got 0"),
             (
                 ["--backend", "remote", "--endpoint", "http://127.0.0.1:9/"],
                 "remote embeddings need --embed-model",
@@ -764,6 +788,34 @@ class TestBackendChoice:
         capsys.readouterr()
         assert main([*argv, "--backend", "remote"]) == 1
         assert capsys.readouterr().err == "error: remote backends require an endpoint\n"
+        assert files() == before
+
+    @pytest.mark.parametrize("timeout", ["inf", "-1", "nan", "0"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["augment", "--input", "items.jsonl", "--store", "remote.jsonl",
+             "--perspective", "entity", "--granularity", "na"],
+            ["index", "--store", "store.jsonl", "--out", "remote.index", "--embed-model", "e"],
+        ],
+        ids=["augment", "index"],
+    )
+    def test_timeout_not_positive_and_finite_refused_before_any_call_or_write(
+        self, workdir, capsys, monkeypatch, argv, timeout
+    ):
+        def post(*args, **kwargs):
+            pytest.fail("a request was sent")
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        def files():
+            return {path: path.read_bytes() for path in workdir.rglob("*") if path.is_file()}
+
+        before = files()
+        capsys.readouterr()
+        remote = ["--backend", "remote", "--endpoint", "http://127.0.0.1:9/", "--timeout", timeout]
+        assert main([*argv, *remote]) == 1
+        expected = f"error: timeout must be a positive, finite number, got {float(timeout)!r}\n"
+        assert capsys.readouterr().err == expected
         assert files() == before
 
 
@@ -1064,9 +1116,9 @@ class TestMalformedInputFiles:
         "key,value,message",
         [
             ("ids", "ab", "index ids must be a list, got str"),
-            ("dimension", True, "index dimension must be an integer, got True"),
+            ("dimension", True, "malformed index: dimension must be a non-negative integer, got True"),
             ("embedder", {"kind": 5, "model": None},
-             "index embedder kind and model must be strings or null"),
+             "malformed index: index embedder kind and model must be strings or None"),
         ],
         ids=["ids-string", "dimension-bool", "kind-int"],
     )

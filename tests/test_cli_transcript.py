@@ -107,6 +107,7 @@ def write_inputs(root: Path) -> None:
     _jsonl(root / "items.jsonl", entities[:4] + [{"id": 5, "content": "bad id"}] + entities[4:])
     _jsonl(root / "edge.jsonl", _entities(["", "a comedy " * 12_000, "a thriller"]))
     _jsonl(root / "flaky.jsonl", _entities(FLAKY_CONTENTS))
+    _jsonl(root / "one.jsonl", _entities(ENTITY_CONTENTS[:1]))
     (root / "augment.ini").write_text(
         "[memaug]\nperspective = entity\ngranularity = na\nmax_retries = 0\n"
         "mock_rules = rules.json\nk = 3\n",

@@ -15,7 +15,9 @@ from memaug import (
     load_recommendation_dataset,
     mask_dialogue,
 )
-from memaug.datasets import MASK_TOKEN, session_text, store_from_items, store_from_sessions
+from memaug.datasets import (
+    MASK_TOKEN, RecItem, session_text, store_from_items, store_from_sessions,
+)
 from memaug.store import ItemKind
 
 from synthetic import build_qa_fixture, build_rec_fixture
@@ -167,6 +169,12 @@ class TestRecommendationDataset:
         with pytest.raises(SchemaError, match=f"^duplicate item id {duplicate!r}$"):
             load_recommendation_dataset(write_json(tmp_path, "r.json", data))
 
+    def test_store_from_items_stores_a_blank_content_as_the_title(self):
+        store = store_from_items(
+            (RecItem("m1", "Heat", "  "), RecItem("m2", "Up", ""), RecItem("m3", "X", " a film"))
+        )
+        assert [item.content for item in store] == ["Heat", "Up", " a film"]
+
     def test_store_from_items(self):
         _, store, _ = build_rec_fixture(n_dialogues=2, n_items=4)
         assert len(store) == 4
@@ -214,6 +222,14 @@ class TestMaskDialogue:
         masked = mask_dialogue(self.make(texts, labels=("Heat", blank)))
         assert masked.turns == mask_dialogue(self.make(texts)).turns
         assert masked.turns[2][1] == f"watch {MASK_TOKEN} tonight"
+
+    @pytest.mark.parametrize("label", ["!!", "--", " . "])
+    def test_label_that_names_no_title_is_ignored(self, label):
+        texts = ["well !! -- . hmm", "watch Heat tonight", "bye"]
+        masked = mask_dialogue(self.make(texts, labels=("Heat", label)))
+        assert masked.turns == mask_dialogue(self.make(texts)).turns
+        with pytest.raises(LabelNotFoundError, match="^no labels to mask$"):
+            mask_dialogue(self.make(texts, labels=(label,)))
 
     def test_only_blank_labels_mask_nothing(self):
         with pytest.raises(LabelNotFoundError, match="no labels to mask"):

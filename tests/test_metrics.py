@@ -30,7 +30,12 @@ class TestRecallAtK:
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_refused(self, k):
-        with pytest.raises(ValueError, match="^k must be >= 1$"):
+        with pytest.raises(ValueError, match=f"^k must be a positive integer, got {k}$"):
+            recall_at_k(["a"], {"a"}, k)
+
+    @pytest.mark.parametrize("k", [1.5, True, "1"])
+    def test_k_that_is_not_an_int_refused(self, k):
+        with pytest.raises(ValueError, match=f"^k must be a positive integer, got {k!r}$"):
             recall_at_k(["a"], {"a"}, k)
 
 
@@ -51,7 +56,12 @@ class TestNdcgAtK:
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_refused(self, k):
-        with pytest.raises(ValueError, match="^k must be >= 1$"):
+        with pytest.raises(ValueError, match=f"^k must be a positive integer, got {k}$"):
+            ndcg_at_k(["a"], {"a"}, k)
+
+    @pytest.mark.parametrize("k", [1.5, True, "1"])
+    def test_k_that_is_not_an_int_refused(self, k):
+        with pytest.raises(ValueError, match=f"^k must be a positive integer, got {k!r}$"):
             ndcg_at_k(["a"], {"a"}, k)
 
     def test_one_iff_gold_ranked_first(self):

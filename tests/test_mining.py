@@ -230,6 +230,40 @@ class TestMine:
             miner.mine_text(blank)
         assert backend.calls == 0
 
+    @pytest.mark.parametrize(
+        "setting, value, message",
+        [
+            ("max_retries", 1.5, "max_retries must be a non-negative integer, got 1.5"),
+            ("max_retries", True, "max_retries must be a non-negative integer, got True"),
+            ("max_retries", "2", "max_retries must be a non-negative integer, got '2'"),
+            ("parallelism", 2.5, "parallelism must be a positive integer, got 2.5"),
+            ("parallelism", True, "parallelism must be a positive integer, got True"),
+        ],
+    )
+    def test_count_that_is_not_an_int_rejected(self, setting, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AttributeMiner(MockChatBackend(), **{setting: value})
+
+    @pytest.mark.parametrize(
+        "perspective, granularity, item",
+        [
+            (Perspective.CONVERSATION_CENTRIC, Granularity.SESSION_LEVEL, make_turn(1, "a comedy")),
+            (Perspective.ENTITY_CENTRIC, Granularity.NOT_APPLICABLE, make_turn(1, "a comedy")),
+            (Perspective.CONVERSATION_CENTRIC, Granularity.TURN_LEVEL,
+             MemoryItem(id="m1", kind=ItemKind.ENTITY, content="a comedy")),
+        ],
+        ids=["session-miner-turn", "entity-miner-turn", "turn-miner-entity"],
+    )
+    def test_item_kind_the_granularity_cannot_annotate_refused_before_any_call(
+        self, perspective, granularity, item
+    ):
+        backend = StaticChatBackend(["[genre]<comedy>"])
+        miner = AttributeMiner(backend, perspective=perspective, granularity=granularity)
+        message = f"^item kind {item.kind.value} requires granularity "
+        with pytest.raises(GranularityMismatchError, match=message):
+            miner.mine(item)
+        assert backend.calls == 0
+
     def test_zero_parallelism_rejected(self):
         with pytest.raises(ValueError):
             AttributeMiner(MockChatBackend(), parallelism=0)

@@ -3,14 +3,17 @@
 import io
 import json
 import re
+import tempfile
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import attribute_ranking, brute_force_topk, build_index_oracle, single_pass_search
 
@@ -27,6 +30,7 @@ from memaug import (
     HashEmbedder,
     ItemKind,
     MatchPolicy,
+    MemaugError,
     MemoryItem,
     MemoryStore,
     Perspective,
@@ -712,6 +716,24 @@ class TestSearch:
         loaded = VectorIndex.load(tmp_path / "empty.idx")
         assert (len(loaded), loaded.dimension, loaded.vectors.shape) == (0, 4, (0, 4))
 
+    @pytest.mark.parametrize(
+        "ids, columns, fields, message",
+        [
+            (("a", "b"), 2, {"dimension": 2.0},
+             "dimension must be a non-negative integer, got 2.0"),
+            (("a", "b"), 1, {"dimension": True},
+             "dimension must be a non-negative integer, got True"),
+            (("a", "b"), 2, {"embedder_kind": 5},
+             "index embedder kind and model must be strings or None"),
+            ((1, 2), 2, {}, "index ids must be strings"),
+        ],
+        ids=["dimension-float", "dimension-bool", "kind-int", "int-ids"],
+    )
+    def test_constructor_refuses_what_load_refuses(self, ids, columns, fields, message):
+        fields = {"dimension": columns, **fields}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            VectorIndex(ids, np.ones((2, columns)), EmbeddingStrategy.RAW_CONTENT, **fields)
+
     def test_legacy_json_index_rejected(self, tmp_path):
         path = tmp_path / "index.json"
         path.write_text(
@@ -743,7 +765,7 @@ class TestSearch:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("item_ids", ("m0", 1, "m2"), "index ids must be strings"),
+            ("item_ids", ("m0", 1, "m2"), "malformed index: index ids must be strings"),
             ("vectors", np.eye(3, dtype=np.float32), "expected a float64 matrix, got float32"),
         ],
         ids=["int-id", "float32"],
@@ -763,14 +785,14 @@ class TestSearch:
         [
             ("ids", "ab", 2, "index ids must be a list, got str"),
             ("ids", {"a": 1, "b": 2}, 2, "index ids must be a list, got dict"),
-            ("dimension", 2.7, 2, "index dimension must be an integer, got 2.7"),
-            ("dimension", 2.0, 2, "index dimension must be an integer, got 2.0"),
-            ("dimension", "2", 2, "index dimension must be an integer, got '2'"),
-            ("dimension", True, 1, "index dimension must be an integer, got True"),
+            ("dimension", 2.7, 2, "malformed index: dimension must be a non-negative integer, got 2.7"),
+            ("dimension", 2.0, 2, "malformed index: dimension must be a non-negative integer, got 2.0"),
+            ("dimension", "2", 2, "malformed index: dimension must be a non-negative integer, got '2'"),
+            ("dimension", True, 1, "malformed index: dimension must be a non-negative integer, got True"),
             ("embedder", {"kind": 5, "model": None}, 2,
-             "index embedder kind and model must be strings or null"),
+             "malformed index: index embedder kind and model must be strings or None"),
             ("embedder", {"kind": "hash", "model": ["m"]}, 2,
-             "index embedder kind and model must be strings or null"),
+             "malformed index: index embedder kind and model must be strings or None"),
         ],
         ids=["ids-string", "ids-object", "dimension-fraction", "dimension-float",
              "dimension-string", "dimension-bool", "kind-int", "model-list"],
@@ -1174,3 +1196,45 @@ def test_two_pass_search_matches_oracles(
         return [(hit.item_id, hit.score.hex(), hit.rank) for hit in result.hits]
 
     assert bits(got) == bits(single_pass_search(index, query, k))
+
+
+_NAMES = st.one_of(st.none(), st.text(max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ids=st.lists(st.text(max_size=6), unique=True, max_size=6),
+    strategy=st.sampled_from(EmbeddingStrategy),
+    kind=_NAMES,
+    model=_NAMES,
+    defect=st.sampled_from([None, "id", "dimension", "embedder"]),
+    data=st.data(),
+)
+def test_every_index_that_constructs_loads_back(ids, strategy, kind, model, defect, data):
+    columns = data.draw(st.integers(1 if ids else 0, 4), label="columns")
+    elements = st.floats(-1e100, 1e100).filter(bool)  # no zero row, no norm that overflows
+    rows = arrays(np.float64, (len(ids), columns), elements=elements, fill=st.nothing())
+    vectors = data.draw(rows, label="vectors")
+    fields = {"item_ids": tuple(ids), "dimension": columns,
+              "embedder_kind": kind, "embedder_model": model}
+    # At most one field of a type that a save can write but a load refuses.
+    if defect == "id" and ids:
+        fields["item_ids"] = (len(ids), *ids[1:])
+    elif defect == "dimension":
+        fields["dimension"] = data.draw(st.sampled_from([float, bool]), label="type")(columns)
+    elif defect == "embedder":
+        fields[data.draw(st.sampled_from(["embedder_kind", "embedder_model"]))] = 5
+    try:
+        index = VectorIndex(vectors=vectors, strategy=strategy, **fields)
+    except (ValueError, MemaugError):
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "index.bin"
+        index.save(path)
+        loaded = VectorIndex.load(path)
+    assert loaded.item_ids == index.item_ids
+    assert loaded.strategy is index.strategy
+    assert loaded.dimension == index.dimension and type(loaded.dimension) is int
+    assert (loaded.embedder_kind, loaded.embedder_model) == (kind, model)
+    assert loaded.vectors.shape == index.vectors.shape
+    assert loaded.vectors.tobytes() == index.vectors.tobytes()

@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -892,3 +893,61 @@ def test_load_matches_per_line_oracle(lines):
                 assert warning.startswith(f"line {line_no}: skipped (")
             else:
                 assert warning == text
+
+
+class TestAugmentationReport:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"total": 2.5, "succeeded": 1.5, "failed": 1},
+             "total must be a non-negative integer, got 2.5"),
+            ({"total": True, "succeeded": True, "failed": False},
+             "total must be a non-negative integer, got True"),
+            ({"total": 0, "succeeded": 1, "failed": -1},
+             "failed must be a non-negative integer, got -1"),
+            ({"total": 1, "succeeded": 0, "failed": 1, "failures": [(5, "transport")]},
+             "failures must be (item id, reason) pairs of strings"),
+            ({"total": 1, "succeeded": 0, "failed": 1, "failures": [["m1", "transport"]]},
+             "failures must be (item id, reason) pairs of strings"),
+            ({"total": 1, "succeeded": 0, "failed": 1, "failures": [("m1", "transport", "x")]},
+             "failures must be (item id, reason) pairs of strings"),
+        ],
+        ids=["fraction", "bool", "negative", "int-id", "list", "triple"],
+    )
+    def test_constructor_refuses_what_a_load_cannot_give_back(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AugmentationReport(**fields)
+
+
+_TEXTS = st.text(max_size=4)
+_COUNTS = st.one_of(st.integers(-1, 3), st.sampled_from([0.5, 1.0, True, False]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    succeeded=_COUNTS,
+    failed=_COUNTS,
+    failures=st.lists(
+        st.one_of(
+            st.tuples(_TEXTS, _TEXTS),
+            st.lists(_TEXTS, min_size=2, max_size=2),
+            st.tuples(st.integers(0, 3), _TEXTS),
+            st.tuples(_TEXTS, _TEXTS, _TEXTS),
+            st.text(min_size=2, max_size=2),
+        ),
+        max_size=3,
+    ),
+)
+def test_every_report_that_constructs_loads_back(succeeded, failed, failures):
+    try:
+        report = AugmentationReport(succeeded + failed, succeeded, failed, failures)
+    except ValueError:
+        return
+    store = MemoryStore()
+    store.augmentation_report = report
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "store.jsonl"
+        store.save(path)
+        loaded = MemoryStore.load(path).augmentation_report
+    assert loaded == report
+    assert [type(count) for count in (loaded.total, loaded.succeeded, loaded.failed)] == [int] * 3

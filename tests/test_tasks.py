@@ -27,7 +27,7 @@ from memaug import (
     build_index,
 )
 from memaug.datasets import load_conversation_dataset, load_recommendation_dataset, store_from_items
-from memaug.datasets import store_from_sessions
+from memaug.datasets import RecDialogue, RecItem, RecommendationDataset, store_from_sessions
 from memaug.errors import BackendRefusal, EmptyQueryError
 from memaug.retrieval import DEFAULT_QUERY_PARTS, EmbeddingStrategy, QueryContext, QueryPart
 from memaug.tasks import (
@@ -267,6 +267,15 @@ class TestRecTask:
                 dataset, store, miner=miner, rec_backend=mock, setup=setup, n=10_000, k=10
             )
 
+    @pytest.mark.parametrize("n", [0, -1, 1.5, True])
+    def test_n_that_is_not_a_positive_int_fails_before_work(self, rec_setup, n):
+        dataset, store, miner, _ = rec_setup
+        backend = CountingChatBackend(MockChatBackend())
+        setup = RetrievalSetup(mode=RetrievalMode.COMPREHENSIVE)
+        with pytest.raises(ValueError, match=f"^n must be a positive integer, got {n}$"):
+            run_rec_task(dataset, store, miner=miner, rec_backend=backend, setup=setup, n=n)
+        assert not backend.calls
+
     def test_seeded_sampling_reproducible(self, rec_setup):
         dataset, store, miner, mock = rec_setup
         setup = RetrievalSetup(mode=RetrievalMode.COMPREHENSIVE)
@@ -316,6 +325,21 @@ class TestRecTask:
         out = run_rec_task(
             dataset, store_from_items(dataset.items), miner=AttributeMiner(MockChatBackend()),
             rec_backend=StaticChatBackend(["1. Heat\n2. Up"]),
+            setup=RetrievalSetup(mode=RetrievalMode.COMPREHENSIVE), n=1, k=10,
+        )
+        assert [row.error for row in out.rows] == [None]
+        assert out.reports["recall@10"].overall == 1.0
+
+    @pytest.mark.parametrize("label", ["!!", "--", " . "])
+    def test_label_that_names_no_title_is_not_gold(self, label):
+        # normalize_title maps the label to "", which no recommendation matches.
+        dataset = RecommendationDataset(
+            items=(RecItem("m1", "Heat"), RecItem("m2", "Up")),
+            dialogues=(RecDialogue("d1", (("user", "any film like Heat?"),), ("Heat", label)),),
+        )
+        out = run_rec_task(
+            dataset, store_from_items(dataset.items), miner=AttributeMiner(MockChatBackend()),
+            rec_backend=StaticChatBackend(["- Heat\n- Up"]),
             setup=RetrievalSetup(mode=RetrievalMode.COMPREHENSIVE), n=1, k=10,
         )
         assert [row.error for row in out.rows] == [None]
