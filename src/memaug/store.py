@@ -40,6 +40,10 @@ class ItemKind(Enum):
     SESSION = "session"
 
 
+# Kinds by value: every loaded line looks its kind up, and a dict lookup
+# costs about a tenth of an ItemKind(value) call.
+_ITEM_KINDS = {kind.value: kind for kind in ItemKind}
+
 _KIND_GRANULARITY = {
     ItemKind.ENTITY: Granularity.NOT_APPLICABLE,
     ItemKind.DIALOGUE_TURN: Granularity.TURN_LEVEL,
@@ -50,7 +54,7 @@ _KIND_GRANULARITY = {
 # it out reads as: a field read as "" must be a string, one read as None may
 # also be null, and null fields are not written. Saved lines and MemoryItem
 # both hold them in this order, with "kind" right after "id"; a saved line
-# ends with "annotation".
+# ends with "annotation". MemoryItem checks their types in this order.
 _TEXT_FIELDS = (
     ("id", ""), ("content", ""),
     ("speaker", None), ("session_id", None), ("turn_id", None), ("timestamp", None),
@@ -59,7 +63,12 @@ _TEXT_FIELDS = (
 
 @dataclass(frozen=True, slots=True)
 class MemoryItem:
-    """One unit of memory: an entity, a dialogue turn, or a whole session."""
+    """One unit of memory: an entity, a dialogue turn, or a whole session.
+
+    ``id`` and ``content`` are strings, and the other text fields strings or
+    None; the first field of another type raises :class:`TypeError`.
+    ``kind`` may also be given as its value, as a stored line holds it.
+    """
 
     id: str
     kind: ItemKind
@@ -70,6 +79,16 @@ class MemoryItem:
     timestamp: str | None = None
 
     def __post_init__(self):
+        for key, missing in _TEXT_FIELDS:
+            value = getattr(self, key)
+            if not isinstance(value, str) and (value is not None or missing is not None):
+                raise TypeError(f"field {key!r} must be a string, got {type(value).__name__}")
+        if not isinstance(self.kind, ItemKind):
+            try:
+                kind = _ITEM_KINDS[self.kind]
+            except (KeyError, TypeError):  # No kind has this value: the enum says so.
+                kind = ItemKind(self.kind)
+            object.__setattr__(self, "kind", kind)
         if not self.id:
             raise ValueError("item id must be non-empty")
         if self.kind is ItemKind.DIALOGUE_TURN and not (self.session_id and self.turn_id):
@@ -110,7 +129,7 @@ class CorpusStats:
 @dataclass
 class AugmentationReport:
     """Success/failure accounting for one corpus pass: non-negative integer
-    counts, and an (item id, reason) pair of strings per failure."""
+    counts, and an (item id, reason) pair of strings for every failure."""
 
     total: int = 0
     succeeded: int = 0
@@ -125,6 +144,10 @@ class AugmentationReport:
         if not all(isinstance(f, tuple) and len(f) == 2 and all(isinstance(s, str) for s in f)
                    for f in self.failures):
             raise ValueError("failures must be (item id, reason) pairs of strings")
+        if len(self.failures) != self.failed:
+            raise ValueError(
+                f"failed must equal the number of failures, got {self.failed} and {len(self.failures)}"
+            )
 
     @property
     def failure_rate(self) -> float:
@@ -347,23 +370,14 @@ class MemoryStore:
 
     @staticmethod
     def _from_line(line: str) -> tuple[MemoryItem, Annotation | None]:
-        """Decode one JSONL line into an item and its annotation.
-
-        The text fields are checked against ``_TEXT_FIELDS`` in its order,
-        and the first of the wrong type raises :class:`TypeError`; the item
-        and annotation constructors then make their own checks.
-        """
+        """Decode one JSONL line into an item and its annotation, which
+        their constructors check."""
         record = json.loads(line)
         if not isinstance(record, dict) or "id" not in record or "kind" not in record:
             raise ValueError("record must be an object with 'id' and 'kind'")
         get = record.get
-        fields = []
-        for key, missing in _TEXT_FIELDS:
-            value = get(key, missing)
-            if not isinstance(value, str) and (value is not None or missing is not None):
-                raise TypeError(f"field {key!r} must be a string, got {type(value).__name__}")
-            fields.append(value)
-        fields.insert(1, ItemKind(record["kind"]))
+        fields = [get(key, missing) for key, missing in _TEXT_FIELDS]
+        fields.insert(1, record["kind"])
         item = MemoryItem(*fields)
         annotation = get("annotation")
         if annotation is not None:

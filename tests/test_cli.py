@@ -175,6 +175,15 @@ class TestStatsCommand:
         assert out == ""
         assert err.startswith(f"error: store report {sidecar}: ValueError(")
 
+    def test_stats_exits_2_on_a_sidecar_that_names_no_failed_item(self, tmp_path, capsys):
+        store = write_items_jsonl(tmp_path / "store.jsonl", ["a great thriller"])
+        sidecar = tmp_path / "store.jsonl.report.json"
+        sidecar.write_text(json.dumps({"total": 2, "succeeded": 0, "failed": 2, "failures": []}))
+        assert main(["stats", "--store", str(store), "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: store report {sidecar}: ValueError(")
+
 
 class TestIndexAndRetrieve:
     @pytest.fixture

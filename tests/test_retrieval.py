@@ -1,7 +1,9 @@
 """Retrieval engine tests: embedding strategies, flat search, modes."""
 
+import gc
 import io
 import json
+import mmap
 import re
 import tempfile
 import tracemalloc
@@ -862,6 +864,138 @@ class TestSearch:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["index.bin"]
         assert np.array_equal(VectorIndex.load(path).vectors, np.eye(3))
+
+
+def _duplicate_rows(rng, size, dimension):
+    """Criterion 2's rows: normal draws, one of them copied to three others."""
+    vectors = rng.normal(size=(size, dimension))
+    if size >= 6:
+        source = int(rng.integers(0, size))
+        for target in rng.integers(0, size, size=3):
+            vectors[int(target)] = vectors[source]
+    return vectors
+
+
+def _bits(result):
+    return [(hit.item_id, hit.score.hex(), hit.rank) for hit in result.hits]
+
+
+def _vm_rss() -> int:
+    """This process's resident set size in bytes, from /proc/self/status."""
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmRSS:"))
+
+
+class TestMappedLoad:
+    """A loaded index reads its float64 rows from its file, and a search of
+    it is bitwise the search of the index it was saved from."""
+
+    @pytest.mark.parametrize("block", [None, 7], ids=["norm-block", "7-row-blocks"])
+    @pytest.mark.parametrize("madvise", [True, False], ids=["mapped", "no-madvise"])
+    @pytest.mark.parametrize(
+        "size, dimension",
+        [(0, 8), (40, 8), (3 * retrieval._NORM_BLOCK + 7, 8), (300, 64)],
+        ids=["empty", "one-block", "several-blocks", "rows-across-pages"],
+    )
+    def test_loaded_index_searches_as_the_built_one(
+        self, tmp_path, monkeypatch, size, dimension, madvise, block
+    ):
+        if madvise and not hasattr(mmap, "MADV_DONTNEED"):
+            pytest.skip("the platform has no madvise")
+        if block is not None:
+            monkeypatch.setattr(retrieval, "_NORM_BLOCK", block)
+        if not madvise:
+            monkeypatch.delattr(mmap, "MADV_DONTNEED", raising=False)
+        rng = np.random.default_rng(size + dimension)
+        vectors = _duplicate_rows(rng, size, dimension)
+        ids = tuple(f"item{i:04d}" for i in range(size))
+        built = VectorIndex(ids, vectors, EmbeddingStrategy.RAW_CONTENT, dimension)
+        built.save(tmp_path / "index.bin")
+        loaded = VectorIndex.load(tmp_path / "index.bin")
+        # Only rows read from the file are read-only; an empty matrix is read.
+        assert loaded.vectors.flags.writeable is not (madvise and size > 0)
+        assert loaded.vectors.tobytes() == vectors.tobytes()
+        assert loaded.norms.tobytes() == built.norms.tobytes()
+        assert loaded.unit32.tobytes() == built.unit32.tobytes()
+        queries = [rng.normal(size=dimension)] + ([vectors[int(rng.integers(size))]] if size else [])
+        for query in queries:
+            expected = brute_force_topk(ids, vectors.tolist(), query.tolist(), 10)
+            for k in (1, 5, 10):
+                got = loaded.search(query, k)
+                assert _bits(got) == _bits(built.search(query, k))
+                assert list(got.ids()) == expected[:k]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [([1.0, np.nan], "index vectors contain non-finite entries"),
+         ([1e200, 1.0], "index vectors have a norm that overflows float64")],
+        ids=["nan", "norm-overflow"],
+    )
+    def test_bad_row_in_the_last_block_is_a_schema_error(self, tmp_path, row, message):
+        size = 2 * retrieval._NORM_BLOCK + 3
+        index = VectorIndex(
+            tuple(f"m{i}" for i in range(size)), np.ones((size, 2)), EmbeddingStrategy.RAW_CONTENT, 2
+        )
+        bad = np.ones((size, 2))
+        bad[-1] = row
+        object.__setattr__(index, "vectors", bad)  # What a corrupt file would hold.
+        path = tmp_path / "index.bin"
+        index.save(path)
+        with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}: malformed index: {message}')}$"):
+            VectorIndex.load(path)
+
+    def test_fortran_ordered_matrix_saves_and_loads_back_equal(self, tmp_path):
+        rng = np.random.default_rng(11)
+        vectors = np.asfortranarray(_duplicate_rows(rng, 50, 8))
+        ids = tuple(f"m{i:02d}" for i in range(50))
+        built = VectorIndex(ids, vectors, EmbeddingStrategy.RAW_CONTENT, 8)
+        built.save(tmp_path / "index.bin")
+        loaded = VectorIndex.load(tmp_path / "index.bin")
+        assert loaded.vectors.shape == (50, 8)
+        assert np.array_equal(loaded.vectors, vectors)
+        assert loaded.unit32.tobytes() == built.unit32.tobytes()
+        query = rng.normal(size=8)
+        assert _bits(loaded.search(query, 5)) == _bits(built.search(query, 5))
+
+    def test_index_saved_over_its_own_file_keeps_searching(self, tmp_path):
+        rng = np.random.default_rng(13)
+        vectors = _duplicate_rows(rng, 2 * retrieval._NORM_BLOCK + 1, 8)
+        ids = tuple(f"m{i:04d}" for i in range(len(vectors)))
+        path = tmp_path / "index.bin"
+        built = VectorIndex(ids, vectors, EmbeddingStrategy.RAW_CONTENT, 8)
+        built.save(path)
+        saved = path.read_bytes()
+        loaded = VectorIndex.load(path)
+        query = rng.normal(size=8)
+        expected = _bits(built.search(query, 5))
+        loaded.save(path)
+        assert path.read_bytes() == saved
+        assert _bits(loaded.search(query, 5)) == expected
+        assert _bits(VectorIndex.load(path).search(query, 5)) == expected
+
+    @pytest.mark.skipif(
+        not (Path("/proc/self/status").exists() and hasattr(mmap, "MADV_DONTNEED")),
+        reason="needs /proc/self/status and madvise",
+    )
+    def test_file_rows_stay_out_of_memory_across_searches(self, tmp_path):
+        # 16k x 256: 32 MB of float64 rows in the file, 16 MB of unit32 rows.
+        rng = np.random.default_rng(17)
+        size, dimension = 16_384, 256
+        path = tmp_path / "index.bin"
+        VectorIndex(
+            tuple(f"m{i}" for i in range(size)), rng.normal(size=(size, dimension)),
+            EmbeddingStrategy.RAW_CONTENT, dimension,
+        ).save(path)
+        queries = rng.normal(size=(1000, dimension))
+        gc.collect()
+        before = _vm_rss()
+        index = VectorIndex.load(path)
+        # Derived rows and norms, plus at most a quarter of the file's rows.
+        bound = index.unit32.nbytes + index.vectors.nbytes // 4
+        assert _vm_rss() - before < bound
+        for query in queries:
+            index.search(query, 5)
+        assert _vm_rss() - before < bound
 
 
 class TestEmbedQuery:

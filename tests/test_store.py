@@ -631,6 +631,18 @@ class TestRecordFields:
             MemoryStore.load(path)
         assert str(exc_info.value) == "line 1: field 'content' must be a string, got list"
 
+    @pytest.mark.parametrize("field, value, type_name", WRONG.values(), ids=WRONG.keys())
+    def test_item_constructor_refuses_what_a_load_refuses(self, field, value, type_name):
+        fields = {"id": "m1", "kind": ItemKind.ENTITY, "content": "x", field: value}
+        with pytest.raises(TypeError, match=f"^{re.escape(f'field {field!r} must be a string, got {type_name}')}$"):
+            MemoryItem(**fields)
+
+    def test_kind_given_as_its_value(self):
+        assert MemoryItem("m1", "entity", "x") == MemoryItem("m1", ItemKind.ENTITY, "x")
+        assert MemoryItem("m1", "entity", "x").kind is ItemKind.ENTITY
+        with pytest.raises(ValueError, match="^'bogus' is not a valid ItemKind$"):
+            MemoryItem("m1", "bogus", "x")
+
     def test_saved_line_bytes(self, tmp_path):
         store = MemoryStore()
         store.write(
@@ -919,6 +931,27 @@ class TestAugmentationReport:
             AugmentationReport(**fields)
 
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"total": 2, "succeeded": 0, "failed": 2, "failures": []},
+         {"total": 2, "succeeded": 2, "failed": 0, "failures": [("m1", "transport")]},
+         {"total": 3, "succeeded": 1, "failed": 2, "failures": [("m1", "transport")]}],
+        ids=["none-listed", "one-too-many", "one-too-few"],
+    )
+    def test_failures_list_every_failed_item(self, fields, tmp_path):
+        message = f"failed must equal the number of failures, got {fields['failed']} and {len(fields['failures'])}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AugmentationReport(**fields)
+        # A sidecar holding such a report is refused like any malformed one.
+        path = _write_lines(tmp_path / "store.jsonl", [_entity_line()])
+        sidecar = tmp_path / "store.jsonl.report.json"
+        failures = [{"item_id": i, "reason": r} for i, r in fields["failures"]]
+        sidecar.write_text(json.dumps(dict(fields, failures=failures)))
+        for strict in (True, False):
+            with pytest.raises(SchemaError, match=f"^store report {re.escape(str(sidecar))}: "):
+                MemoryStore.load(path, strict=strict)
+
+
 _TEXTS = st.text(max_size=4)
 _COUNTS = st.one_of(st.integers(-1, 3), st.sampled_from([0.5, 1.0, True, False]))
 
@@ -951,3 +984,28 @@ def test_every_report_that_constructs_loads_back(succeeded, failed, failures):
         loaded = MemoryStore.load(path).augmentation_report
     assert loaded == report
     assert [type(count) for count in (loaded.total, loaded.succeeded, loaded.failed)] == [int] * 3
+
+
+_FIELD_VALUES = st.one_of(st.none(), st.text(max_size=4), st.integers(0, 2), st.lists(st.text(max_size=1), max_size=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.one_of(st.sampled_from(ItemKind), st.sampled_from([k.value for k in ItemKind] + ["bogus"])),
+    fields=st.fixed_dictionaries({
+        key: _FIELD_VALUES
+        for key in ("id", "content", "speaker", "session_id", "turn_id", "timestamp")
+    }),
+)
+def test_every_item_that_constructs_loads_back(kind, fields):
+    try:
+        item = MemoryItem(kind=kind, **fields)
+    except (TypeError, ValueError):
+        return
+    store = MemoryStore()
+    store.write(item)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "store.jsonl"
+        store.save(path)
+        loaded = MemoryStore.load(path)
+    assert list(loaded) == [item]
