@@ -16,8 +16,9 @@ and round-trip checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from functools import lru_cache
 
 from .errors import ParseError
 
@@ -44,12 +45,61 @@ class Prioritization(Enum):
     PRIORITY = "priority"
 
 
+class MembersByValue(dict):
+    """An enum's members by value, for stored values: a lookup costs about a
+    tenth of an enum call."""
+
+    def __init__(self, enum_type: type[Enum]):
+        super().__init__((member.value, member) for member in enum_type)
+        self.enum_type = enum_type
+
+    def member(self, value) -> Enum:
+        """The member with this value; a value no member has goes to the
+        enum call, which refuses it in its own words."""
+        try:
+            return self[value]
+        except (KeyError, TypeError):
+            return self.enum_type(value)
+
+
+_PERSPECTIVES = MembersByValue(Perspective)
+_GRANULARITIES = MembersByValue(Granularity)
+_PRIORITIZATIONS = MembersByValue(Prioritization)
+
+
 def normalize_name(name: str) -> str:
     """Case-fold and collapse inner whitespace; idempotent."""
     return " ".join(name.split()).casefold()
 
 
-@dataclass(frozen=True, slots=True)
+def is_blank_value(value: str) -> bool:
+    """Whether a trimmed value is one the surface syntax cannot hold: empty,
+    or ``none`` in any case."""
+    return not value or value.casefold() == "none"
+
+
+@lru_cache(maxsize=1024)
+def _checked_name(name: str) -> str:
+    """``name`` normalized, refusing one that is empty or holds a bracket.
+
+    Cached per raw name, as a store holds few distinct names: its pairs
+    share one string per name. A refused name raises, so it is not cached.
+    """
+    normalized = normalize_name(name)
+    if not normalized:
+        raise ValueError("attribute name is empty after normalization")
+    if "[" in normalized or "]" in normalized:
+        raise ValueError(f"attribute name may not contain '[' or ']': {normalized!r}")
+    return normalized
+
+
+def _slot_setters(cls) -> tuple:
+    """The ``__set__`` of each field's slot, in field order: a hand-written
+    ``__init__`` sets each field of a frozen class once through them."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class AttributePair:
     """One mined attribute: a normalized name and a verbatim (trimmed) value.
 
@@ -62,26 +112,27 @@ class AttributePair:
     name: str
     value: str
 
-    def __post_init__(self):
-        if not (isinstance(self.name, str) and isinstance(self.value, str)):
-            types = f"{type(self.name).__name__} and {type(self.value).__name__}"
+    def __init__(self, name: str, value: str):
+        if not (isinstance(name, str) and isinstance(value, str)):
+            types = f"{type(name).__name__} and {type(value).__name__}"
             raise TypeError(f"pair name and value must be strings, got {types}")
-        object.__setattr__(self, "name", normalize_name(self.name))
-        object.__setattr__(self, "value", self.value.strip())
-        if not self.name:
-            raise ValueError("attribute name is empty after normalization")
-        if "[" in self.name or "]" in self.name:
-            raise ValueError(f"attribute name may not contain '[' or ']': {self.name!r}")
-        if not self.value or self.value.casefold() == "none":
-            raise ValueError(f"attribute value may not be empty or 'none': {self.value!r}")
-        if "<" in self.value or ">" in self.value:
-            raise ValueError(f"attribute value may not contain '<' or '>': {self.value!r}")
+        name = _checked_name(name)
+        value = value.strip()
+        if is_blank_value(value):
+            raise ValueError(f"attribute value may not be empty or 'none': {value!r}")
+        if "<" in value or ">" in value:
+            raise ValueError(f"attribute value may not contain '<' or '>': {value!r}")
+        _set_pair_name(self, name)
+        _set_pair_value(self, value)
 
     def render(self) -> str:
         return f"[{self.name}]<{self.value}>"
 
 
-@dataclass(frozen=True, slots=True)
+_set_pair_name, _set_pair_value = _slot_setters(AttributePair)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Annotation:
     """Ordered attribute pairs plus the mode tags they were produced under.
 
@@ -95,15 +146,20 @@ class Annotation:
     granularity: Granularity = Granularity.NOT_APPLICABLE
     prioritization: Prioritization = Prioritization.BASIC
 
-    def __post_init__(self):
-        seen: set[tuple[str, str]] = set()
-        deduped = []
-        for pair in self.pairs:
-            key = (pair.name, pair.value)
-            if key not in seen:
-                seen.add(key)
-                deduped.append(pair)
-        object.__setattr__(self, "pairs", tuple(deduped))
+    def __init__(
+        self,
+        pairs: tuple[AttributePair, ...] = (),
+        perspective: Perspective = Perspective.CONVERSATION_CENTRIC,
+        granularity: Granularity = Granularity.NOT_APPLICABLE,
+        prioritization: Prioritization = Prioritization.BASIC,
+    ):
+        first: dict[tuple[str, str], AttributePair] = {}
+        for pair in pairs:
+            first.setdefault((pair.name, pair.value), pair)
+        _set_pairs(self, tuple(first.values()))
+        _set_perspective(self, perspective)
+        _set_granularity(self, granularity)
+        _set_prioritization(self, prioritization)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -124,13 +180,16 @@ class Annotation:
     def from_dict(cls, data: dict) -> "Annotation":
         try:
             return cls(
-                pairs=tuple([AttributePair(pair["name"], pair["value"]) for pair in data["pairs"]]),
-                perspective=Perspective(data["perspective"]),
-                granularity=Granularity(data["granularity"]),
-                prioritization=Prioritization(data["prioritization"]),
+                [AttributePair(pair["name"], pair["value"]) for pair in data["pairs"]],
+                _PERSPECTIVES.member(data["perspective"]),
+                _GRANULARITIES.member(data["granularity"]),
+                _PRIORITIZATIONS.member(data["prioritization"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed annotation record: {exc}") from exc
+
+
+_set_pairs, _set_perspective, _set_granularity, _set_prioritization = _slot_setters(Annotation)
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,7 +262,7 @@ def _scan_pair(text: str, i: int, problems: _Problems) -> tuple[AttributePair | 
     if "[" in name:
         return _skip(problems, i, "'[' inside attribute name", next_i)
     value = value_raw.strip()
-    if not value or value.casefold() == "none":
+    if is_blank_value(value):
         # Unrepresentable content; mirrors the prompt instruction to skip
         # attributes without real values.
         return None, next_i

@@ -29,7 +29,7 @@ from pathlib import Path
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .annotations import Annotation, Granularity, normalize_name
+from .annotations import Annotation, Granularity, MembersByValue, _slot_setters, normalize_name
 from .errors import DuplicateIdError, GranularityMismatchError, SchemaError, check_count
 from .fileio import replace_together
 
@@ -40,9 +40,8 @@ class ItemKind(Enum):
     SESSION = "session"
 
 
-# Kinds by value: every loaded line looks its kind up, and a dict lookup
-# costs about a tenth of an ItemKind(value) call.
-_ITEM_KINDS = {kind.value: kind for kind in ItemKind}
+# Every loaded line looks its kind up by value.
+_ITEM_KINDS = MembersByValue(ItemKind)
 
 _KIND_GRANULARITY = {
     ItemKind.ENTITY: Granularity.NOT_APPLICABLE,
@@ -61,7 +60,7 @@ _TEXT_FIELDS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MemoryItem:
     """One unit of memory: an entity, a dialogue turn, or a whole session.
 
@@ -78,23 +77,48 @@ class MemoryItem:
     turn_id: str | None = None
     timestamp: str | None = None
 
-    def __post_init__(self):
-        for key, missing in _TEXT_FIELDS:
-            value = getattr(self, key)
-            if not isinstance(value, str) and (value is not None or missing is not None):
-                raise TypeError(f"field {key!r} must be a string, got {type(value).__name__}")
-        if not isinstance(self.kind, ItemKind):
-            try:
-                kind = _ITEM_KINDS[self.kind]
-            except (KeyError, TypeError):  # No kind has this value: the enum says so.
-                kind = ItemKind(self.kind)
-            object.__setattr__(self, "kind", kind)
-        if not self.id:
+    def __init__(
+        self,
+        id: str,
+        kind: ItemKind,
+        content: str,
+        speaker: str | None = None,
+        session_id: str | None = None,
+        turn_id: str | None = None,
+        timestamp: str | None = None,
+    ):
+        # The _TEXT_FIELDS rule, unrolled, since every loaded line makes this
+        # test; the loop runs only to name the first field that breaks it.
+        if not (
+            isinstance(id, str) and isinstance(content, str)
+            and (speaker is None or isinstance(speaker, str))
+            and (session_id is None or isinstance(session_id, str))
+            and (turn_id is None or isinstance(turn_id, str))
+            and (timestamp is None or isinstance(timestamp, str))
+        ):
+            texts = (id, content, speaker, session_id, turn_id, timestamp)
+            for (key, missing), value in zip(_TEXT_FIELDS, texts):
+                if not isinstance(value, str) and (value is not None or missing is not None):
+                    raise TypeError(f"field {key!r} must be a string, got {type(value).__name__}")
+        if not isinstance(kind, ItemKind):
+            kind = _ITEM_KINDS.member(kind)
+        if not id:
             raise ValueError("item id must be non-empty")
-        if self.kind is ItemKind.DIALOGUE_TURN and not (self.session_id and self.turn_id):
+        if kind is ItemKind.DIALOGUE_TURN and not (session_id and turn_id):
             raise ValueError("dialogue turns require session_id and turn_id")
-        if self.kind is ItemKind.SESSION and not self.session_id:
+        if kind is ItemKind.SESSION and not session_id:
             raise ValueError("sessions require session_id")
+        _set_id(self, id)
+        _set_kind(self, kind)
+        _set_content(self, content)
+        _set_speaker(self, speaker)
+        _set_session_id(self, session_id)
+        _set_turn_id(self, turn_id)
+        _set_timestamp(self, timestamp)
+
+
+(_set_id, _set_kind, _set_content, _set_speaker, _set_session_id, _set_turn_id,
+ _set_timestamp) = _slot_setters(MemoryItem)
 
 
 def check_granularity(kind: ItemKind, granularity: Granularity) -> None:
@@ -440,7 +464,7 @@ class MemoryStore:
                 for line_no, raw in enumerate(fh, start=1):
                     try:
                         line = raw.decode("utf-8")
-                        if not line.strip():
+                        if line.isspace():
                             continue
                         item, annotation = from_line(line)
                         if annotation is not None:

@@ -9,7 +9,10 @@ hand-accumulated runners the fan-out replaced, and decide for themselves when
 a query is mined; the per-turn mining oracle is the one-call-per-item corpus
 miner that one call per session replaced; the index-build oracle is the
 one-batch build that block-wise building replaced; the event-pair oracle is
-the word-window matcher that the one-word test replaced.
+the word-window matcher that the one-word test replaced. The three
+frozen-dataclass oracles are the generated-``__init__`` bodies of
+``AttributePair``, ``Annotation`` and ``MemoryItem`` that hand-written
+constructors replaced.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import json
 import logging
 import math
 import random
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +343,104 @@ def _record_oracle(record):
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed annotation record: {exc}") from exc
     return item, annotation
+
+
+# The frozen-dataclass bodies of the three record types, as they were before
+# their constructors were written by hand. Each takes its type's qualified
+# name, so equal field values give equal reprs and hashes.
+
+
+@dataclass(frozen=True, slots=True)
+class AttributePairOracle:
+    __qualname__ = "AttributePair"
+
+    name: str
+    value: str
+
+    def __post_init__(self):
+        if not (isinstance(self.name, str) and isinstance(self.value, str)):
+            types = f"{type(self.name).__name__} and {type(self.value).__name__}"
+            raise TypeError(f"pair name and value must be strings, got {types}")
+        object.__setattr__(self, "name", normalize_name(self.name))
+        object.__setattr__(self, "value", self.value.strip())
+        if not self.name:
+            raise ValueError("attribute name is empty after normalization")
+        if "[" in self.name or "]" in self.name:
+            raise ValueError(f"attribute name may not contain '[' or ']': {self.name!r}")
+        if not self.value or self.value.casefold() == "none":
+            raise ValueError(f"attribute value may not be empty or 'none': {self.value!r}")
+        if "<" in self.value or ">" in self.value:
+            raise ValueError(f"attribute value may not contain '<' or '>': {self.value!r}")
+
+
+@dataclass(frozen=True, slots=True)
+class AnnotationOracle:
+    __qualname__ = "Annotation"
+
+    pairs: tuple = ()
+    perspective: Perspective = Perspective.CONVERSATION_CENTRIC
+    granularity: Granularity = Granularity.NOT_APPLICABLE
+    prioritization: Prioritization = Prioritization.BASIC
+
+    def __post_init__(self):
+        seen: set[tuple[str, str]] = set()
+        deduped = []
+        for pair in self.pairs:
+            key = (pair.name, pair.value)
+            if key not in seen:
+                seen.add(key)
+                deduped.append(pair)
+        object.__setattr__(self, "pairs", tuple(deduped))
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "AnnotationOracle":
+        try:
+            return cls(
+                pairs=tuple([AttributePairOracle(pair["name"], pair["value"]) for pair in data["pairs"]]),
+                perspective=Perspective(data["perspective"]),
+                granularity=Granularity(data["granularity"]),
+                prioritization=Prioritization(data["prioritization"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed annotation record: {exc}") from exc
+
+
+_ORACLE_TEXT_FIELDS = (
+    ("id", ""), ("content", ""),
+    ("speaker", None), ("session_id", None), ("turn_id", None), ("timestamp", None),
+)
+_ORACLE_ITEM_KINDS = {kind.value: kind for kind in ItemKind}
+
+
+@dataclass(frozen=True, slots=True)
+class MemoryItemOracle:
+    __qualname__ = "MemoryItem"
+
+    id: str
+    kind: ItemKind
+    content: str
+    speaker: str | None = None
+    session_id: str | None = None
+    turn_id: str | None = None
+    timestamp: str | None = None
+
+    def __post_init__(self):
+        for key, missing in _ORACLE_TEXT_FIELDS:
+            value = getattr(self, key)
+            if not isinstance(value, str) and (value is not None or missing is not None):
+                raise TypeError(f"field {key!r} must be a string, got {type(value).__name__}")
+        if not isinstance(self.kind, ItemKind):
+            try:
+                kind = _ORACLE_ITEM_KINDS[self.kind]
+            except (KeyError, TypeError):  # No kind has this value: the enum says so.
+                kind = ItemKind(self.kind)
+            object.__setattr__(self, "kind", kind)
+        if not self.id:
+            raise ValueError("item id must be non-empty")
+        if self.kind is ItemKind.DIALOGUE_TURN and not (self.session_id and self.turn_id):
+            raise ValueError("dialogue turns require session_id and turn_id")
+        if self.kind is ItemKind.SESSION and not self.session_id:
+            raise ValueError("sessions require session_id")
 
 
 def _oracle_warn(warnings: list[str] | None, position: int, reason: str) -> None:
