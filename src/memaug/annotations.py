@@ -16,6 +16,7 @@ and round-trip checks.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
@@ -232,6 +233,17 @@ def _report(problems: _Problems, strict: bool, warnings: list[str] | None, offse
         warnings.extend(f"skipped {r} (position {p + offset})" for p, r in problems)
 
 
+# A well-formed pair and a well-formed turn group, as the scan reads them:
+# a name and the dialog id run to the first ']', a value to the first '>',
+# the speaker to the first ':', and re's \s is str.isspace. A name holds no
+# '[' and a value no '<', and between and around the pairs of a group stands
+# only whitespace. Of the scan's diagnostics, only an empty name, speaker or
+# dialog id can hold for a match: a match is taken only without them, and
+# the scan reads everything else.
+_PAIR = re.compile(r"\[([^\[\]]*)\]\s*<([^<>]*)>")
+_GROUP = re.compile(r"\{([^:}]*):\s*\[([^\]]*)\]\s*:((?:\s*\[[^\[\]]*\]\s*<[^<>]*>)*)\s*\}")
+
+
 def _scan_pair(text: str, i: int, problems: _Problems) -> tuple[AttributePair | None, int]:
     """Scan one ``[name]<value>`` starting at ``text[i] == '['``.
 
@@ -239,6 +251,10 @@ def _scan_pair(text: str, i: int, problems: _Problems) -> tuple[AttributePair | 
     either malformed (recorded in ``problems``) or carrying an empty/"none"
     value, which the surface syntax cannot represent and is skipped by design.
     """
+    match = _PAIR.match(text, i)
+    if match is not None and match[1].strip():
+        value = match[2].strip()
+        return (None if is_blank_value(value) else AttributePair(match[1], value)), match.end()
     n = len(text)
     close = text.find("]", i + 1)
     if close == -1:
@@ -304,24 +320,44 @@ def parse_annotation(
     *,
     strict: bool = False,
     warnings: list[str] | None = None,
+    perspective: Perspective = Perspective.CONVERSATION_CENTRIC,
+    granularity: Granularity = Granularity.NOT_APPLICABLE,
+    prioritization: Prioritization = Prioritization.BASIC,
 ) -> Annotation:
     """Parse a run of ``[name]<value>`` pairs into an :class:`Annotation`.
 
     Pairs come back in textual order; names are normalized, values trimmed.
-    The annotation carries the default mode tags; a miner retags it with
-    its own. Empty input yields an empty annotation. In lenient mode (the
-    default) unparseable spans are skipped and described in ``warnings``
-    when a list is supplied; strict mode raises :class:`ParseError` for the
-    first of them instead.
+    The annotation carries the given mode tags, by default those of
+    :class:`Annotation`. Empty input yields an empty annotation. In lenient
+    mode (the default) unparseable spans are skipped and described in
+    ``warnings`` when a list is supplied; strict mode raises
+    :class:`ParseError` for the first of them instead.
     """
     problems: _Problems = []
     pairs, _ = _scan(text, 0, len(text), problems, "[", _scan_pair, _STRAY_PAIR)
     _report(problems, strict, warnings)
-    return Annotation(pairs=tuple(pairs))
+    return Annotation(tuple(pairs), perspective, granularity, prioritization)
 
 
 def _parse_group(text: str, i: int, problems: _Problems) -> tuple[TurnScopedAnnotation | None, int]:
     """Parse one ``{speaker:[dialog_id]:pairs}`` group at ``text[i] == '{'``."""
+    match = _GROUP.match(text, i)
+    if match is not None:
+        speaker, dialog_id, body = match.groups()
+        speaker, dialog_id = speaker.strip(), dialog_id.strip()
+        pairs = []
+        for name_raw, value_raw in _PAIR.findall(body):
+            if not name_raw.strip():
+                break  # an empty name, which the scan reports
+            value = value_raw.strip()
+            if not is_blank_value(value):
+                pairs.append(AttributePair(name_raw, value))
+        else:
+            if speaker and dialog_id:
+                annotation = Annotation(
+                    tuple(pairs), Perspective.CONVERSATION_CENTRIC, Granularity.TURN_LEVEL
+                )
+                return TurnScopedAnnotation(speaker, dialog_id, annotation), match.end()
     n = len(text)
     colon = text.find(":", i + 1)
     brace = text.find("}", i + 1)

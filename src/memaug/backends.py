@@ -211,7 +211,8 @@ class _RemoteClient:
 
         The bearer key is read from ``profile.api_key_env`` at call time. A
         failed request, a non-200 status or a non-JSON body raises
-        :class:`TransportError` whose message names the ``what`` request.
+        :class:`TransportError` whose message names the ``what`` request; it
+        is transient for a connection error, a timeout, HTTP 429 and 5xx.
         """
         profile = self.profile
         headers = {"Content-Type": "application/json"}
@@ -222,10 +223,13 @@ class _RemoteClient:
         try:
             response = self._session.post(url, json=body, headers=headers, timeout=profile.timeout)
         except requests.RequestException as exc:
-            raise TransportError(f"{what} request failed: {exc}") from exc
-        if response.status_code != 200:
+            transient = isinstance(exc, (requests.ConnectionError, requests.Timeout))
+            raise TransportError(f"{what} request failed: {exc}", transient=transient) from exc
+        status = response.status_code
+        if status != 200:
             raise TransportError(
-                f"{what} request returned HTTP {response.status_code}: {response.text[:200]}"
+                f"{what} request returned HTTP {status}: {response.text[:200]}",
+                transient=status == 429 or status >= 500,
             )
         try:
             return response.json()

@@ -41,7 +41,16 @@ class AugmentFailure(MemaugError):
 
 
 class TransportError(MemaugError):
-    """A remote backend call failed at the HTTP level."""
+    """A remote backend call failed at the HTTP level.
+
+    ``transient`` marks a failure that the same request may not meet again:
+    a connection error, a timeout, HTTP 429 or HTTP 5xx. Mining retries only
+    those.
+    """
+
+    def __init__(self, message: str = "", *, transient: bool = False):
+        super().__init__(message)
+        self.transient = transient
 
 
 class BackendRefusal(MemaugError):

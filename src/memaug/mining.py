@@ -10,7 +10,6 @@ where the template replies turn by turn, and aggregates an
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -120,10 +119,12 @@ class AttributeMiner:
     def _with_retries(self, template, payload: str, parse):
         """Prompt the backend up to ``max_retries + 1`` times; return ``parse(response)``.
 
-        The prompt is built once. A transport error or a ``parse`` that
-        raises :class:`AugmentFailure` costs one attempt; after the last
-        attempt the last failure is raised. A refusal is raised at once,
-        since the same prompt gets the same refusal.
+        The prompt is built once. A transient transport error (see
+        :class:`TransportError`) or a ``parse`` that raises
+        :class:`AugmentFailure` costs one attempt; after the last attempt the
+        last failure is raised. Any other transport error, such as HTTP 400
+        or a malformed reply, and a refusal are raised at once, since the
+        same prompt meets them again.
         """
         prompt = build_prompt(template, payload)
         failure = AugmentFailure("unparseable", "no attempts made")
@@ -132,7 +133,9 @@ class AttributeMiner:
                 response = self.backend.complete(prompt, template=template, payload=payload)
             except TransportError as exc:
                 failure = AugmentFailure("transport", str(exc))
-                continue
+                if exc.transient:
+                    continue
+                raise failure from exc
             except BackendRefusal as exc:
                 raise AugmentFailure("refusal", str(exc)) from exc
             try:
@@ -142,6 +145,10 @@ class AttributeMiner:
         raise failure
 
     def _parse_response(self, response: str, item: MemoryItem | None) -> Annotation:
+        """The annotation a reply holds for ``item``, built once with this
+        miner's mode tags: the one template that replies turn by turn is
+        conversation-centric, turn-level and basic, the tags the turn parser
+        gives."""
         if self.template.expected_format is ResponseFormat.TURN_SCOPED_PAIR_LIST:
             scoped = parse_turn_annotations(response)
             if item is not None and item.turn_id:
@@ -151,7 +158,12 @@ class AttributeMiner:
             if scoped:
                 return scoped[0].annotation
             return Annotation()
-        return parse_annotation(response)
+        return parse_annotation(
+            response,
+            perspective=self.perspective,
+            granularity=self.granularity,
+            prioritization=self.prioritization,
+        )
 
     def mine_text(self, text: str, *, item: MemoryItem | None = None) -> Annotation:
         """Mine one payload string; retries, then raises AugmentFailure.
@@ -165,15 +177,7 @@ class AttributeMiner:
                 raise AugmentFailure("unparseable", "response contained no pairs")
             return annotation
 
-        return self._tagged(self._with_retries(self.template, text, parse))
-
-    def _tagged(self, annotation: Annotation) -> Annotation:
-        return dataclasses.replace(
-            annotation,
-            perspective=self.perspective,
-            granularity=self.granularity,
-            prioritization=self.prioritization,
-        )
+        return self._with_retries(self.template, text, parse)
 
     def mine(self, item: MemoryItem) -> Annotation:
         """Mine one memory item using the payload convention for its kind; an item
@@ -235,7 +239,7 @@ class AttributeMiner:
                 groups = []
             claims = Counter(group.dialog_id for group in groups)
             placed = {
-                group.dialog_id: self._tagged(group.annotation)
+                group.dialog_id: group.annotation
                 for group in groups
                 if group.dialog_id in lines and claims[group.dialog_id] == 1 and len(group.annotation)
             }

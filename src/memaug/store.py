@@ -25,11 +25,20 @@ from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring as _quote
 from pathlib import Path
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .annotations import Annotation, Granularity, MembersByValue, _slot_setters, normalize_name
+from .annotations import (
+    Annotation,
+    Granularity,
+    MembersByValue,
+    Perspective,
+    Prioritization,
+    _slot_setters,
+    normalize_name,
+)
 from .errors import DuplicateIdError, GranularityMismatchError, SchemaError, check_count
 from .fileio import replace_together
 
@@ -119,6 +128,16 @@ class MemoryItem:
 
 (_set_id, _set_kind, _set_content, _set_speaker, _set_session_id, _set_turn_id,
  _set_timestamp) = _slot_setters(MemoryItem)
+
+
+# A saved line is built from _quote, the escaper json.dumps(...,
+# ensure_ascii=False) uses, and from these fixed pieces of its "kind" field
+# and annotation tags.
+_KIND_HEAD = {kind: f', "kind": "{kind.value}", "content": ' for kind in ItemKind}
+_TAGS_TAIL = {
+    (p, g, r): f'], "perspective": "{p.value}", "granularity": "{g.value}", "prioritization": "{r.value}"}}}}\n'
+    for p in Perspective for g in Granularity for r in Prioritization
+}
 
 
 def check_granularity(kind: ItemKind, granularity: Granularity) -> None:
@@ -382,15 +401,30 @@ class MemoryStore:
     # -- persistence ---------------------------------------------------
 
     @staticmethod
-    def _record(item: MemoryItem, annotation: Annotation | None) -> dict:
-        record = {"id": item.id, "kind": item.kind.value}
-        for key, _ in _TEXT_FIELDS[1:]:
-            value = getattr(item, key)
-            if value is not None:
-                record[key] = value
-        if annotation is not None:
-            record["annotation"] = annotation.to_dict()
-        return record
+    def _record(item: MemoryItem, annotation: Annotation | None) -> str:
+        """The saved line of an item and its annotation, newline included.
+
+        It is ``json.dumps(record, ensure_ascii=False)`` of the record
+        (``_TEXT_FIELDS`` order, "kind" after "id", null fields left out,
+        "annotation" last), assembled from the escaper ``json.dumps`` uses.
+        """
+        line = '{"id": ' + _quote(item.id) + _KIND_HEAD[item.kind] + _quote(item.content)
+        if item.speaker is not None:
+            line += ', "speaker": ' + _quote(item.speaker)
+        if item.session_id is not None:
+            line += ', "session_id": ' + _quote(item.session_id)
+        if item.turn_id is not None:
+            line += ', "turn_id": ' + _quote(item.turn_id)
+        if item.timestamp is not None:
+            line += ', "timestamp": ' + _quote(item.timestamp)
+        if annotation is None:
+            return line + "}\n"
+        pairs = ", ".join([
+            '{"name": ' + _quote(pair.name) + ', "value": ' + _quote(pair.value) + "}"
+            for pair in annotation.pairs
+        ])
+        tags = _TAGS_TAIL[annotation.perspective, annotation.granularity, annotation.prioritization]
+        return line + ', "annotation": {"pairs": [' + pairs + tags
 
     @staticmethod
     def _from_line(line: str) -> tuple[MemoryItem, Annotation | None]:
@@ -415,19 +449,21 @@ class MemoryStore:
         store as ``<path>.report.json`` so stats survive a reload; without
         one, a report left by an earlier save is removed. The store and its
         report are replaced as one set: if either replacement fails, both
-        files keep their earlier contents.
+        files keep their earlier contents. The report goes first, so that
+        only its earlier bytes are kept for that: a save never reads the old
+        store.
         """
         target = Path(path)
 
         def write_items(fh) -> None:
-            for item_id, item in self._items.items():
-                record = self._record(item, self._annotations.get(item_id))
-                fh.write((json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8"))
+            record = self._record
+            for item, annotation in self.entries():
+                fh.write(record(item, annotation).encode("utf-8"))
 
         report = None
         if self.augmentation_report is not None:
             report = json.dumps(self.augmentation_report.to_dict(), indent=2, sort_keys=True) + "\n"
-        replace_together({target: write_items, _report_path(target): report})
+        replace_together({_report_path(target): report, target: write_items})
 
     @classmethod
     def load(

@@ -60,7 +60,7 @@ class FlakyChatBackend:
             self.attempts[key] = attempt + 1
         outcome = flaky_outcome(key, attempt)
         if outcome == "transport":
-            raise TransportError(f"injected transport error (attempt {attempt})")
+            raise TransportError(f"injected transport error (attempt {attempt})", transient=True)
         if outcome == "refusal":
             raise BackendRefusal("injected refusal")
         if outcome == "unparseable":
@@ -104,7 +104,7 @@ class SessionFaultChatBackend:
         if self.fault == "refusal":
             raise BackendRefusal("injected session refusal")
         if self.fault == "transport":
-            raise TransportError("injected session transport error")
+            raise TransportError("injected session transport error", transient=True)
         groups = [self.inner.complete(line, template=template, payload=line) for line in lines]
         victim = hashlib.sha256(payload.encode("utf-8")).digest()[0] % len(groups)
         if self.fault == "drop":

@@ -1,10 +1,12 @@
 """Independent brute-force oracles used to check the fast implementations.
 
 Everything here except :func:`single_pass_search`, :func:`load_store_oracle`,
-:func:`build_index_oracle`, the two parser oracles, the per-turn mining oracle
-and the two task-runner oracles is deliberately written in plain Python
-(explicit loops, ``math`` instead of numpy) so the oracle shares no code path
-with the implementation it checks. The task-runner oracles are the serial,
+:func:`store_line_oracle`, :func:`build_index_oracle`, the two parser oracles,
+the per-turn mining oracle and the two task-runner oracles is deliberately
+written in plain Python (explicit loops, ``math`` instead of numpy) so the
+oracle shares no code path with the implementation it checks. The store-line
+oracle is the record-dict ``json.dumps`` that assembled lines replaced. The
+task-runner oracles are the serial,
 hand-accumulated runners the fan-out replaced, and decide for themselves when
 a query is mined; the per-turn mining oracle is the one-call-per-item corpus
 miner that one call per session replaced; the index-build oracle is the
@@ -282,6 +284,20 @@ def oracle_f1(prediction, gold):
     precision = overlap / len(pred_tokens)
     recall = overlap / len(gold_tokens)
     return 2 * precision * recall / (precision + recall)
+
+
+def store_line_oracle(item, annotation):
+    """The line ``MemoryStore.save`` writes for an item, as it was written
+    before lines were assembled without a record dict: ``json.dumps`` of the
+    record, null fields left out."""
+    record = {"id": item.id, "kind": item.kind.value}
+    for key in ("content", "speaker", "session_id", "turn_id", "timestamp"):
+        value = getattr(item, key)
+        if value is not None:
+            record[key] = value
+    if annotation is not None:
+        record["annotation"] = annotation.to_dict()
+    return json.dumps(record, ensure_ascii=False) + "\n"
 
 
 def load_store_oracle(path, *, strict=True, warnings=None):

@@ -18,6 +18,9 @@ from memaug import (
 
 NAME_CHARS = string.ascii_letters + string.digits + "  -_'<>"
 VALUE_CHARS = string.ascii_letters + string.digits + " .,;:'!?()[]/-_&"
+# Characters a JSON line must escape or may leave raw: quotes, backslashes,
+# control characters, non-ASCII text and the two Unicode line separators.
+ESCAPED_CHARS = '"\\/\n\t\r\x00\x01\x1f\x7féß中😀\u2028\u2029'
 
 
 def random_name(rng: random.Random) -> str:
@@ -45,6 +48,54 @@ def random_annotation(rng: random.Random, max_pairs: int = 20) -> Annotation:
         granularity=rng.choice(list(Granularity)),
         prioritization=rng.choice(list(Prioritization)),
     )
+
+
+def _escaped_text(rng: random.Random, size: int) -> str:
+    alphabet = VALUE_CHARS + ESCAPED_CHARS
+    return "".join(rng.choice(alphabet) for _ in range(size))
+
+
+def build_mixed_store(seed: int = 0, n_items: int = 300) -> MemoryStore:
+    """A store of entities, turns and sessions whose text JSON must escape.
+
+    Each optional text field is present or absent, about a third of the
+    items carry no annotation, and annotated items carry up to 6 pairs
+    (some with no pairs at all), under random perspective and prioritization.
+    """
+    rng = random.Random(seed)
+    store = MemoryStore()
+    granularity = {
+        ItemKind.ENTITY: Granularity.NOT_APPLICABLE,
+        ItemKind.DIALOGUE_TURN: Granularity.TURN_LEVEL,
+        ItemKind.SESSION: Granularity.SESSION_LEVEL,
+    }
+    for i in range(n_items):
+        kind = rng.choice(list(ItemKind))
+        optional = {
+            key: _escaped_text(rng, rng.randint(0, 8)) if rng.random() < 0.5 else None
+            for key in ("speaker", "session_id", "turn_id", "timestamp")
+        }
+        if kind is not ItemKind.ENTITY:
+            optional["session_id"] = f"s{i % 7}" + (optional["session_id"] or "")
+        if kind is ItemKind.DIALOGUE_TURN:
+            optional["turn_id"] = f"t{i}" + (optional["turn_id"] or "")
+        item = MemoryItem(f"m{i}:" + _escaped_text(rng, rng.randint(0, 3)), kind,
+                          _escaped_text(rng, rng.randint(0, 40)), **optional)
+        annotation = None
+        if rng.random() < 0.67:
+            pairs = []
+            for _ in range(rng.randint(0, 6)):
+                value = _escaped_text(rng, rng.randint(1, 12)).strip()
+                if value and value.casefold() != "none":
+                    pairs.append(AttributePair(random_name(rng), value))
+            annotation = Annotation(
+                tuple(pairs),
+                rng.choice(list(Perspective)),
+                granularity[kind],
+                rng.choice(list(Prioritization)),
+            )
+        store.write(item, annotation)
+    return store
 
 
 def qa_keyword(i: int) -> str:

@@ -243,11 +243,15 @@ class TestTurnPositions:
 
 
 # Characters and fragments that sit near the grammar, so every one of the
-# fifteen ways to reject a span comes up, followed by varied text.
+# fifteen ways to reject a span comes up, followed by varied text. The
+# whitespace that is not ASCII (an em space, a file separator, a next-line
+# character), an inner run of spaces and the case and trim of values hold
+# the compiled well-formed steps to str.isspace and normalize_name.
 _PARSER_PIECES = st.sampled_from(
     list("[]{}<>: \n\tx")
     + ["none", "[x]<1>", "[ ]<1>", "[a[b]<1>", "<a<b>", "<v>", "[x] ", "[x]<"]
     + ["{Ana:[D1]:", "{Ana:", "{ :", "{x}", "[D1]", "[ ]:", "[D1] :", "{Bo:[D2]:[y]<2>}"]
+    + ["\u2003", "\x1c", "\x85", "[A  B]<1>", "[x]<NONE>", "[x]< v >"]
 )
 
 
@@ -275,6 +279,24 @@ def _turn_offset(text):
 @given(st.lists(_PARSER_PIECES, max_size=16).map("".join))
 def test_parsers_match_the_two_path_oracle(text):
     assert _outcome(parse_annotation, text) == _outcome(parse_annotation_oracle, text)
+    assert _outcome(parse_turn_annotations, text) == _outcome(
+        parse_turn_annotations_oracle, text, shift=_turn_offset(text)
+    )
+
+
+# Turn groups built around runs of pieces, so that whole groups, which the
+# pieces alone rarely make, meet every kind of span inside them.
+_GROUP_PIECES = st.builds(
+    "{{{}:[{}]:{}}}".format,
+    st.sampled_from(["Ana", " ", "A\u2003b"]),
+    st.sampled_from(["D1", " ", "\x85D2"]),
+    st.lists(_PARSER_PIECES, max_size=6).map("".join),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_GROUP_PIECES | _PARSER_PIECES, max_size=4).map("".join))
+def test_turn_groups_match_the_two_path_oracle(text):
     assert _outcome(parse_turn_annotations, text) == _outcome(
         parse_turn_annotations_oracle, text, shift=_turn_offset(text)
     )

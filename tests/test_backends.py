@@ -4,6 +4,7 @@ import json
 import pickle
 import re
 import threading
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -15,15 +16,20 @@ from hypothesis import strategies as st
 from oracles import splitmix_components
 
 from memaug import (
+    AttributeMiner,
     BackendProfile,
+    Granularity,
     HashEmbedder,
+    ItemKind,
+    MemoryItem,
     MockChatBackend,
+    Perspective,
     RemoteChatBackend,
     RemoteEmbedder,
     TransportError,
     ZeroVectorError,
 )
-from memaug.errors import BackendRefusal
+from memaug.errors import AugmentFailure, BackendRefusal
 from memaug.templates import (
     ENTITY_BASIC,
     QUESTION_AUGMENTATION,
@@ -297,6 +303,15 @@ class TestBackendProfile:
             BackendProfile(endpoint="http://127.0.0.1:9/", timeout=timeout)
 
 
+# The failing models of the stub: (HTTP status, body).
+_STUB_FAILURES = {
+    "boom": (500, b"server exploded"),
+    "busy": (429, b"slow down"),
+    "bad": (400, b"bad request"),
+    "notjson": (200, b"not json"),
+}
+
+
 class _StubHandler(BaseHTTPRequestHandler):
     """OpenAI-shaped stub: echoes enough to verify the client protocol.
 
@@ -305,19 +320,23 @@ class _StubHandler(BaseHTTPRequestHandler):
     has inputs, so two requests of different sizes disagree on the dimension;
     any other model as ``[len(text), 1, 0]``. Rows come back in reverse order,
     each tagged with its input position. On either path, model ``boom`` gets
-    HTTP 500 and ``notjson`` a non-JSON body.
+    HTTP 500, ``busy`` HTTP 429, ``bad`` HTTP 400 and ``notjson`` a non-JSON
+    body. Every request is counted by model in ``posts``.
     """
 
     requests: list[dict] = []
+    posts: Counter[str] = Counter()
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         request = json.loads(self.rfile.read(length))
-        if request.get("model") in ("boom", "notjson"):
-            boom = request["model"] == "boom"
-            self.send_response(500 if boom else 200)
+        type(self).posts[request.get("model")] += 1
+        failure = _STUB_FAILURES.get(request.get("model"))
+        if failure is not None:
+            status, body = failure
+            self.send_response(status)
             self.end_headers()
-            self.wfile.write(b"server exploded" if boom else b"not json")
+            self.wfile.write(body)
             return
         if self.path.endswith("/chat/completions"):
             body = {
@@ -383,8 +402,9 @@ class TestRemoteBackends:
             endpoint="http://127.0.0.1:9",
             timeout=0.2,
         )
-        with pytest.raises(TransportError):
+        with pytest.raises(TransportError) as exc_info:
             RemoteChatBackend(profile).complete("hello")
+        assert exc_info.value.transient
 
     @pytest.mark.parametrize("what", ["chat", "embedding"])
     @pytest.mark.parametrize(
@@ -400,6 +420,37 @@ class TestRemoteBackends:
         call = client.complete if what == "chat" else client.embed
         with pytest.raises(TransportError, match=message.format(what=what)):
             call("hello")
+
+    @pytest.mark.parametrize("what", ["chat", "embedding"])
+    @pytest.mark.parametrize(
+        "model, transient", [("boom", True), ("busy", True), ("bad", False), ("notjson", False)]
+    )
+    def test_only_429_and_5xx_replies_are_transient(self, stub_server, what, model, transient):
+        profile = BackendProfile(model_id=model, endpoint=stub_server)
+        client = RemoteChatBackend(profile) if what == "chat" else RemoteEmbedder(profile)
+        call = client.complete if what == "chat" else client.embed
+        with pytest.raises(TransportError) as exc_info:
+            call("hello")
+        assert exc_info.value.transient is transient
+
+    @pytest.mark.parametrize(
+        "model, requests_made", [("boom", 3), ("busy", 3), ("bad", 1), ("notjson", 1)]
+    )
+    def test_mining_retries_only_transient_errors(self, stub_server, model, requests_made):
+        profile = BackendProfile(model_id=model, endpoint=stub_server)
+        miner = AttributeMiner(
+            RemoteChatBackend(profile), perspective=Perspective.ENTITY_CENTRIC,
+            granularity=Granularity.NOT_APPLICABLE, max_retries=2,
+        )
+        _StubHandler.posts.clear()
+        with pytest.raises(AugmentFailure) as exc_info:
+            miner.mine(MemoryItem("m1", ItemKind.ENTITY, "a noir thriller"))
+        assert exc_info.value.reason == "transport"
+        assert _StubHandler.posts == {model: requests_made}
+        _StubHandler.posts.clear()
+        with pytest.raises(AugmentFailure):
+            miner.mine_question("what does Ana like?")
+        assert _StubHandler.posts == {model: requests_made}
 
     def test_embeddings_round_trip(self, stub_server):
         profile = BackendProfile(model_id="emb", endpoint=stub_server)
@@ -428,6 +479,35 @@ class _ReplySession:
         return reply
 
 
+class _RaisingSession:
+    """A session whose every POST raises ``error``."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def post(self, *args, **kwargs):
+        raise self.error
+
+
+@pytest.mark.parametrize(
+    "error, transient",
+    [
+        (requests.ConnectionError("reset"), True),
+        (requests.ConnectTimeout("connect timed out"), True),
+        (requests.ReadTimeout("read timed out"), True),
+        (requests.exceptions.InvalidURL("bad url"), False),
+        (requests.TooManyRedirects("loop"), False),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None,
+)
+def test_only_connection_errors_and_timeouts_are_transient(error, transient):
+    profile = BackendProfile(model_id="m", endpoint="http://127.0.0.1:9")
+    backend = RemoteChatBackend(profile, session=_RaisingSession(error))
+    with pytest.raises(TransportError, match="^chat request failed: ") as exc_info:
+        backend.complete("hello")
+    assert exc_info.value.transient is transient
+
+
 class TestRemoteChatReplies:
     @staticmethod
     def _complete(body, **profile):
@@ -442,8 +522,9 @@ class TestRemoteChatReplies:
 
     @pytest.mark.parametrize("body", [{}, {"choices": []}, {"choices": [{"message": None}]}])
     def test_reply_without_a_choice_is_malformed(self, body):
-        with pytest.raises(TransportError, match="^malformed chat response: "):
+        with pytest.raises(TransportError, match="^malformed chat response: ") as exc_info:
             self._complete(body)
+        assert not exc_info.value.transient
 
     def test_bearer_key_is_read_from_api_key_env(self, monkeypatch):
         body = {"choices": [{"message": {"content": "hi"}, "finish_reason": "stop"}]}

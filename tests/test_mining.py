@@ -19,10 +19,11 @@ from memaug import (
     Prioritization,
     TransportError,
 )
+from memaug.annotations import parse_turn_annotations
 from memaug.datasets import load_conversation_dataset, store_from_sessions
 from memaug.errors import BackendRefusal
 from memaug.mining import fan_out, parse_person_attributes, turn_payload
-from memaug.templates import LENGTH_BUDGET
+from memaug.templates import LENGTH_BUDGET, MINING_TEMPLATES, ResponseFormat
 
 from doubles import (
     SESSION_FAULTS,
@@ -147,7 +148,7 @@ class TestMine:
             def complete(self, prompt, *, template=None, payload=None):
                 self.calls += 1
                 if self.calls == 1:
-                    raise TransportError("boom")
+                    raise TransportError("boom", transient=True)
                 return "[genre]<noir>"
 
         miner = AttributeMiner(
@@ -159,7 +160,7 @@ class TestMine:
     def test_transport_reason_reported(self):
         class AlwaysDown:
             def complete(self, prompt, *, template=None, payload=None):
-                raise TransportError("down")
+                raise TransportError("down", transient=True)
 
         miner = AttributeMiner(AlwaysDown(), max_retries=1)
         with pytest.raises(AugmentFailure) as exc_info:
@@ -185,6 +186,26 @@ class TestMine:
             miner.mine_question("what does Ana do?")
         assert backend.calls == 2
 
+    def test_lasting_transport_error_is_not_retried(self):
+        class BadRequest:
+            def __init__(self):
+                self.calls = 0
+
+            def complete(self, prompt, *, template=None, payload=None):
+                self.calls += 1
+                raise TransportError("chat request returned HTTP 400: bad request")
+
+        backend = BadRequest()
+        miner = AttributeMiner(backend, max_retries=3)
+        with pytest.raises(AugmentFailure) as exc_info:
+            miner.mine(make_turn(1, "text"))
+        assert exc_info.value.reason == "transport"
+        assert isinstance(exc_info.value.__cause__, TransportError)
+        assert backend.calls == 1
+        with pytest.raises(AugmentFailure):
+            miner.mine_question("what does Ana do?")
+        assert backend.calls == 2
+
     def test_entity_centric_requires_na_granularity(self):
         with pytest.raises(ValueError):
             AttributeMiner(
@@ -205,6 +226,37 @@ class TestMine:
         assert annotation.perspective is Perspective.ENTITY_CENTRIC
         assert annotation.granularity is Granularity.NOT_APPLICABLE
         assert annotation.prioritization is Prioritization.PRIORITY
+
+    def test_turn_parser_tags_are_those_of_every_turn_scoped_template(self):
+        # A miner takes the annotations parse_turn_annotations builds as they are.
+        parsed = parse_turn_annotations("{Ana:[t1]:[genre]<noir>}")[0].annotation
+        tags = (parsed.perspective, parsed.granularity, parsed.prioritization)
+        turn_scoped = [
+            triple for triple, template in MINING_TEMPLATES.items()
+            if template.expected_format is ResponseFormat.TURN_SCOPED_PAIR_LIST
+        ]
+        assert turn_scoped == [tags]
+
+    @pytest.mark.parametrize("triple", list(MINING_TEMPLATES), ids=lambda t: "-".join(m.value for m in t))
+    def test_every_mode_tags_what_it_mines(self, triple):
+        perspective, granularity, prioritization = triple
+        miner = AttributeMiner(
+            MockChatBackend(SESSION_RULES), perspective=perspective,
+            granularity=granularity, prioritization=prioritization,
+        )
+        kind = {
+            Granularity.NOT_APPLICABLE: ItemKind.ENTITY,
+            Granularity.TURN_LEVEL: ItemKind.DIALOGUE_TURN,
+            Granularity.SESSION_LEVEL: ItemKind.SESSION,
+        }[granularity]
+        items = [
+            MemoryItem(f"i{n}", kind, text, speaker="Ana", session_id="s1", turn_id=f"t{n}")
+            for n, text in enumerate(["pizza in paris", "a jazz comedy"])
+        ]
+        results, report = miner.mine_corpus(items)
+        assert report.failed == 0
+        for _, annotation in results + [("one", miner.mine(items[0]))]:
+            assert (annotation.perspective, annotation.granularity, annotation.prioritization) == triple
 
     def test_never_returns_zero_pairs(self):
         miner = AttributeMiner(MockChatBackend(), max_retries=0)

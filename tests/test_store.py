@@ -1,6 +1,7 @@
 """Memory store tests: writes, index, stats, persistence."""
 
 import gc
+import hashlib
 import json
 import os
 import random
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import attribute_ranking, load_store_oracle
+from oracles import attribute_ranking, load_store_oracle, store_line_oracle
+from synthetic import build_mixed_store
 
 from memaug import (
     Annotation,
@@ -25,6 +27,7 @@ from memaug import (
     MemoryItem,
     MemoryStore,
     Perspective,
+    Prioritization,
     QueryContext,
     RetrievalMode,
     SchemaError,
@@ -495,8 +498,9 @@ class TestAtomicSave:
         assert MemoryStore.load(path).augmentation_report is None
         assert sorted(p.name for p in tmp_path.iterdir()) == ["store.jsonl"]
 
-    # With a report, the store is replaced and then the report fails. Without
-    # one, the store replacement fails and the stale report must survive it.
+    # The report goes first. With a report, it is replaced and then the store
+    # fails; without one, the store replacement fails and the stale report
+    # must survive it.
     @pytest.mark.parametrize("with_report, failing_call", [(True, 2), (False, 1)])
     def test_store_and_report_replaced_as_one_set(
         self, tmp_path, monkeypatch, with_report, failing_call
@@ -524,6 +528,100 @@ class TestAtomicSave:
         with pytest.raises(OSError):
             new.save(path)
         assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+
+    def test_save_never_reads_the_old_store(self, tmp_path, monkeypatch):
+        store = TestPersistence().make_store(10)
+        store.augmentation_report = AugmentationReport(total=10, succeeded=10, failed=0)
+        path = tmp_path / "store.jsonl"
+        store.save(path)
+        real_read_bytes = Path.read_bytes
+        read = []
+
+        def recording_read_bytes(self):
+            read.append(self)
+            return real_read_bytes(self)
+
+        monkeypatch.setattr(Path, "read_bytes", recording_read_bytes)
+        store.save(path)  # over a store and its report
+        store.augmentation_report = None
+        store.save(path)  # over a store and a stale report, which it removes
+        store.save(path)  # over a store alone
+        # Only the sidecar's earlier bytes are kept, to restore it if the store fails.
+        assert read == [tmp_path / "store.jsonl.report.json"] * 2
+
+    @pytest.mark.parametrize("with_report", [True, False], ids=["report-written", "stale-report-removed"])
+    def test_failed_store_replace_restores_the_sidecar(self, tmp_path, monkeypatch, with_report):
+        old = TestPersistence().make_store(5)
+        old.augmentation_report = AugmentationReport(total=5, succeeded=5, failed=0)
+        path = tmp_path / "store.jsonl"
+        old.save(path)
+        before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+        new = TestPersistence().make_store(8)
+        if with_report:
+            new.augmentation_report = AugmentationReport(total=8, succeeded=8, failed=0)
+        real_replace = os.replace
+        replaced = []
+
+        def failing_store_replace(src, dst):
+            if Path(dst) == path:
+                raise OSError("disk full")
+            replaced.append(Path(dst).name)
+            return real_replace(src, dst)
+
+        monkeypatch.setattr("memaug.fileio.os.replace", failing_store_replace)
+        with pytest.raises(OSError, match="^disk full$"):
+            new.save(path)
+        assert replaced == (["store.jsonl.report.json"] if with_report else [])
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+
+
+# -- saved line bytes ---------------------------------------------------------
+
+# The sha256 of the store file build_mixed_store() saves, recorded when each
+# line was still json.dumps of a record dict.
+_MIXED_STORE_SHA256 = "dccc4ef022fdd924c9471f1a34274700a08deff69ff674151ddc5d3f6dc15756"
+
+# Text that a saved line escapes (quotes, backslashes, control characters) or
+# leaves raw (non-ASCII, DEL, U+2028 and U+2029).
+_LINE_TEXT = st.text(st.sampled_from(list('ab /"\\é中😀\u2028\u2029\x00\x01\x1f\x7f\n\t\r\b\f')), max_size=8)
+_PAIR_NAME = _LINE_TEXT.filter(str.strip)
+_PAIR_VALUE = _LINE_TEXT.map(str.strip).filter(lambda value: value and value.casefold() != "none")
+
+
+@st.composite
+def _entry(draw):
+    """An item, each optional text field present or absent, and its
+    annotation or None."""
+    kind = draw(st.sampled_from(list(ItemKind)))
+    optional = {
+        key: draw(st.none() | _LINE_TEXT) for key in ("speaker", "session_id", "turn_id", "timestamp")
+    }
+    if kind is not ItemKind.ENTITY:
+        optional["session_id"] = "s" + (optional["session_id"] or "")
+    if kind is ItemKind.DIALOGUE_TURN:
+        optional["turn_id"] = "t" + (optional["turn_id"] or "")
+    item = MemoryItem("m" + draw(_LINE_TEXT), kind, draw(_LINE_TEXT), **optional)
+    if draw(st.booleans()):
+        return item, None
+    pairs = draw(st.lists(st.builds(AttributePair, _PAIR_NAME, _PAIR_VALUE), max_size=4))
+    return item, Annotation(
+        tuple(pairs),
+        draw(st.sampled_from(list(Perspective))),
+        draw(st.sampled_from(list(Granularity))),
+        draw(st.sampled_from(list(Prioritization))),
+    )
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_entry())
+def test_saved_lines_match_the_record_dict_oracle(entry):
+    assert MemoryStore._record(*entry) == store_line_oracle(*entry)
+
+
+def test_saved_store_bytes_are_pinned(tmp_path):
+    path = tmp_path / "store.jsonl"
+    build_mixed_store().save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _MIXED_STORE_SHA256
 
 
 def _write_lines(path: Path, lines: list[str]) -> Path:

@@ -505,12 +505,12 @@ class TestEventSummarization:
             def complete(self, prompt, *, template=None, payload=None):
                 self.calls += 1
                 if self.calls == 1:
-                    raise TransportError("connection reset")
+                    raise TransportError("connection reset", transient=True)
                 return "summary"
 
         class DownJudge:
             def complete(self, prompt, *, template=None, payload=None):
-                raise TransportError("judge down")
+                raise TransportError("judge down", transient=True)
 
         out = run_event_summarization(
             dataset,
@@ -608,10 +608,10 @@ class FlakyChatBackend:
         roll = zlib.crc32(f"{self.salt}|{template.id}|{payload}".encode()) % 100
         if template.id in self.failing and roll < self.percent:
             if roll % 3 == 0:
-                raise TransportError("")
+                raise TransportError("", transient=True)
             if roll % 3 == 1:
                 raise BackendRefusal("refused")
-            raise TransportError("connection reset")
+            raise TransportError("connection reset", transient=True)
         return self.inner.complete(prompt, template=template, payload=payload)
 
 
