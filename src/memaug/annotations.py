@@ -169,14 +169,6 @@ class Annotation:
     def names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.pairs)
 
-    def to_dict(self) -> dict:
-        return {
-            "pairs": [{"name": p.name, "value": p.value} for p in self.pairs],
-            "perspective": self.perspective.value,
-            "granularity": self.granularity.value,
-            "prioritization": self.prioritization.value,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "Annotation":
         try:

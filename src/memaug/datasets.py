@@ -247,16 +247,17 @@ def load_recommendation_dataset(path: str | Path) -> RecommendationDataset:
 def mask_dialogue(dialogue: RecDialogue) -> RecDialogue:
     """Mask every gold label occurrence and cut the dialogue after the first mask.
 
-    Occurrences are matched case-insensitively as whole mentions, with no
-    word character right before or after (the label "Her" masks "her" but
-    not "where"), and replaced with ``[MASKED]``; every turn strictly after
+    Occurrences of each label, stripped of surrounding whitespace, are
+    matched case-insensitively as whole mentions, with no word character
+    right before or after (the label "Her" masks "her" but not "where"),
+    and replaced with ``[MASKED]``; every turn strictly after
     the first turn containing a mask is removed (those turns back the
     evaluation labels). A label that :func:`~memaug.metrics.normalize_title`
     maps to ``""`` names no title and is ignored. Raises
     :class:`LabelNotFoundError` when no label occurs anywhere.
     """
     patterns = [
-        re.compile(rf"(?<!\w){re.escape(label)}(?!\w)", re.IGNORECASE)
+        re.compile(rf"(?<!\w){re.escape(label.strip())}(?!\w)", re.IGNORECASE)
         for label in dialogue.gold_labels
         if normalize_title(label)
     ]

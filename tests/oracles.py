@@ -296,7 +296,12 @@ def store_line_oracle(item, annotation):
         if value is not None:
             record[key] = value
     if annotation is not None:
-        record["annotation"] = annotation.to_dict()
+        record["annotation"] = {
+            "pairs": [{"name": p.name, "value": p.value} for p in annotation.pairs],
+            "perspective": annotation.perspective.value,
+            "granularity": annotation.granularity.value,
+            "prioritization": annotation.prioritization.value,
+        }
     return json.dumps(record, ensure_ascii=False) + "\n"
 
 

@@ -75,14 +75,19 @@ class TestAnnotation:
         ann = Annotation(pairs=(AttributePair("genre", "drama"), AttributePair("genre", "noir")))
         assert len(ann) == 2
 
-    def test_dict_round_trip(self):
-        ann = Annotation(
+    def test_from_dict(self):
+        data = {
+            "pairs": [{"name": "a", "value": "1"}],
+            "perspective": "entity_centric",
+            "granularity": "not_applicable",
+            "prioritization": "priority",
+        }
+        assert Annotation.from_dict(data) == Annotation(
             pairs=(AttributePair("a", "1"),),
             perspective=Perspective.ENTITY_CENTRIC,
             granularity=Granularity.NOT_APPLICABLE,
             prioritization=Prioritization.PRIORITY,
         )
-        assert Annotation.from_dict(ann.to_dict()) == ann
 
     def test_from_dict_rejects_garbage(self):
         with pytest.raises(ValueError):

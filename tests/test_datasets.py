@@ -270,6 +270,10 @@ class TestMaskDialogue:
             ("user", f"Try {MASK_TOKEN}: {MASK_TOKEN} is great"),
         )
 
+    def test_label_is_matched_by_its_stripped_text(self):
+        masked = mask_dialogue(self.make(["hi", "I loved Heat so much", "bye"], labels=(" Heat ",)))
+        assert masked.turns == (("user", "hi"), ("user", f"I loved {MASK_TOKEN} so much"))
+
     @pytest.mark.parametrize("label, text, expected", [
         ("Up", "an upbeat film, not Up", f"an upbeat film, not {MASK_TOKEN}"),
         ("It", "It's it_2 or It", f"{MASK_TOKEN}'s it_2 or {MASK_TOKEN}"),
