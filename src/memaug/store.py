@@ -1,19 +1,27 @@
 """Memory persistence: items, annotations, the attribute index, and stats.
 
 The store keeps items in insertion order, maintains an inverted index over
-annotation attribute names (and case-folded (name, value) keys), and
-round-trips through JSONL with one item per line in a canonical field order,
-so saving the same store twice produces byte-identical files. Items are only
-ever appended; there is no deletion. The :class:`AugmentationReport` of the
-pass that mined the store is saved beside it as ``<store>.report.json``, and
+annotation attribute names, and round-trips through JSONL with one item per
+line in a canonical field order, so saving the same store twice produces
+byte-identical files. Items are only ever appended; there is no deletion.
+The :class:`AugmentationReport` of the pass that mined the store is saved
+beside it as ``<store>.report.json``, and
 :func:`~memaug.fileio.replace_together` replaces the pair as one set.
 
 Each posting is one list of item ids in ascending order, with no repeats,
-and every write keeps it so. Writes are not safe against concurrent writers.
-``lookup_by_attribute`` returns a fresh set, so its callers never observe a
-structure mutated underneath them. Ranked queries (``rank_by_attributes``)
-only read the postings in place, so they may run together, but like writes
-they must not race a writer.
+and every write keeps it so. A store keeps its name postings from the
+start. Its (name, case-folded value) postings are built by the first query
+that reads one (a value lookup, or a ``NAME_AND_VALUE`` ranking with a
+value), all in one pass, and from then on every write keeps them too; a
+store that no value query has read holds none. That first build runs under
+a lock the store holds, so concurrent first readers build once, and the
+finished postings are published by one assignment.
+
+Writes are not safe against concurrent writers. ``lookup_by_attribute``
+returns a fresh set, so its callers never observe a structure mutated
+underneath them. Ranked queries (``rank_by_attributes``) read the postings
+in place, so they may run together, but like writes they must not race a
+writer.
 """
 
 from __future__ import annotations
@@ -21,8 +29,10 @@ from __future__ import annotations
 import gc
 import heapq
 import json
+import threading
 from bisect import bisect_left, insort
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring as _quote
@@ -220,20 +230,20 @@ class MatchPolicy(Enum):
     NAME_AND_VALUE = "name_and_value"
 
 
-# A posting key: a normalised attribute name, or (name, case-folded value).
-PostingKey = str | tuple[str, str]
-
-
-def _posting_key(name: str, value: str | None, policy: MatchPolicy) -> PostingKey:
-    """The posting a query term reads.
-
-    ``NAME_AND_VALUE`` compares values case-folded; with no value to compare
-    (``value=None``) it degrades to a name match.
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic collector for a block that builds many objects in
+    no cycles: left running, it would make full passes over every object in
+    the process while they pile up, and find nothing. It is re-enabled only
+    if it was on at entry, so a caller's own ``gc.disable()`` stays in force.
     """
-    key = normalize_name(name)
-    if policy is MatchPolicy.NAME_AND_VALUE and value is not None:
-        return key, value.strip().casefold()
-    return key
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class MemoryStore:
@@ -242,9 +252,11 @@ class MemoryStore:
     def __init__(self):
         self._items: dict[str, MemoryItem] = {}
         self._annotations: dict[str, Annotation] = {}
-        # Name keys and (name, case-folded value) keys share one index; each
-        # posting lists its ids in ascending order.
-        self._postings: dict[PostingKey, list[str]] = {}
+        # Each posting lists its ids in ascending order. The value postings
+        # stay None until the first value query builds them.
+        self._postings: dict[str, list[str]] = {}
+        self._values: dict[tuple[str, str], list[str]] | None = None
+        self._values_lock = threading.Lock()
         self.augmentation_report: AugmentationReport | None = None
 
     def __len__(self) -> int:
@@ -273,14 +285,11 @@ class MemoryStore:
         annotation = self._annotations.pop(item_id, None)
         if annotation is None:
             return
-        postings = self._postings
+        names, values = self._postings, self._values
         for pair in annotation.pairs:
-            for key in (pair.name, (pair.name, pair.value.casefold())):
-                ids = postings[key]
-                i = bisect_left(ids, item_id)
-                # A name the annotation repeats was removed on its first pair.
-                if i < len(ids) and ids[i] == item_id:
-                    del ids[i]
+            _discard(names[pair.name], item_id)
+            if values is not None:
+                _discard(values[pair.name, pair.value.casefold()], item_id)
 
     def write(
         self,
@@ -305,17 +314,33 @@ class MemoryStore:
     def _index(self, item_id: str, annotation: Annotation) -> None:
         """Insert ``item_id``, which no posting held, into the postings of the
         annotation's pairs."""
-        postings = self._postings
+        names, values = self._postings, self._values
         for pair in annotation.pairs:
-            for key in (pair.name, (pair.name, pair.value.casefold())):
-                ids = postings.setdefault(key, [])
-                # New ids usually sort last; one comparison then avoids the
-                # binary search's scattered string reads.
-                if not ids or ids[-1] < item_id:
-                    ids.append(item_id)
-                # A name the annotation repeats is already in its posting.
-                elif ids[bisect_left(ids, item_id)] != item_id:
-                    insort(ids, item_id)
+            _insert(names, pair.name, item_id)
+            if values is not None:
+                _insert(values, (pair.name, pair.value.casefold()), item_id)
+
+    def _value_postings(self) -> dict[tuple[str, str], list[str]]:
+        """The (name, case-folded value) postings, built by the first call."""
+        values = self._values
+        if values is not None:
+            return values
+        with self._values_lock:
+            if self._values is None:
+                with _collector_paused():
+                    self._values = _ascending_postings(self._annotations, by_value=True)
+            return self._values
+
+    def _posting(self, name: str, value: str | None, policy: MatchPolicy) -> Sequence[str]:
+        """The posting a query term reads.
+
+        ``NAME_AND_VALUE`` compares values case-folded; with no value to
+        compare (``value=None``) it degrades to a name match.
+        """
+        name = normalize_name(name)
+        if policy is MatchPolicy.NAME_AND_VALUE and value is not None:
+            return self._value_postings().get((name, value.strip().casefold()), ())
+        return self._postings.get(name, ())
 
     def attach_annotation(self, item_id: str, annotation: Annotation) -> None:
         """Replace the annotation of an existing item."""
@@ -332,9 +357,11 @@ class MemoryStore:
 
         ``NAME_AND_VALUE`` compares values case-folded; with no value to
         compare (``value=None``) it degrades to a name match. Unknown names
-        yield an empty set.
+        yield an empty set. The first value query on a store builds its
+        value postings, once, with the cyclic collector paused: about 70 ms
+        for 100k pairs over 20k items.
         """
-        return set(self._postings.get(_posting_key(name, value, policy), ()))
+        return set(self._posting(name, value, policy))
 
     def rank_by_attributes(
         self,
@@ -349,10 +376,11 @@ class MemoryStore:
         ``NAME_AND_VALUE``, when some item matches every term, only those
         items rank; they are read in id order from the shortest posting
         until ``k`` are found. Otherwise every item matching any term ranks.
+        A term with a value under ``NAME_AND_VALUE`` reads the value
+        postings, which the first such query builds as
+        :meth:`lookup_by_attribute` says.
         """
-        postings = [
-            self._postings.get(_posting_key(name, value, policy), ()) for name, value in terms
-        ]
+        postings = [self._posting(name, value, policy) for name, value in terms]
         if policy is MatchPolicy.NAME_AND_VALUE and terms:
             shortest, *others = sorted(postings, key=len)
             walk = iter(shortest)
@@ -487,42 +515,30 @@ class MemoryStore:
             raise FileNotFoundError(f"store file not found: {source}")
         store = cls()
         items, annotations, from_line = store._items, store._annotations, cls._from_line
-        # The cyclic collector is paused for this one file read. Each line's
-        # objects are freed by reference counting (only the exception chain
-        # of a skipped line can form a cycle, and the collector takes it once
-        # the pause ends), so it would find nothing here; left running, it
-        # makes one to three full passes over every object in the process
-        # while the store grows. A caller's own gc.disable() stays in force.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            with source.open("rb") as fh:
-                for line_no, raw in enumerate(fh, start=1):
-                    try:
-                        line = raw.decode("utf-8")
-                        if line.isspace():
-                            continue
-                        item, annotation = from_line(line)
-                        if annotation is not None:
-                            check_granularity(item.kind, annotation.granularity)
-                        if item.id in items:
-                            raise DuplicateIdError(f"item id {item.id!r} already present")
-                    except (ValueError, KeyError, TypeError, DuplicateIdError, GranularityMismatchError) as exc:
-                        if strict:
-                            raise SchemaError(str(exc), line=line_no) from exc
-                        if warnings is not None:
-                            warnings.append(f"line {line_no}: skipped ({exc})")
+        # Each line's objects are freed by reference counting (only the
+        # exception chain of a skipped line can form a cycle, and the
+        # collector takes it once the pause ends).
+        with _collector_paused(), source.open("rb") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                try:
+                    line = raw.decode("utf-8")
+                    if line.isspace():
                         continue
-                    items[item.id] = item
+                    item, annotation = from_line(line)
                     if annotation is not None:
-                        annotations[item.id] = annotation
-            # Indexed in ascending id order, each id appends to its postings:
-            # a file whose ids are out of order pays no insertions.
-            for item_id in sorted(annotations):
-                store._index(item_id, annotations[item_id])
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+                        check_granularity(item.kind, annotation.granularity)
+                    if item.id in items:
+                        raise DuplicateIdError(f"item id {item.id!r} already present")
+                except (ValueError, KeyError, TypeError, DuplicateIdError, GranularityMismatchError) as exc:
+                    if strict:
+                        raise SchemaError(str(exc), line=line_no) from exc
+                    if warnings is not None:
+                        warnings.append(f"line {line_no}: skipped ({exc})")
+                    continue
+                items[item.id] = item
+                if annotation is not None:
+                    annotations[item.id] = annotation
+            store._postings = _ascending_postings(annotations, by_value=False)
         report_path = _report_path(source)
         if report_path.exists():
             try:
@@ -532,6 +548,46 @@ class MemoryStore:
             except (ValueError, KeyError, TypeError) as exc:
                 raise SchemaError(f"store report {report_path}: {exc!r}") from exc
         return store
+
+
+def _ascending_postings(annotations: dict[str, Annotation], *, by_value: bool) -> dict:
+    """The name postings of ``annotations``, or with ``by_value`` their
+    (name, case-folded value) postings.
+
+    Built in ascending id order, each id appends to its postings: ids stored
+    out of order pay no insertions.
+    """
+    postings: dict = {}
+    for item_id in sorted(annotations):
+        for pair in annotations[item_id].pairs:
+            key = (pair.name, pair.value.casefold()) if by_value else pair.name
+            ids = postings.get(key)
+            if ids is None:
+                postings[key] = [item_id]
+            # A key the annotation repeats is already in its posting.
+            elif ids[-1] != item_id:
+                ids.append(item_id)
+    return postings
+
+
+def _insert(postings: dict, key, item_id: str) -> None:
+    """Insert ``item_id`` into the posting of ``key``, once."""
+    ids = postings.setdefault(key, [])
+    # New ids usually sort last; one comparison then avoids the binary
+    # search's scattered string reads.
+    if not ids or ids[-1] < item_id:
+        ids.append(item_id)
+    # A key the annotation repeats is already in its posting.
+    elif ids[bisect_left(ids, item_id)] != item_id:
+        insort(ids, item_id)
+
+
+def _discard(ids: list[str], item_id: str) -> None:
+    """Remove ``item_id`` from the posting ``ids`` if it is there."""
+    i = bisect_left(ids, item_id)
+    # A key the annotation repeats was removed on its first pair.
+    if i < len(ids) and ids[i] == item_id:
+        del ids[i]
 
 
 def _held_by(ids: list[str], walk: Iterator[str]) -> Iterator[str]:

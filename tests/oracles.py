@@ -1,11 +1,14 @@
 """Independent brute-force oracles used to check the fast implementations.
 
 Everything here except :func:`single_pass_search`, :func:`load_store_oracle`,
-:func:`store_line_oracle`, :func:`build_index_oracle`, the two parser oracles,
-the per-turn mining oracle and the two task-runner oracles is deliberately
+:func:`store_line_oracle`, :func:`build_index_oracle`, :func:`eager_postings`,
+the two parser oracles, the per-turn mining oracle and the two task-runner
+oracles is deliberately
 written in plain Python (explicit loops, ``math`` instead of numpy) so the
 oracle shares no code path with the implementation it checks. The store-line
-oracle is the record-dict ``json.dumps`` that assembled lines replaced. The
+oracle is the record-dict ``json.dumps`` that assembled lines replaced; the
+eager-postings oracle is the build of every name and value posting at load
+time that value postings built by the first value query replaced. The
 task-runner oracles are the serial,
 hand-accumulated runners the fan-out replaced, and decide for themselves when
 a query is mined; the per-turn mining oracle is the one-call-per-item corpus
@@ -23,6 +26,7 @@ import json
 import logging
 import math
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -212,9 +216,46 @@ def build_index_oracle(store, strategy, embedder):
     return index, skipped
 
 
+def eager_postings(store):
+    """Every name posting and every (name, case-folded value) posting of the
+    store, built in one pass over its annotations in ascending id order, as a
+    load built them before value postings waited for the first value query.
+
+    Returns one dict of both: name keys are strings, value keys tuples.
+    """
+    postings = {}
+    annotated = {item.id: annotation for item, annotation in store.entries() if annotation}
+    for item_id in sorted(annotated):
+        for pair in annotated[item_id].pairs:
+            for key in (pair.name, (pair.name, pair.value.casefold())):
+                ids = postings.setdefault(key, [])
+                if not ids or ids[-1] < item_id:
+                    ids.append(item_id)
+                elif ids[bisect_left(ids, item_id)] != item_id:
+                    insort(ids, item_id)
+    return postings
+
+
+def lookup_oracle(store, name, value, policy):
+    """``lookup_by_attribute`` by a linear scan over the store's entries."""
+    wanted = normalize_name(name)
+    folded = None
+    if policy is MatchPolicy.NAME_AND_VALUE and value is not None:
+        folded = value.strip().casefold()
+    found = set()
+    for item, annotation in store.entries():
+        if annotation is None:
+            continue
+        for pair in annotation.pairs:
+            if pair.name == wanted and (folded is None or pair.value.casefold() == folded):
+                found.add(item.id)
+    return found
+
+
 def attribute_ranking(store, query, policy, k):
     """Attribute retrieval by sorting every candidate on (-count, id).
 
+    Each term's matches come from a linear scan (:func:`lookup_oracle`).
     Every candidate gets a matched-term count and the whole candidate set is
     sorted before the first k are kept.
     """
@@ -222,7 +263,7 @@ def attribute_ranking(store, query, policy, k):
     if not terms:
         raise EmptyQueryError("query has no attributes to match")
     matches: list[set[str]] = [
-        store.lookup_by_attribute(name, value, policy) for name, value in terms
+        lookup_oracle(store, name, value, policy) for name, value in terms
     ]
     if policy is MatchPolicy.NAME_AND_VALUE:
         candidates = set.intersection(*matches) if matches else set()

@@ -106,7 +106,7 @@ BROKEN = [
     ("serve-20k", drop_check("embed_topk"), "check embed_topk is missing, not >= 1"),
     ("serve-20k", drop_check("mined_pairs"), "check mined_pairs is missing, not >= 1"),
     ("serve-20k", drop_check("mined_question"), "check mined_question is missing, not >= 1"),
-    ("serve-20k", set_metric("peak_rss_mb", "275.5"), "metric peak_rss_mb is 275.5, not <= 275"),
+    ("serve-20k", set_metric("peak_rss_mb", "240.5"), "metric peak_rss_mb is 240.5, not <= 240"),
     ("serve-20k", set_layer("store.load_s", 0), "layer store.load_s is 0, not > 0"),
     ("serve-20k", set_layer("store.write_s", 0), "layer store.write_s is 0, not > 0"),
     ("serve-20k", set_layer("retrieval.index_load_s", 0), "layer retrieval.index_load_s is 0, not > 0"),
@@ -136,7 +136,7 @@ def test_doctored_run_fails_its_gate(workload, edit, message):
 
 
 @pytest.mark.parametrize("workload, edit", [
-    ("serve-20k", set_metric("peak_rss_mb", "275.0")),
+    ("serve-20k", set_metric("peak_rss_mb", "240.0")),
     ("ingest-20k", set_metric("peak_rss_mb", "400.0")),
     ("serve-20k", set_check("mined_question", 1)),
     ("ingest-20k", set_layer("store.save_s", 1e-9)),
@@ -174,7 +174,7 @@ def test_command_prints_each_failed_gate_and_exits_1(tmp_path):
     assert done.returncode == 1
     assert done.stdout.splitlines() == [
         "serve-20k: check attr_topk is missing, not >= 1",
-        "serve-20k: metric peak_rss_mb is 300.0, not <= 275",
+        "serve-20k: metric peak_rss_mb is 300.0, not <= 240",
     ]
 
 

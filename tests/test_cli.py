@@ -428,6 +428,35 @@ class TestEvalCommand:
         assert report["metrics"]["recall@1"]["overall"] == 1.0
         assert report["avg_items_retrieved"] == 10.0
 
+    def test_rec_reports_do_not_depend_on_parallelism(self, tmp_path):
+        # Under name-value, attribute retrieval reads the value postings,
+        # which the first queries of the fan-out build on the loaded store.
+        data, store, rules = build_rec_fixture(n_dialogues=12, n_items=10)
+        dataset = tmp_path / "rec.json"
+        dataset.write_text(json.dumps(data), encoding="utf-8")
+        store_path = tmp_path / "store.jsonl"
+        store.save(store_path)
+        rules_path = write_mock_rules(tmp_path / "rules.json", rules)
+        reports = {}
+        for parallelism in ("1", "2"):
+            out_dir = tmp_path / f"reports_{parallelism}"
+            code = main([
+                "eval", "--task", "rec", "--dataset", str(dataset), "--store", str(store_path),
+                "--mode", "attribute", "--policy", "name-value", "--n", "12", "--seed", "0",
+                "--parallelism", parallelism, "--mock-rules", str(rules_path),
+                "--out-dir", str(out_dir), "--no-timestamp",
+            ])
+            assert code == 0
+            reports[parallelism] = {
+                name: (out_dir / name).read_bytes() for name in ("rec.json", "rec_report.txt")
+            }
+        assert reports["1"]["rec_report.txt"] == reports["2"]["rec_report.txt"]
+        # The config snapshot records the parallelism itself; nothing else differs.
+        one, two = (json.loads(reports[p]["rec.json"]) for p in ("1", "2"))
+        assert (one["config"].pop("parallelism"), two["config"].pop("parallelism")) == (1, 2)
+        assert one == two
+        assert one["metrics"]["recall@1"]["overall"] == 1.0
+
     def test_rec_n_too_large_fails_before_work(self, tmp_path, capsys, monkeypatch):
         data, store, rules = build_rec_fixture(n_dialogues=4, n_items=5)
         dataset = tmp_path / "rec.json"

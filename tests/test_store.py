@@ -6,14 +6,22 @@ import json
 import os
 import random
 import re
+import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import attribute_ranking, load_store_oracle, store_line_oracle
+from oracles import (
+    attribute_ranking,
+    eager_postings,
+    load_store_oracle,
+    lookup_oracle,
+    store_line_oracle,
+)
 from synthetic import build_mixed_store
 
 from memaug import (
@@ -33,7 +41,8 @@ from memaug import (
     SchemaError,
     retrieve,
 )
-from memaug.mining import AugmentationReport
+from memaug.mining import AugmentationReport, fan_out
+import memaug.store as store_module
 
 
 def entity(i: int) -> MemoryItem:
@@ -206,17 +215,28 @@ class TestStats:
 
 
 def assert_postings_rebuilt(store):
-    """Each posting is strictly ascending and equals a rebuild from the entries."""
-    expected: dict = {}
-    for item, annotation in store.entries():
-        for pair in annotation.pairs if annotation else ():
-            for key in (pair.name, (pair.name, pair.value.casefold())):
-                expected.setdefault(key, set()).add(item.id)
-    for ids in store._postings.values():
+    """Each posting is strictly ascending. The name postings, and the value
+    postings once a value query has built them, equal the eager build from
+    the store's entries, leaving out postings that writes emptied."""
+    built = dict(store._postings)
+    assert all(isinstance(key, str) for key in built)
+    if store._values is not None:
+        assert all(isinstance(key, tuple) for key in store._values)
+        built.update(store._values)
+    for ids in built.values():
         assert all(a < b for a, b in zip(ids, ids[1:]))
-    assert {key: ids for key, ids in store._postings.items() if ids} == {
-        key: sorted(ids) for key, ids in expected.items()
+    expected = eager_postings(store)
+    assert {key: ids for key, ids in built.items() if ids} == {
+        key: ids for key, ids in expected.items()
+        if store._values is not None or isinstance(key, str)
     }
+
+
+def reads_values(query, policy):
+    """Whether retrieving ``query`` under ``policy`` reads a value posting."""
+    return policy is MatchPolicy.NAME_AND_VALUE and any(
+        value is not None for _, value in query.attribute_queries()
+    )
 
 
 class TestRankedViews:
@@ -226,6 +246,10 @@ class TestRankedViews:
         query = QueryContext(attribute_names=tuple(names))
         return retrieve(store, query, RetrievalMode.ATTRIBUTE_BASED, k=k, policy=policy)
 
+    def _rank_values(self, store, pairs, k=5):
+        query = QueryContext(annotation=entity_annotation(*pairs))
+        return retrieve(store, query, RetrievalMode.ATTRIBUTE_BASED, k=k, policy=MatchPolicy.NAME_AND_VALUE)
+
     def test_unknown_names_cache_no_view(self):
         store = MemoryStore()
         store.write(entity(1), entity_annotation(("genre", "Drama")))
@@ -233,29 +257,48 @@ class TestRankedViews:
             for i in range(50):
                 assert self._rank(store, [f"unknown {i}"], policy).hits == ()
             assert self._rank(store, ["unknown", "genre"], policy).ids() == ("m1",)
-        assert store._postings == {"genre": ["m1"], ("genre", "drama"): ["m1"]}
+        assert store._postings == {"genre": ["m1"]}
+        # Name queries build no value postings, under either policy.
+        assert store._values is None
+        for i in range(50):
+            assert self._rank_values(store, [(f"unknown {i}", "drama")]).hits == ()
+            assert self._rank_values(store, [("genre", f"unknown {i}")]).hits == ()
+            assert store.lookup_by_attribute("genre", f"x{i}", MatchPolicy.NAME_AND_VALUE) == set()
+        assert self._rank_values(store, [("unknown", "x"), ("genre", "DRAMA")]).ids() == ("m1",)
+        assert store._postings == {"genre": ["m1"]}
+        assert store._values == {("genre", "drama"): ["m1"]}
 
     def test_emptied_posting_caches_no_view(self):
         store = MemoryStore()
         store.write(entity(1), entity_annotation(("genre", "Drama")))
+        assert store.lookup_by_attribute("genre", "drama", MatchPolicy.NAME_AND_VALUE) == {"m1"}
         store.attach_annotation("m1", entity_annotation(("mood", "calm")))
         assert self._rank(store, ["genre"]).hits == ()
+        assert self._rank_values(store, [("genre", "drama")]).hits == ()
         assert store._postings["genre"] == []
+        assert store._values[("genre", "drama")] == []
+        assert store._values[("mood", "calm")] == ["m1"]
         assert_postings_rebuilt(store)
 
     def test_view_follows_writes_after_it_is_built(self):
         store = MemoryStore()
         store.write(entity(2), entity_annotation(("genre", "Drama")))
         assert self._rank(store, ["genre"]).ids() == ("m2",)
-        # A repeated name adds the id to its posting once.
+        assert self._rank_values(store, [("genre", "drama")]).ids() == ("m2",)
+        # A repeated name, and a value repeated in another case, add the id
+        # to their postings once.
         store.write(entity(1), entity_annotation(("genre", "Drama"), ("genre", "drama")))
         assert self._rank(store, ["genre"], k=None).ids() == ("m1", "m2")
         assert store._postings["genre"] == ["m1", "m2"]
+        assert store._values[("genre", "drama")] == ["m1", "m2"]
         store.attach_annotation("m2", entity_annotation(("mood", "calm")))
         store.write(entity(3), None)
         store.write(entity(3), entity_annotation(("genre", "noir")), overwrite=True)
         assert self._rank(store, ["genre"], k=None).ids() == ("m1", "m3")
         assert store._postings["genre"] == ["m1", "m3"]
+        assert store._values[("genre", "drama")] == ["m1"]
+        assert store._values[("genre", "noir")] == ["m3"]
+        assert self._rank_values(store, [("genre", "NOIR")], k=None).ids() == ("m3",)
         assert_postings_rebuilt(store)
 
 
@@ -284,6 +327,12 @@ _rank_steps = st.lists(
         st.tuples(st.sampled_from(("write", "overwrite")), st.sampled_from(_RANK_IDS), st.none() | _rank_pairs),
         st.tuples(st.just("attach"), st.sampled_from(_RANK_IDS), _rank_pairs),
         st.tuples(st.just("reload")),
+        st.tuples(
+            st.just("lookup"),
+            st.sampled_from(_RANK_QUERY_NAMES),
+            st.none() | st.sampled_from(_RANK_VALUES + ("NOIR", " noir ", "absent")),
+            st.sampled_from(MatchPolicy),
+        ),
     ),
     min_size=10,
     max_size=40,
@@ -319,19 +368,43 @@ _GENRE_MOOD = QueryContext(attribute_names=("genre", "mood"))
     ("overwrite", "m1", None),
     ("reload",),
 ])
+# Value postings built by a lookup, kept by writes, dropped by a reload and
+# built again by the next value lookup.
+@example(steps=[
+    ("write", "m2", [("genre", "Noir"), ("mood", "drama")]),
+    ("lookup", "genre", "NOIR", MatchPolicy.NAME_ONLY),
+    ("lookup", " GENRE", " noir ", MatchPolicy.NAME_AND_VALUE),
+    ("write", "m1", [("genre", "noir"), ("genre", "Noir")]),
+    ("overwrite", "m2", [("genre", "drama")]),
+    ("attach", "m1", [("mood", "noir")]),
+    ("reload",),
+    ("write", "m0", [("mood", "Noir")]),
+    ("lookup", "mood", "noir", MatchPolicy.NAME_AND_VALUE),
+    ("overwrite", "m0", None),
+])
 def test_ranked_views_match_the_sorting_oracle_across_writes(steps):
-    """After every step, every query asked so far ranks as the oracle does,
-    and each posting is the id-sorted rebuild from the store's entries."""
+    """After every step, every query asked so far ranks as the linear-scan
+    oracle does, and each lookup matches it too. A store holds no value
+    postings before its first value query; from then on they, like the name
+    postings, equal the eager build from the store's entries."""
     store = MemoryStore()
     asked = []
+    values_read = False
     for kind, *args in steps:
         if kind == "query":
             asked.append(tuple(args))
+        elif kind == "lookup":
+            name, value, policy = args
+            assert store.lookup_by_attribute(name, value, policy) == lookup_oracle(
+                store, name, value, policy
+            )
+            values_read |= policy is MatchPolicy.NAME_AND_VALUE and value is not None
         elif kind == "reload":
             with tempfile.TemporaryDirectory() as directory:
                 path = Path(directory) / "store.jsonl"
                 store.save(path)
                 store = MemoryStore.load(path)
+            values_read = False
         elif kind == "attach":
             item_id, pairs = args
             if item_id in store:
@@ -348,9 +421,12 @@ def test_ranked_views_match_the_sorting_oracle_across_writes(steps):
                     store.write(item, annotation)
             else:
                 store.write(item, annotation, overwrite=kind == "overwrite")
+        assert (store._values is not None) is values_read
         for query, policy, k in asked:
             got = retrieve(store, query, RetrievalMode.ATTRIBUTE_BASED, k=k, policy=policy)
             assert got == attribute_ranking(store, query, policy, k)
+            values_read |= reads_values(query, policy)
+        assert (store._values is not None) is values_read
         assert_postings_rebuilt(store)
 
 
@@ -782,14 +858,15 @@ class TestRecordFields:
         assert exc_info.value.line == 2
 
 
-class TestLoadPausesCollector:
-    @pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
-    def gc_state(self, request):
-        was_enabled = gc.isenabled()
-        (gc.enable if request.param else gc.disable)()
-        yield request.param
-        (gc.enable if was_enabled else gc.disable)()
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def gc_state(request):
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
 
+
+class TestLoadPausesCollector:
     def test_state_restored_after_load(self, tmp_path, gc_state):
         path = tmp_path / "store.jsonl"
         TestPersistence().make_store(20).save(path)
@@ -801,6 +878,65 @@ class TestLoadPausesCollector:
         with pytest.raises(SchemaError):
             MemoryStore.load(path)
         assert gc.isenabled() is gc_state
+
+
+class TestValuePostingsOnDemand:
+    """A loaded store builds its value postings at the first value query."""
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        TestPersistence().make_store(300).save(path)
+        return path
+
+    def test_first_value_queries_fanned_out_build_once(self, tmp_path, monkeypatch):
+        path = self._saved(tmp_path)
+        terms = [(f"name{i % 6}", f"VALUE {i % 10}") for i in range(40)]
+
+        def asker(store):
+            def ask(term):
+                ranked = store.rank_by_attributes([term, ("name0", "value 1")], MatchPolicy.NAME_AND_VALUE, 3)
+                return store.lookup_by_attribute(*term, MatchPolicy.NAME_AND_VALUE), ranked
+            return ask
+
+        serial = fan_out(asker(MemoryStore.load(path)), terms, 1)
+        builds = []
+        build = store_module._ascending_postings
+
+        def slow_build(annotations, *, by_value):
+            if by_value:
+                builds.append(gc.isenabled())
+                time.sleep(0.05)  # the other first readers reach the build meanwhile
+            return build(annotations, by_value=by_value)
+
+        monkeypatch.setattr(store_module, "_ascending_postings", slow_build)
+        store = MemoryStore.load(path)
+        assert store._values is None
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert fan_out(asker(store), terms, 4) == serial
+        finally:
+            sys.setswitchinterval(interval)
+        # One build, with the collector paused.
+        assert builds == [False]
+        assert_postings_rebuilt(store)
+
+    def test_collector_state_restored_after_the_build(self, tmp_path, gc_state):
+        store = MemoryStore.load(self._saved(tmp_path))
+        assert gc.isenabled() is gc_state
+        assert store.lookup_by_attribute("name1", "value 2", MatchPolicy.NAME_AND_VALUE)
+        assert store._values is not None
+        assert gc.isenabled() is gc_state
+
+    def test_name_queries_and_writes_build_no_value_postings(self, tmp_path):
+        store = MemoryStore.load(self._saved(tmp_path))
+        store.write(entity(1000), entity_annotation(("name1", "value 2")))
+        store.attach_annotation("m1000", entity_annotation(("name2", "value 3")))
+        assert store.lookup_by_attribute("name2", "value 3") == lookup_oracle(
+            store, "name2", "value 3", MatchPolicy.NAME_ONLY
+        )
+        assert store.rank_by_attributes([("name1", None)], MatchPolicy.NAME_AND_VALUE, 5)
+        assert store._values is None
 
 
 # -- the one-pass load against the per-line write it replaced -------------------
